@@ -12,6 +12,13 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
+from pathlib import Path
+
+try:
+    import faultcast  # noqa: F401
+except ModuleNotFoundError:  # not installed: use the src/ of this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from faultcast.knowledge import OfflineEmbedder, VectorStore, ingest_files
 from faultcast.kpi import KpiDescriptor, KpiId

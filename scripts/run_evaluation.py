@@ -13,6 +13,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
+from pathlib import Path
+
+try:
+    import faultcast  # noqa: F401
+except ModuleNotFoundError:  # not installed: use the src/ of this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from faultcast.autoencoder import TrainingConfig
 from faultcast.classifier import SIGMA_GRID, fit_classifier, select_elbow

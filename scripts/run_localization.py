@@ -15,7 +15,14 @@ import argparse
 import dataclasses
 import json
 import os
+import sys
 import time
+from pathlib import Path
+
+try:
+    import faultcast  # noqa: F401
+except ModuleNotFoundError:  # not installed: use the src/ of this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from faultcast.autoencoder import TrainingConfig
 from faultcast.classifier import fit_classifier

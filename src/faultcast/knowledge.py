@@ -5,6 +5,12 @@ no word is split.  Each chunk is embedded either by the deterministic offline
 embedder (hashed bag of words, no network) or by a remote embedding endpoint.
 The store keeps every chunk with its vector in a single JSON file.
 
+In memory the store holds all embeddings in one read-only
+``(n_embedded, dimension)`` float64 matrix beside the norm of each row.  Each
+chunk's ``embedding`` is a view of its row, so no vector is stored twice;
+chunks without an embedding have no row.  Only ``add_document`` and ``load``
+change the matrix, and retrieval is one matrix-vector product.
+
 The offline embedder hashes each lowercase alphanumeric token with FNV-1a
 (64 bit), buckets the hash modulo the dimension, counts, and L2-normalizes.
 It needs no model download, is stable across runs and machines, and two
@@ -213,7 +219,13 @@ def sections_for_chunks(text: str, chunks: Iterable[KnowledgeChunk]) -> None:
 
 
 class VectorStore:
-    """All chunks of all ingested documents plus a document manifest."""
+    """All chunks of all ingested documents plus a document manifest.
+
+    ``matrix`` row ``i`` is the embedding of ``rows[i]`` and ``norms[i]`` its
+    Euclidean norm.  ``rows`` lists the embedded chunks; chunks that share an
+    id keep their relative order from ``chunks``, which retrieval's tie-break
+    on chunk_id relies on.
+    """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION, embedder_name: str = "offline"):
         if dimension < 1:
@@ -222,9 +234,20 @@ class VectorStore:
         self.embedder_name = embedder_name
         self.chunks: list[KnowledgeChunk] = []
         self.manifest: dict[str, dict[str, str]] = {}
+        self._set_rows([], np.empty((0, dimension)), np.empty(0))
 
     def __len__(self) -> int:
         return len(self.chunks)
+
+    def _set_rows(self, rows: list[KnowledgeChunk], buffer: np.ndarray, norms: np.ndarray) -> None:
+        """Make the first ``len(rows)`` rows of ``buffer`` the embeddings of ``rows``."""
+        self._buffer = buffer
+        self.matrix = buffer[: len(rows)]
+        self.matrix.flags.writeable = False
+        for chunk, vector in zip(rows, self.matrix):
+            chunk.embedding = vector
+        self.rows = rows
+        self.norms = norms
 
     def add_document(
         self, doc_id: str, title: str, source: str, chunks: Sequence[KnowledgeChunk]
@@ -238,6 +261,17 @@ class VectorStore:
                     f"chunk {chunk.chunk_id}: embedding has {len(chunk.embedding)} "
                     f"dimensions, store expects {self.dimension}"
                 )
+        vectors = np.array([c.embedding for c in chunks], dtype=np.float64)
+        keep = [i for i, c in enumerate(self.rows) if c.doc_id != doc_id]
+        rows = [self.rows[i] for i in keep] + list(chunks)
+        buffer = self._buffer
+        if len(keep) < len(self.rows) or len(rows) > len(buffer):
+            # Rows to drop or no room left: copy the kept rows to a buffer with
+            # room for as many again, so that appending costs amortised O(rows).
+            buffer = np.empty((2 * len(rows), self.dimension))
+            buffer[: len(keep)] = self.matrix[keep]
+        buffer[len(keep) : len(rows)] = vectors.reshape(len(chunks), self.dimension)
+        self._set_rows(rows, buffer, np.concatenate((self.norms[keep], _row_norms(vectors))))
         self.chunks = [c for c in self.chunks if c.doc_id != doc_id] + list(chunks)
         self.chunks.sort(key=lambda c: c.chunk_id)
         self.manifest[doc_id] = {"title": title, "source": source}
@@ -277,12 +311,15 @@ class VectorStore:
             raise IoError(f"cannot read store: {path}") from exc
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON") from exc
+        if not isinstance(payload, dict):
+            raise SchemaError(f"{path}: not a store object")
         if payload.get("version") != 1:
             raise SchemaError(f"{path}: unsupported store version {payload.get('version')!r}")
-        store = cls(dimension=int(payload["dimension"]), embedder_name=payload["embedder"])
-        store.manifest = dict(payload["manifest"])
-        for entry in payload["chunks"]:
-            store.chunks.append(
+        try:
+            store = cls(dimension=int(payload["dimension"]), embedder_name=payload["embedder"])
+            store.manifest = dict(payload["manifest"])
+            entries = payload["chunks"]
+            store.chunks = [
                 KnowledgeChunk(
                     chunk_id=entry["chunk_id"],
                     doc_id=entry["doc_id"],
@@ -290,14 +327,51 @@ class VectorStore:
                     text=entry["text"],
                     char_start=int(entry["char_start"]),
                     char_end=int(entry["char_end"]),
-                    embedding=(
-                        None
-                        if entry["embedding"] is None
-                        else np.asarray(entry["embedding"], dtype=np.float64)
-                    ),
                 )
-            )
+                for entry in entries
+            ]
+            vectors = [entry["embedding"] for entry in entries]
+        except KeyError as exc:
+            raise SchemaError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: malformed store: {exc}") from exc
+        rows = [chunk for chunk, vector in zip(store.chunks, vectors) if vector is not None]
+        matrix = _embedding_matrix(
+            [vector for vector in vectors if vector is not None], store.dimension, path
+        )
+        store._set_rows(rows, matrix, _row_norms(matrix))
         return store
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, computed row by row.
+
+    ``np.linalg.norm(matrix, axis=1)`` sums in another order, and its last
+    bits can reorder near-tied similarities.
+    """
+    return np.array([np.linalg.norm(row) for row in matrix], dtype=np.float64)
+
+
+def _embedding_matrix(vectors: list, dimension: int, path: str | os.PathLike[str]) -> np.ndarray:
+    """Stack parsed embedding lists into a finite ``(len, dimension)`` matrix."""
+    for vector in vectors:
+        if not isinstance(vector, list):
+            raise SchemaError(f"{path}: embedding is not a list")
+        if len(vector) != dimension:
+            raise DimensionMismatch(
+                f"{path}: embedding has {len(vector)} dimensions, store expects {dimension}"
+            )
+    if not vectors:
+        return np.empty((0, dimension))
+    try:
+        matrix = np.array(vectors)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: embedding values are not numbers") from exc
+    if matrix.dtype.kind not in "iuf" or matrix.shape != (len(vectors), dimension):
+        raise SchemaError(f"{path}: embedding values are not numbers")
+    if not np.isfinite(matrix).all():
+        raise SchemaError(f"{path}: embedding values are not finite")
+    return matrix.astype(np.float64, copy=False)
 
 
 def document_title(text: str, fallback: str) -> str:

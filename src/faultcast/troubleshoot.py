@@ -96,7 +96,13 @@ def retrieve(
     query_embedding: np.ndarray,
     config: RetrievalConfig = RetrievalConfig(),
 ) -> list[tuple[KnowledgeChunk, float]]:
-    """Most similar chunks, descending; ties broken by ascending chunk_id."""
+    """Most similar chunks, descending; ties broken by ascending chunk_id.
+
+    Scores every embedded chunk with one product of the store's matrix and
+    the query; chunks without an embedding are skipped.  A tie means equal
+    computed similarity, so vectors at the same true angle to the query may
+    rank by the last bits of their rounding instead of by chunk_id.
+    """
     if len(store) == 0:
         raise EmptyStore("cannot retrieve from an empty store")
     query_embedding = np.asarray(query_embedding, dtype=np.float64)
@@ -104,13 +110,20 @@ def retrieve(
         raise DimensionMismatch(
             f"query has {len(query_embedding)} dimensions, store expects {store.dimension}"
         )
-    scored = [
-        (chunk, cosine_similarity(query_embedding, chunk.embedding))
-        for chunk in store.chunks
-        if chunk.embedding is not None
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0].chunk_id))
-    return [pair for pair in scored if pair[1] >= config.min_similarity][: config.top_k]
+    denominators = store.norms * np.linalg.norm(query_embedding)
+    similarities = np.divide(
+        store.matrix @ query_embedding,
+        denominators,
+        out=np.zeros(len(denominators)),
+        where=denominators != 0.0,
+    )
+    hits = np.flatnonzero(similarities >= config.min_similarity)
+    if len(hits) > config.top_k:
+        # Keep every hit tied with the k-th best: chunk_id decides among them.
+        kth = np.partition(similarities[hits], -config.top_k)[-config.top_k]
+        hits = hits[similarities[hits] >= kth]
+    ranked = sorted(hits, key=lambda i: (-similarities[i], store.rows[i].chunk_id))
+    return [(store.rows[i], float(similarities[i])) for i in ranked[: config.top_k]]
 
 
 def compose_augmented_prompt(

@@ -581,6 +581,25 @@ class TestTroubleshoot:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["troubleshoot", "kb"])
+    def test_malformed_store_exits_two(
+        self, command, manuals, tmp_path, monkeypatch, capsys
+    ) -> None:
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["kb", "ingest", str(manuals[0])]) == 0
+        capsys.readouterr()
+        store_path = tmp_path / "artifacts" / "knowledge.json"
+        payload = json.loads(store_path.read_text(encoding="utf-8"))
+        payload["chunks"][0]["embedding"][0] = float("nan")
+        store_path.write_text(json.dumps(payload), encoding="utf-8")
+        if command == "kb":
+            argv = ["kb", "ingest", str(manuals[1])]
+        else:
+            report = _anomalous_report_file(tmp_path / "anomalous.json", with_description=True)
+            argv = ["troubleshoot", "--report", report]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_http_llm_against_a_dead_endpoint(
         self, manuals, tmp_path, monkeypatch, capsys
     ) -> None:

@@ -21,6 +21,7 @@ from faultcast.knowledge import (
     sections_for_chunks,
     tokenize,
 )
+from faultcast.troubleshoot import RetrievalConfig, retrieve
 
 
 def test_fnv1a_64_reference_vectors():
@@ -242,6 +243,82 @@ class TestVectorStore:
         with pytest.raises(ValueError):
             VectorStore(dimension=0)
 
+    def test_embeddings_are_read_only_rows_of_one_matrix(self):
+        embedder = OfflineEmbedder(16)
+        store = VectorStore(dimension=16)
+        store.add_document("b", "B", "b.txt", _embedded_chunks("b", "bravo tank " * 20, embedder))
+        store.add_document("a", "A", "a.txt", _embedded_chunks("a", "alfa valve " * 20, embedder))
+        assert store.matrix.shape == (len(store), 16)
+        for row, chunk in enumerate(store.rows):
+            assert np.shares_memory(chunk.embedding, store.matrix)
+            np.testing.assert_array_equal(chunk.embedding, store.matrix[row])
+            assert store.norms[row] == np.linalg.norm(embedder.embed(chunk.text))
+        with pytest.raises(ValueError):
+            store.chunks[0].embedding[0] = 1.0
+
+
+def _valid_store_payload(tmp_path):
+    store = VectorStore(dimension=4, embedder_name="offline")
+    chunks = _embedded_chunks("doc", "tank " * 30, OfflineEmbedder(4))
+    store.add_document("doc", "Doc", "doc.md", chunks)
+    path = tmp_path / "store.json"
+    store.save(path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+MISSING = object()
+FIRST_CHUNK = ("chunks", 0)
+FIRST_VALUE = ("chunks", 0, "embedding", 0)
+
+# case -> (where in the payload, the value put there or MISSING, expected error)
+MALFORMED_STORES = {
+    "no chunks": (("chunks",), MISSING, SchemaError),
+    "no dimension": (("dimension",), MISSING, SchemaError),
+    "no embedder": (("embedder",), MISSING, SchemaError),
+    "no manifest": (("manifest",), MISSING, SchemaError),
+    **{
+        f"chunk without {key}": ((*FIRST_CHUNK, key), MISSING, SchemaError)
+        for key in ("chunk_id", "doc_id", "section", "text", "char_start", "char_end", "embedding")
+    },
+    "chunk is not an object": (FIRST_CHUNK, "chunk", SchemaError),
+    "dimension is not a number": (("dimension",), "wide", SchemaError),
+    "dimension is zero": (("dimension",), 0, SchemaError),
+    "short embedding": ((*FIRST_CHUNK, "embedding"), [0.5] * 3, DimensionMismatch),
+    "long embedding": ((*FIRST_CHUNK, "embedding"), [0.5] * 5, DimensionMismatch),
+    "embedding is not a list": ((*FIRST_CHUNK, "embedding"), 0.5, SchemaError),
+    "string value": (FIRST_VALUE, "0.5", SchemaError),
+    "null value": (FIRST_VALUE, None, SchemaError),
+    "nested value": (FIRST_VALUE, [0.5], SchemaError),
+    "object value": (FIRST_VALUE, {"x": 0.5}, SchemaError),
+    "NaN value": (FIRST_VALUE, float("nan"), SchemaError),
+    "infinite value": (FIRST_VALUE, float("-inf"), SchemaError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STORES))
+def test_load_rejects_malformed_store(tmp_path, case):
+    path, payload = _valid_store_payload(tmp_path)
+    keys, value, error = MALFORMED_STORES[case]
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    if value is MISSING:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(error):
+        VectorStore.load(path)
+
+
+def test_load_accepts_integer_embedding_values(tmp_path):
+    path, payload = _valid_store_payload(tmp_path)
+    payload["chunks"][0]["embedding"] = [1, 0, 0, 0]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    loaded = VectorStore.load(path)
+    assert loaded.matrix.dtype == np.float64
+    np.testing.assert_array_equal(loaded.chunks[0].embedding, [1.0, 0.0, 0.0, 0.0])
+
 
 class TestIngestFiles:
     def test_ingests_markdown_with_sections(self, manuals):
@@ -253,6 +330,26 @@ class TestIngestFiles:
         assert store.manifest["tank_pressure"]["source"].endswith("tank_pressure.md")
         assert all(c.section is not None for c in store.chunks)
         assert all(c.embedding is not None for c in store.chunks)
+
+    def test_reingesting_changed_text_leaves_no_stale_chunks(self, manuals, tmp_path):
+        embedder = OfflineEmbedder(64)
+        store = VectorStore(dimension=64)
+        doc = tmp_path / "doc.md"
+        doc.write_text("# Old\n" + "zorblat quimble " * 150, encoding="utf-8")
+        ingest_files(store, [manuals[0], doc], embedder)
+        before = len(store)
+        old_count = sum(c.doc_id == "doc" for c in store.chunks)
+        doc.write_text("# New\n" + "battery fuse cell " * 30, encoding="utf-8")
+        ingest_files(store, [doc], embedder)
+        new_count = sum(c.doc_id == "doc" for c in store.chunks)
+        assert 0 < new_count < old_count
+        assert len(store.rows) == len(store) == len(store.matrix) == before - old_count + new_count
+        assert all("zorblat" not in c.text for c in store.chunks)
+        for row, chunk in enumerate(store.rows):
+            np.testing.assert_array_equal(store.matrix[row], embedder.embed(chunk.text))
+            np.testing.assert_array_equal(chunk.embedding, embedder.embed(chunk.text))
+        hits = retrieve(store, embedder.embed("zorblat quimble"), RetrievalConfig(top_k=100))
+        assert all("zorblat" not in chunk.text for chunk, _ in hits)
 
     def test_reingest_is_idempotent(self, manuals):
         store = VectorStore(dimension=64)

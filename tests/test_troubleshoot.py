@@ -16,7 +16,13 @@ from faultcast.errors import (
     MissingDescriptor,
     Timeout,
 )
-from faultcast.knowledge import KnowledgeChunk, OfflineEmbedder, RemoteEmbedder, VectorStore
+from faultcast.knowledge import (
+    KnowledgeChunk,
+    OfflineEmbedder,
+    RemoteEmbedder,
+    VectorStore,
+    ingest_files,
+)
 from faultcast.kpi import KpiDescriptor, parse_kpi_id
 from faultcast.ranker import KpiAnomaly
 from faultcast.troubleshoot import (
@@ -176,6 +182,94 @@ class TestRetrieve:
             RetrievalConfig(top_k=0)
         with pytest.raises(ValueError):
             RetrievalConfig(min_similarity=1.5)
+
+
+def _brute_force(store, query, config):
+    """The reference ranking: one cosine_similarity call per embedded chunk."""
+    scored = [
+        (chunk, cosine_similarity(query, chunk.embedding))
+        for chunk in store.chunks
+        if chunk.embedding is not None
+    ]
+    scored.sort(key=lambda pair: (-pair[1], pair[0].chunk_id))
+    return [pair for pair in scored if pair[1] >= config.min_similarity][: config.top_k]
+
+
+@pytest.fixture
+def multi_doc_store(manuals, tmp_path):
+    """Small chunks in 64 dimensions, two documents with identical text."""
+    twin_text = "Drain the condensate, then check the tank pressure switch.\n" * 8
+    for name in ("twin_a.txt", "twin_b.txt"):
+        (tmp_path / name).write_text(twin_text, encoding="utf-8")
+    store = VectorStore(dimension=64, embedder_name="offline")
+    paths = [*manuals, tmp_path / "twin_a.txt", tmp_path / "twin_b.txt"]
+    ingest_files(store, paths, OfflineEmbedder(64), max_chars=160, overlap_chars=40)
+    return store
+
+
+def _queries(dimension):
+    embedder = OfflineEmbedder(dimension)
+    texts = ["tank pressure switch", "engine shaft torque", "battery current fuse", "zzz"]
+    rng = np.random.default_rng(7)
+    return [embedder.embed(t) for t in texts] + [
+        rng.standard_normal(dimension),
+        np.zeros(dimension),
+    ]
+
+
+class TestMatrixRetrieval:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RetrievalConfig(),
+            RetrievalConfig(top_k=1),
+            RetrievalConfig(top_k=1000, min_similarity=-1.0),
+            RetrievalConfig(top_k=7, min_similarity=0.3),
+        ],
+    )
+    def test_agrees_with_brute_force_cosine(self, multi_doc_store, config):
+        store = multi_doc_store
+        assert len(store.manifest) == 5 and len(store) > 50
+        for query in _queries(store.dimension):
+            reference = _brute_force(store, query, config)
+            exact = {c.chunk_id: cosine_similarity(query, c.embedding) for c in store.chunks}
+            result = retrieve(store, query, config)
+            assert len(result) == len(reference)
+            for (chunk, similarity), (expected, expected_similarity) in zip(result, reference):
+                assert abs(similarity - expected_similarity) <= 1e-12
+                if chunk.chunk_id != expected.chunk_id:
+                    assert abs(exact[chunk.chunk_id] - expected_similarity) <= 1e-12
+
+    def test_identical_chunks_tie_on_chunk_id(self, multi_doc_store):
+        query = OfflineEmbedder(64).embed("condensate tank pressure switch")
+        result = retrieve(multi_doc_store, query, RetrievalConfig(top_k=2))
+        (first, first_similarity), (second, second_similarity) = result
+        assert (first.doc_id, second.doc_id) == ("twin_a", "twin_b")
+        assert first.text == second.text
+        assert first_similarity == second_similarity
+
+    def test_loaded_store_retrieves_like_the_in_memory_store(self, multi_doc_store, tmp_path):
+        path = tmp_path / "store.json"
+        multi_doc_store.save(path)
+        loaded = VectorStore.load(path)
+        config = RetrievalConfig(top_k=1000, min_similarity=-1.0)
+        for query in _queries(multi_doc_store.dimension):
+            mine = [(c.chunk_id, s) for c, s in retrieve(multi_doc_store, query, config)]
+            theirs = [(c.chunk_id, s) for c, s in retrieve(loaded, query, config)]
+            assert theirs == mine
+
+    def test_chunks_without_embedding_are_skipped(self, axis_store, tmp_path):
+        path = tmp_path / "store.json"
+        axis_store.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["chunks"][0]["embedding"] = None
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = VectorStore.load(path)
+        assert len(loaded) == 3
+        assert loaded.chunks[0].embedding is None
+        config = RetrievalConfig(top_k=3, min_similarity=-1.0)
+        result = retrieve(loaded, np.array([1.0, 0.0, 0.0]), config)
+        assert [c.chunk_id for c, _ in result] == ["m#0001", "m#0002"]
 
 
 def test_compose_augmented_prompt_exact_layout(axis_store):
