@@ -8,205 +8,4 @@ troubleshooting knowledge base turns the top suspects into guidance.  A
 simulator with known causal structure and fault injection drives evaluation.
 """
 
-from __future__ import annotations
-
-from .autoencoder import (
-    AutoencoderModel,
-    TrainingConfig,
-    bottleneck_layer_sizes,
-    forward,
-    init_autoencoder,
-    loss_and_gradients,
-    reconstruction_errors,
-    train,
-)
-from .classifier import (
-    DEFAULT_SIGMA,
-    SIGMA_GRID,
-    ClassifierConfig,
-    ErrorBaseline,
-    StateVerdict,
-    SweepPoint,
-    TrainedClassifier,
-    classify_state,
-    fit_classifier,
-    load_classifier,
-    save_classifier,
-    select_elbow,
-    sigma_sweep,
-    state_error,
-    threshold,
-)
-from .config import ToolConfig, default_config, load_config
-from .errors import (
-    DataError,
-    EndpointError,
-    FaultcastError,
-    InsufficientHistory,
-    MissingDescriptor,
-    NoAnomalousReport,
-    SchemaError,
-    SchemaMismatch,
-    Timeout,
-)
-from .granger import GrangerConfig, GrangerResult, granger_test
-from .kpi import (
-    KpiDescriptor,
-    KpiId,
-    NormalizationStats,
-    TimeSeriesDataset,
-    fit_normalization,
-    format_kpi_id,
-    load_dataset,
-    load_descriptors,
-    parse_kpi_id,
-    write_dataset,
-)
-from .knowledge import (
-    KnowledgeChunk,
-    OfflineEmbedder,
-    RemoteEmbedder,
-    VectorStore,
-    chunk_document,
-    ingest_files,
-)
-from .pagerank import PageRankConfig, pagerank
-from .ranker import (
-    AnomalyReport,
-    CausalEdge,
-    CausalityGraph,
-    ComponentAttribution,
-    KpiAnomaly,
-    RankedCause,
-    RollingHistory,
-    analyze,
-    analyze_series,
-    attribute_components,
-    build_causality_graph,
-    detect_anomalous_kpis,
-    rank_root_causes,
-    report_from_json,
-    report_to_json,
-)
-from .simulate import (
-    CausalLink,
-    EvaluationTable,
-    FaultSpec,
-    LocalizationScore,
-    Scenario,
-    SimulationSpec,
-    evaluate_scenarios,
-    generate_normal,
-    inject_fault,
-    localization_score,
-    make_chain_spec,
-)
-from .troubleshoot import (
-    EchoClient,
-    HttpCompletionClient,
-    PromptSpec,
-    RetrievalConfig,
-    TroubleshootingAnswer,
-    build_prompt,
-    compose_augmented_prompt,
-    cosine_similarity,
-    retrieve,
-    troubleshoot,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnomalyReport",
-    "AutoencoderModel",
-    "CausalEdge",
-    "CausalityGraph",
-    "CausalLink",
-    "ClassifierConfig",
-    "ComponentAttribution",
-    "DataError",
-    "DEFAULT_SIGMA",
-    "EchoClient",
-    "EndpointError",
-    "ErrorBaseline",
-    "EvaluationTable",
-    "FaultcastError",
-    "FaultSpec",
-    "GrangerConfig",
-    "GrangerResult",
-    "HttpCompletionClient",
-    "InsufficientHistory",
-    "KnowledgeChunk",
-    "KpiAnomaly",
-    "KpiDescriptor",
-    "KpiId",
-    "LocalizationScore",
-    "MissingDescriptor",
-    "NoAnomalousReport",
-    "NormalizationStats",
-    "OfflineEmbedder",
-    "PageRankConfig",
-    "PromptSpec",
-    "RankedCause",
-    "RemoteEmbedder",
-    "RetrievalConfig",
-    "RollingHistory",
-    "Scenario",
-    "SchemaError",
-    "SchemaMismatch",
-    "SIGMA_GRID",
-    "SimulationSpec",
-    "StateVerdict",
-    "SweepPoint",
-    "Timeout",
-    "TimeSeriesDataset",
-    "ToolConfig",
-    "TrainedClassifier",
-    "TrainingConfig",
-    "TroubleshootingAnswer",
-    "VectorStore",
-    "analyze",
-    "analyze_series",
-    "attribute_components",
-    "bottleneck_layer_sizes",
-    "build_causality_graph",
-    "build_prompt",
-    "chunk_document",
-    "classify_state",
-    "compose_augmented_prompt",
-    "cosine_similarity",
-    "default_config",
-    "detect_anomalous_kpis",
-    "evaluate_scenarios",
-    "fit_classifier",
-    "fit_normalization",
-    "format_kpi_id",
-    "forward",
-    "generate_normal",
-    "granger_test",
-    "ingest_files",
-    "init_autoencoder",
-    "inject_fault",
-    "load_classifier",
-    "load_config",
-    "load_dataset",
-    "load_descriptors",
-    "localization_score",
-    "loss_and_gradients",
-    "make_chain_spec",
-    "pagerank",
-    "parse_kpi_id",
-    "rank_root_causes",
-    "reconstruction_errors",
-    "report_from_json",
-    "report_to_json",
-    "retrieve",
-    "save_classifier",
-    "select_elbow",
-    "sigma_sweep",
-    "state_error",
-    "threshold",
-    "train",
-    "troubleshoot",
-    "write_dataset",
-]

@@ -135,14 +135,6 @@ def forward(model: AutoencoderModel, states: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def reconstruction_errors(model: AutoencoderModel, states: np.ndarray) -> np.ndarray:
-    """Per-row mean squared reconstruction error."""
-    states = np.asarray(states, dtype=np.float64)
-    batch = states[None, :] if states.ndim == 1 else states
-    recon = forward(model, batch)
-    return np.mean((batch - recon) ** 2, axis=1)
-
-
 def loss_and_gradients(
     model: AutoencoderModel, batch: np.ndarray
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:

@@ -2,8 +2,12 @@
 
 A trained classifier bundles the autoencoder, the normalization used during
 training, and an error baseline (mean/std of training reconstruction errors).
-A state is anomalous when its error strictly exceeds mu + sigma * std.  The
-sigma sweep and knee selection reproduce the threshold-tuning procedure:
+:func:`score` is the one scoring primitive: it normalizes raw states, runs one
+batched forward pass and returns each state's mean squared error with its
+per-KPI squared residuals.  Training (the baseline), the sigma sweep,
+``faultcast detect`` and :func:`faultcast.ranker.analyze` all score through
+it.  A state is anomalous when its error strictly exceeds mu + sigma * std.
+The sigma sweep and knee selection reproduce the threshold-tuning procedure:
 count false positives per sigma on failure-free runs, then pick the sigma
 with the largest vertical drop below the chord of the curve.
 """
@@ -17,15 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .autoencoder import (
-    AutoencoderModel,
-    TrainingConfig,
-    forward,
-    init_autoencoder,
-    reconstruction_errors,
-    train,
+from .autoencoder import AutoencoderModel, TrainingConfig, forward, init_autoencoder, train
+from .errors import (
+    DataError,
+    DimensionMismatch,
+    IoError,
+    SchemaError,
+    SchemaMismatch,
+    TooFewPoints,
 )
-from .errors import IoError, SchemaError, SchemaMismatch, TooFewPoints
 from .kpi import KpiId, NormalizationStats, TimeSeriesDataset, fit_normalization, parse_kpi_id
 
 # Default sigma multiplier and the sweep grid it was chosen from.
@@ -90,9 +94,21 @@ class TrainedClassifier:
     training: TrainingConfig
 
 
-def state_error(model: AutoencoderModel, state: np.ndarray) -> float:
-    """Mean squared reconstruction error of a single normalized state."""
-    return float(reconstruction_errors(model, np.asarray(state, dtype=np.float64))[0])
+def score(classifier: TrainedClassifier, raw_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reconstruction error of one raw state (1-D) or a batch of raw states (2-D).
+
+    The values are normalized with the training statistics and reconstructed
+    in one forward pass.  Returns ``(state_errors, kpi_residuals)``: the
+    squared per-KPI residuals, shaped like the input, and their mean over each
+    state (a 0-D array for a 1-D input).  Raises :class:`DataError` on a NaN or
+    infinite value, which would otherwise score as a normal state.
+    """
+    values = np.asarray(raw_values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise DataError("raw KPI values must be finite")
+    normalized = classifier.normalization.transform(values)
+    residuals = (normalized - forward(classifier.model, normalized)) ** 2
+    return residuals.mean(axis=-1), residuals
 
 
 def threshold(baseline: ErrorBaseline, sigma: float) -> float:
@@ -100,23 +116,6 @@ def threshold(baseline: ErrorBaseline, sigma: float) -> float:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     return baseline.state_mu + sigma * baseline.state_std
-
-
-def classify_state(
-    classifier: TrainedClassifier,
-    config: ClassifierConfig,
-    state: np.ndarray,
-    timestamp: int,
-) -> StateVerdict:
-    """Classify one normalized state.  Anomalous only on strict excess."""
-    error = state_error(classifier.model, state)
-    limit = threshold(classifier.baseline, config.sigma)
-    return StateVerdict(
-        timestamp=int(timestamp),
-        state_error=error,
-        threshold=limit,
-        anomalous=error > limit,
-    )
 
 
 def baseline_from_errors(state_errors: np.ndarray, kpi_residuals: np.ndarray) -> ErrorBaseline:
@@ -139,18 +138,18 @@ def fit_classifier(
     Returns the classifier and the per-epoch training loss curve.
     """
     stats = fit_normalization(dataset)
-    normalized = stats.transform(dataset.values)
     model = init_autoencoder(dataset.n_kpis, training.seed)
-    model, curve = train(model, normalized, training)
-    residuals = (normalized - forward(model, normalized)) ** 2
-    baseline = baseline_from_errors(residuals.mean(axis=1), residuals)
+    model, curve = train(model, stats.transform(dataset.values), training)
+    # score reads only the model and the normalization; the baseline is what it measures.
+    unscored = ErrorBaseline(0.0, 0.0, np.zeros(dataset.n_kpis), np.zeros(dataset.n_kpis))
     classifier = TrainedClassifier(
         model=model,
-        baseline=baseline,
+        baseline=unscored,
         normalization=stats,
         kpis=list(dataset.kpis),
         training=training,
     )
+    classifier.baseline = baseline_from_errors(*score(classifier, dataset.values))
     return classifier, curve
 
 
@@ -192,8 +191,7 @@ def sigma_sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sigma grid must be strictly ascending")
     check_schema(classifier, dataset.kpis)
-    normalized = classifier.normalization.transform(dataset.values)
-    errors = reconstruction_errors(classifier.model, normalized)
+    errors, _ = score(classifier, dataset.values)
     before = (
         np.ones(dataset.n_rows, dtype=bool)
         if fault_onset is None
@@ -276,8 +274,31 @@ def save_classifier(classifier: TrainedClassifier, path: str | os.PathLike[str])
         raise IoError(f"cannot write model: {path}") from exc
 
 
+def _numbers(value: object, ndim: int, what: str) -> np.ndarray:
+    """A finite float array of ``ndim`` dimensions read from (nested) JSON lists."""
+    try:
+        array = np.array(value)
+    except ValueError as exc:
+        raise SchemaError(f"{what} is not a {ndim}-D list of numbers") from exc
+    if array.ndim != ndim or array.dtype.kind not in "iuf":
+        raise SchemaError(f"{what} is not a {ndim}-D list of numbers")
+    if not np.isfinite(array).all():
+        raise SchemaError(f"{what} has non-finite values")
+    return array.astype(np.float64)
+
+
+def _integer(value: object, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{what} is not an integer")
+    return value
+
+
 def load_classifier(path: str | os.PathLike[str]) -> TrainedClassifier:
-    """Load a classifier persisted by :func:`save_classifier`."""
+    """Load a classifier persisted by :func:`save_classifier`.
+
+    A missing key or a value of the wrong type raises :class:`SchemaError`;
+    lengths that disagree with the KPI list raise :class:`DimensionMismatch`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -285,34 +306,61 @@ def load_classifier(path: str | os.PathLike[str]) -> TrainedClassifier:
         raise IoError(f"cannot read model: {path}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON") from exc
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: not a model object")
     if payload.get("version") != MODEL_FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported model version {payload.get('version')!r}")
-    model = AutoencoderModel(
-        layer_sizes=[int(s) for s in payload["layer_sizes"]],
-        weights=[np.asarray(w, dtype=np.float64) for w in payload["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-    )
-    baseline = ErrorBaseline(
-        state_mu=float(payload["baseline"]["state_mu"]),
-        state_std=float(payload["baseline"]["state_std"]),
-        kpi_mu=np.asarray(payload["baseline"]["kpi_mu"], dtype=np.float64),
-        kpi_std=np.asarray(payload["baseline"]["kpi_std"], dtype=np.float64),
-    )
-    stats = NormalizationStats(
-        mean=np.asarray(payload["normalization"]["mean"], dtype=np.float64),
-        std=np.asarray(payload["normalization"]["std"], dtype=np.float64),
-    )
-    raw_batch = payload["training"]["batch_size"]
-    training = TrainingConfig(
-        epochs=int(payload["training"]["epochs"]),
-        learning_rate=float(payload["training"]["learning_rate"]),
-        batch_size=None if raw_batch is None else int(raw_batch),
-        seed=int(payload["training"]["seed"]),
-    )
+    try:
+        kpis = payload["kpis"]
+        if not isinstance(kpis, list) or not all(isinstance(k, str) for k in kpis):
+            raise SchemaError("kpis is not a list of strings")
+        model = AutoencoderModel(
+            layer_sizes=[_integer(s, "layer_sizes") for s in payload["layer_sizes"]],
+            weights=[_numbers(w, 2, "weights") for w in payload["weights"]],
+            biases=[_numbers(b, 1, "biases") for b in payload["biases"]],
+        )
+        saved = payload["baseline"]
+        baseline = ErrorBaseline(
+            state_mu=float(_numbers(saved["state_mu"], 0, "baseline.state_mu")),
+            state_std=float(_numbers(saved["state_std"], 0, "baseline.state_std")),
+            kpi_mu=_numbers(saved["kpi_mu"], 1, "baseline.kpi_mu"),
+            kpi_std=_numbers(saved["kpi_std"], 1, "baseline.kpi_std"),
+        )
+        saved = payload["normalization"]
+        stats = NormalizationStats(
+            mean=_numbers(saved["mean"], 1, "normalization.mean"),
+            std=_numbers(saved["std"], 1, "normalization.std"),
+        )
+        saved = payload["training"]
+        training = TrainingConfig(
+            epochs=_integer(saved["epochs"], "training.epochs"),
+            learning_rate=float(_numbers(saved["learning_rate"], 0, "training.learning_rate")),
+            batch_size=None
+            if saved["batch_size"] is None
+            else _integer(saved["batch_size"], "training.batch_size"),
+            seed=_integer(saved["seed"], "training.seed"),
+        )
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise SchemaError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed model: {exc}") from exc
+    lengths = {
+        "layer_sizes[0]": model.n_inputs,
+        "normalization.mean": stats.mean.shape[0],
+        "baseline.kpi_mu": baseline.kpi_mu.shape[0],
+        "baseline.kpi_std": baseline.kpi_std.shape[0],
+    }
+    for what, length in lengths.items():
+        if length != len(kpis):
+            raise DimensionMismatch(
+                f"{path}: {what} has length {length}, model has {len(kpis)} KPIs"
+            )
     return TrainedClassifier(
         model=model,
         baseline=baseline,
         normalization=stats,
-        kpis=[parse_kpi_id(k) for k in payload["kpis"]],
+        kpis=[parse_kpi_id(k) for k in kpis],
         training=training,
     )

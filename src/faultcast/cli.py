@@ -28,13 +28,11 @@ from collections.abc import Sequence
 
 from . import config as config_mod
 from .classifier import (
-    ClassifierConfig,
-    StateVerdict,
     check_schema,
-    classify_state,
     fit_classifier,
     load_classifier,
     save_classifier,
+    score,
     select_elbow,
     sigma_sweep,
     threshold,
@@ -168,16 +166,30 @@ def _resolve_config(args: argparse.Namespace) -> config_mod.ToolConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _timestamped_path(report_dir: str, stem: str, suffix: str) -> str:
-    """A fresh path under the report directory; existing files are never reused."""
+def _create_file(path: str) -> None:
+    with open(path, "x", encoding="utf-8"):
+        pass
+
+
+def _timestamped_path(
+    report_dir: str, stem: str, suffix: str, claim: typing.Callable[[str], None] = _create_file
+) -> str:
+    """A fresh path under the report directory; existing files are never reused.
+
+    ``claim`` creates the path and fails with :class:`FileExistsError` if it
+    exists, so two concurrent runs never get the same name.
+    """
     os.makedirs(report_dir, exist_ok=True)
     stamp = datetime.datetime.now().strftime("%Y%m%d-%H%M%S")
     candidate = os.path.join(report_dir, f"{stem}-{stamp}{suffix}")
     counter = 1
-    while os.path.exists(candidate):
-        candidate = os.path.join(report_dir, f"{stem}-{stamp}-{counter}{suffix}")
-        counter += 1
-    return candidate
+    while True:
+        try:
+            claim(candidate)
+            return candidate
+        except FileExistsError:
+            candidate = os.path.join(report_dir, f"{stem}-{stamp}-{counter}{suffix}")
+            counter += 1
 
 
 def _ensure_parent(path: str) -> None:
@@ -223,7 +235,6 @@ def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     totals = {float(s): 0 for s in grid}
     for path in args.data:
         dataset = _load_series(path, config)
-        check_schema(classifier, dataset.kpis)
         for point in sigma_sweep(classifier, dataset, grid):
             totals[point.sigma] += point.fp_count
     curve = sorted(totals.items())
@@ -251,25 +262,19 @@ def _cmd_detect(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     if sigma <= 0:
         raise UsageError("--sigma must be positive")
     limit = threshold(classifier.baseline, sigma)
-    normalized = classifier.normalization.transform(dataset.values)
-    verdicts: list[StateVerdict] = []
-    sigma_config = ClassifierConfig(sigma=sigma, sigma_kpi=config.classifier.sigma_kpi)
-    for row in range(dataset.n_rows):
-        verdicts.append(
-            classify_state(classifier, sigma_config, normalized[row], int(dataset.timestamps[row]))
-        )
+    errors, _ = score(classifier, dataset.values)
+    anomalous = errors > limit
     out = args.out or _timestamped_path(config.paths.report_dir, "detect", ".csv")
     if args.out:
         _ensure_parent(out)
     with open(out, "w", encoding="utf-8") as handle:
         handle.write("timestamp,state_error,threshold,anomalous\n")
-        for v in verdicts:
-            handle.write(
-                f"{v.timestamp},{v.state_error:.17g},{v.threshold:.17g},{str(v.anomalous).lower()}\n"
-            )
-    flagged = sum(v.anomalous for v in verdicts)
+        rows = zip(dataset.timestamps.tolist(), errors.tolist(), anomalous.tolist())
+        for timestamp, error, flag in rows:
+            handle.write(f"{timestamp},{error:.17g},{limit:.17g},{str(flag).lower()}\n")
+    flagged = int(anomalous.sum())
     print(
-        f"{flagged} of {len(verdicts)} states anomalous at sigma={sigma:g} "
+        f"{flagged} of {dataset.n_rows} states anomalous at sigma={sigma:g} "
         f"(threshold {limit:.6g}); verdicts: {out}"
     )
     return EXIT_OK
@@ -428,7 +433,9 @@ def _cmd_evaluate(args: argparse.Namespace, config: config_mod.ToolConfig) -> in
         fault = load_fault(fault_path) if os.path.exists(fault_path) else None
         scenarios.append(Scenario(name=name, dataset=dataset, fault=fault))
     table = evaluate_scenarios(classifier, scenarios, config.sigma_grid)
-    out_dir = args.out_dir or _timestamped_path(config.paths.report_dir, "evaluation", "")
+    out_dir = args.out_dir or _timestamped_path(
+        config.paths.report_dir, "evaluation", "", claim=os.mkdir
+    )
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, "evaluation.csv")
     with open(table_path, "w", encoding="utf-8") as handle:

@@ -55,11 +55,6 @@ def parse_kpi_id(text: str) -> KpiId:
     return KpiId(metric=metric, node=node)
 
 
-def format_kpi_id(kpi: KpiId) -> str:
-    """Render a :class:`KpiId` back to its ``metric@node`` text form."""
-    return str(kpi)
-
-
 @dataclass(frozen=True)
 class KpiDescriptor:
     """Human-readable description of a KPI, used to phrase questions."""
@@ -246,19 +241,6 @@ def fit_normalization(dataset: TimeSeriesDataset) -> NormalizationStats:
         mean=dataset.values.mean(axis=0),
         std=dataset.values.std(axis=0),  # ddof=0: population std
     )
-
-
-def apply_normalization(
-    dataset: TimeSeriesDataset, stats: NormalizationStats, direction: str = "forward"
-) -> TimeSeriesDataset:
-    """Return a new dataset with values scaled to or from normalized space."""
-    if direction == "forward":
-        values = stats.transform(dataset.values)
-    elif direction == "inverse":
-        values = stats.inverse(dataset.values)
-    else:
-        raise ValueError(f"unknown direction: {direction!r}")
-    return TimeSeriesDataset(timestamps=dataset.timestamps.copy(), kpis=list(dataset.kpis), values=values)
 
 
 def load_descriptors(path: str | os.PathLike[str]) -> dict[KpiId, KpiDescriptor]:

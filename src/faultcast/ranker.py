@@ -1,9 +1,11 @@
 """Root-cause localization for anomalous system states.
 
-Once a state is classified anomalous, per-KPI squared residuals flag the
-anomalous KPIs, pairwise Granger tests over a recent window connect them into
-a causality graph, and PageRank against the edge direction concentrates rank
-on likely origins.  KPIs are ranked by that centrality and the components
+:func:`analyze` scores a raw state once with :func:`faultcast.classifier.score`:
+the state error gives the verdict, and for an anomalous state the per-KPI
+squared residuals of the same pass flag the anomalous KPIs.  Pairwise Granger
+tests over the last ``granger.window`` history rows connect them into a
+causality graph, and PageRank against the edge direction concentrates rank on
+likely origins.  KPIs are ranked by that centrality and the components
 hosting the most central KPIs are named.  Everything downstream of the
 verdict is gated: a normal state yields an empty report body.
 """
@@ -15,13 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import ClassifierConfig, StateVerdict, TrainedClassifier, classify_state
-from .errors import InsufficientHistory, SchemaError
+from .classifier import ClassifierConfig, StateVerdict, TrainedClassifier, score, threshold
+from .errors import DataError, InsufficientHistory, SchemaError
 from .granger import GrangerConfig, granger_test
 from .kpi import KpiDescriptor, KpiId, parse_kpi_id
 from .pagerank import PageRankConfig, pagerank
-
-from .autoencoder import AutoencoderModel, forward
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,6 @@ class CausalityGraph:
                 raise ValueError("edge endpoints must be graph nodes")
 
 
-EMPTY_GRAPH = CausalityGraph(nodes=(), edges=())
-
-
 @dataclass(frozen=True)
 class RankedCause:
     kpi: KpiId
@@ -79,17 +76,11 @@ class AnomalyReport:
 
     verdict: StateVerdict
     anomalous_kpis: tuple[KpiAnomaly, ...] = ()
-    graph: CausalityGraph = EMPTY_GRAPH
+    graph: CausalityGraph = CausalityGraph(nodes=(), edges=())
     centrality: dict[KpiId, float] = field(default_factory=dict)
     root_cause_kpis: tuple[RankedCause, ...] = ()
     top_components: tuple[ComponentAttribution, ...] = ()
     descriptions: dict[KpiId, str] = field(default_factory=dict)
-
-
-def kpi_residuals(model: AutoencoderModel, state: np.ndarray) -> np.ndarray:
-    """Per-KPI squared reconstruction residuals of one normalized state."""
-    state = np.asarray(state, dtype=np.float64)
-    return (state - forward(model, state)) ** 2
 
 
 def detect_anomalous_kpis(
@@ -249,7 +240,10 @@ def analyze(
     ``state`` and ``history`` are raw engineering values; normalization with
     the classifier's training statistics happens here.  ``history`` holds the
     most recent rows (including the current state) and must cover the Granger
-    window.  For a normal verdict every downstream field stays empty.
+    window; only its last ``granger_config.window`` rows are read.  For a
+    normal verdict every downstream field stays empty.  A non-finite value in
+    the state, or in the window of an anomalous state, raises
+    :class:`DataError`.
     """
     if isinstance(history, RollingHistory):
         history = history.window(granger_config.window)
@@ -259,12 +253,15 @@ def analyze(
             f"analysis needs {granger_config.window} history rows, have {history.shape[0]}"
         )
 
-    normalized_state = classifier.normalization.transform(np.asarray(state, dtype=np.float64))
-    verdict = classify_state(classifier, classifier_config, normalized_state, timestamp)
+    state_errors, residuals = score(classifier, state)
+    error = float(state_errors)
+    limit = threshold(classifier.baseline, classifier_config.sigma)
+    verdict = StateVerdict(
+        timestamp=int(timestamp), state_error=error, threshold=limit, anomalous=error > limit
+    )
     if not verdict.anomalous:
         return AnomalyReport(verdict=verdict)
 
-    residuals = kpi_residuals(classifier.model, normalized_state)
     anomalies = detect_anomalous_kpis(
         classifier.kpis,
         residuals,
@@ -280,7 +277,10 @@ def analyze(
     if not anomalies:
         return AnomalyReport(verdict=verdict, descriptions=descriptions)
 
-    normalized_history = classifier.normalization.transform(history)
+    window = history[-granger_config.window :]
+    if not np.isfinite(window).all():
+        raise DataError("history window must hold finite KPI values")
+    normalized_history = classifier.normalization.transform(window)
     graph = build_causality_graph(normalized_history, classifier.kpis, anomalies, granger_config)
     centrality = pagerank(graph.nodes, [(e.cause, e.effect) for e in graph.edges], pagerank_config)
     ranked = rank_root_causes(graph, centrality, anomalies)

@@ -15,17 +15,23 @@ from faultcast.classifier import (
     baseline_from_errors,
     check_schema,
     chord_drops,
-    classify_state,
     fit_classifier,
     load_classifier,
     save_classifier,
+    score,
     select_elbow,
     sigma_sweep,
-    state_error,
     threshold,
 )
 from faultcast.autoencoder import TrainingConfig
-from faultcast.errors import IoError, SchemaError, SchemaMismatch, TooFewPoints
+from faultcast.errors import (
+    DataError,
+    DimensionMismatch,
+    IoError,
+    SchemaError,
+    SchemaMismatch,
+    TooFewPoints,
+)
 from faultcast.kpi import TimeSeriesDataset, parse_kpi_id
 from helpers import make_classifier, unit_baseline, zero_model
 
@@ -65,34 +71,56 @@ def test_threshold_is_affine_in_sigma(mu, std, sigma):
         assert abs(step - std) <= 1e-12
 
 
-def test_classify_state_strict_boundary():
-    """An error exactly on the threshold is still normal."""
-    kpis = [parse_kpi_id("a@n"), parse_kpi_id("b@n")]
-    model = zero_model(2)
-    on_line = make_classifier(
-        model,
-        ErrorBaseline(state_mu=1.0, state_std=0.0, kpi_mu=np.zeros(2), kpi_std=np.ones(2)),
-        kpis,
-    )
-    verdict = classify_state(on_line, ClassifierConfig(sigma=4.5), np.array([1.0, 1.0]), 7)
-    assert verdict.state_error == pytest.approx(1.0)
-    assert verdict.threshold == pytest.approx(1.0)
-    assert not verdict.anomalous
-    assert verdict.timestamp == 7
-
-    below_line = make_classifier(
-        model,
-        ErrorBaseline(state_mu=0.5, state_std=0.0, kpi_mu=np.zeros(2), kpi_std=np.ones(2)),
-        kpis,
-    )
-    assert classify_state(below_line, ClassifierConfig(sigma=4.5), np.array([1.0, 1.0]), 7).anomalous
+def _zero_classifier(n: int, mean=None, std=None):
+    """Zero model: a state's residuals are its normalized entries squared."""
+    kpis = [parse_kpi_id(f"k{i}@n") for i in range(n)]
+    return make_classifier(zero_model(n), unit_baseline(n), kpis, mean=mean, std=std)
 
 
 def test_state_error_matches_mean_squared_residual():
-    model = zero_model(2)
-    assert state_error(model, np.array([0.0, 0.0])) == 0.0
-    assert state_error(model, np.array([1.0, 1.0])) == pytest.approx(1.0)
-    assert state_error(model, np.array([2.0, 0.0])) == pytest.approx(2.0)
+    classifier = _zero_classifier(2)
+    assert score(classifier, np.array([0.0, 0.0]))[0] == 0.0
+    assert score(classifier, np.array([1.0, 1.0]))[0] == pytest.approx(1.0)
+    assert score(classifier, np.array([2.0, 0.0]))[0] == pytest.approx(2.0)
+
+
+def test_score_against_hand_values():
+    """One state (1-D) or a batch (2-D), normalized before reconstruction."""
+    classifier = _zero_classifier(2)
+    errors, residuals = score(classifier, np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
+    np.testing.assert_allclose(errors, [0.0, 1.0, 2.0])
+    np.testing.assert_allclose(residuals, [[0.0, 0.0], [1.0, 1.0], [4.0, 0.0]])
+    error, residual = score(classifier, np.array([1.0, 1.0]))
+    assert error.shape == () and error == pytest.approx(1.0)
+    np.testing.assert_allclose(residual, [1.0, 1.0])
+
+    scaled = _zero_classifier(2, mean=[10.0, 0.0], std=[2.0, 0.0])  # zero std: scale 1
+    errors, residuals = score(scaled, np.array([[14.0, 3.0]]))
+    np.testing.assert_allclose(residuals, [[4.0, 9.0]])
+    np.testing.assert_allclose(errors, [6.5])
+
+
+def test_score_batch_matches_per_row_calls(small_classifier, faulty_dataset_small):
+    """One batched product rounds differently from one-row products, by ulps only."""
+    errors, residuals = score(small_classifier, faulty_dataset_small.values)
+    for row, values in enumerate(faulty_dataset_small.values):
+        error, residual = score(small_classifier, values)
+        assert abs(float(error) - errors[row]) <= 1e-15 * errors[row]
+        assert np.max(np.abs(residual - residuals[row])) <= 1e-15 * residuals[row].sum()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_rejects_non_finite_values(bad):
+    classifier = _zero_classifier(2)
+    with pytest.raises(DataError, match="finite"):
+        score(classifier, np.array([1.0, bad]))
+    with pytest.raises(DataError, match="finite"):
+        score(classifier, np.array([[1.0, 1.0], [bad, 0.0]]))
+
+
+def test_score_rejects_wrong_width():
+    with pytest.raises(DimensionMismatch):
+        score(_zero_classifier(2), np.zeros(3))
 
 
 def test_classifier_config_validation():
@@ -231,9 +259,9 @@ def test_save_load_round_trip(tmp_path, small_classifier):
     np.testing.assert_array_equal(loaded.baseline.kpi_std, small_classifier.baseline.kpi_std)
     assert loaded.training == small_classifier.training
 
-    # a reload classifies exactly like the original
+    # a reload scores exactly like the original
     state = np.zeros(len(loaded.kpis))
-    assert state_error(loaded.model, state) == state_error(small_classifier.model, state)
+    assert score(loaded, state)[0] == score(small_classifier, state)[0]
 
 
 def test_load_classifier_rejects_bad_files(tmp_path, small_classifier):
@@ -251,6 +279,103 @@ def test_load_classifier_rejects_bad_files(tmp_path, small_classifier):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(SchemaError):
         load_classifier(path)
+    path.write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(SchemaError):
+        load_classifier(path)
+
+
+def _load_edited(tmp_path, classifier, key: tuple[str, ...], edit) -> None:
+    """Save, call ``edit(parent, name)`` on the nested ``key``, then reload."""
+    path = tmp_path / "model.json"
+    save_classifier(classifier, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    parent = payload
+    for part in key[:-1]:
+        parent = parent[part]
+    edit(parent, key[-1])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    load_classifier(path)
+
+
+MODEL_KEYS = [
+    ("kpis",),
+    ("layer_sizes",),
+    ("weights",),
+    ("biases",),
+    ("normalization",),
+    ("normalization", "mean"),
+    ("normalization", "std"),
+    ("baseline",),
+    ("baseline", "state_mu"),
+    ("baseline", "state_std"),
+    ("baseline", "kpi_mu"),
+    ("baseline", "kpi_std"),
+    ("training",),
+    ("training", "epochs"),
+    ("training", "learning_rate"),
+    ("training", "batch_size"),
+    ("training", "seed"),
+]
+
+
+@pytest.mark.parametrize("key", MODEL_KEYS, ids=".".join)
+def test_load_classifier_rejects_missing_key(tmp_path, small_classifier, key):
+    with pytest.raises(SchemaError, match="missing key"):
+        _load_edited(tmp_path, small_classifier, key, lambda parent, name: parent.pop(name))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        (("kpis",), "a@n"),
+        (("kpis",), [1, 2, 3, 4]),
+        (("layer_sizes",), 4),
+        (("layer_sizes",), [4.0, 2.0, 2.0, 2.0, 4.0]),
+        (("weights",), None),
+        (("weights",), [[["x"]]]),
+        (("biases",), [[True]]),
+        (("normalization",), []),
+        (("normalization", "mean"), "0"),
+        (("normalization", "std"), [[1.0]]),
+        (("baseline",), "baseline"),
+        (("baseline", "state_mu"), "0.5"),
+        (("baseline", "state_std"), None),
+        (("baseline", "state_std"), [0.1]),
+        (("baseline", "kpi_mu"), {"a": 1}),
+        (("baseline", "kpi_std"), [1.0, None, 1.0, 1.0]),
+        (("baseline", "kpi_std"), [1.0, 1e999, 1.0, 1.0]),
+        (("training",), 3),
+        (("training", "epochs"), "80"),
+        (("training", "epochs"), 0),
+        (("training", "learning_rate"), True),
+        (("training", "batch_size"), 2.5),
+        (("training", "seed"), None),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
+)
+def test_load_classifier_rejects_wrong_type(tmp_path, small_classifier, key, value):
+    def replace(parent, name):
+        parent[name] = value
+
+    with pytest.raises(SchemaError):
+        _load_edited(tmp_path, small_classifier, key, replace)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        ("kpis",),
+        ("normalization", "mean"),
+        ("normalization", "std"),
+        ("baseline", "kpi_mu"),
+        ("baseline", "kpi_std"),
+    ],
+    ids=".".join,
+)
+def test_load_classifier_rejects_short_list(tmp_path, small_classifier, key):
+    """One entry short of the KPI count; for ``kpis`` the network is one too wide."""
+    with pytest.raises(DimensionMismatch):
+        _load_edited(tmp_path, small_classifier, key, lambda parent, name: parent[name].pop())
 
 
 def test_check_schema_names_first_offending_column():

@@ -9,6 +9,7 @@ itself.
 
 from __future__ import annotations
 
+import datetime
 import json
 import os
 import re
@@ -25,6 +26,7 @@ from faultcast.classifier import (
     fit_classifier,
     load_classifier,
     save_classifier,
+    score,
     select_elbow,
     sigma_sweep,
     threshold,
@@ -310,6 +312,60 @@ class TestDetect:
         capsys.readouterr()
         files = sorted((tmp_path / "reports").glob("detect-*.csv"))
         assert len(files) == 2
+
+    def test_state_error_column_is_the_batched_score(self, ws, tmp_path, capsys) -> None:
+        """Bitwise the errors that tune and evaluate compute for the same rows."""
+        out = tmp_path / "verdicts.csv"
+        rc = cli.main(["detect", "--data", ws.faulty, "--model", ws.model, "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        classifier = load_classifier(ws.model)
+        errors, _ = score(classifier, load_dataset(ws.faulty).values)
+        assert [float(cells[1]) for cells in rows] == errors.tolist()
+        limit = threshold(classifier.baseline, 4.5)
+        assert [cells[3] == "true" for cells in rows] == [e > limit for e in errors.tolist()]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload.pop("baseline"),
+            lambda payload: payload["baseline"].update(kpi_mu=payload["baseline"]["kpi_mu"][:-1]),
+        ],
+        ids=["missing-baseline", "short-kpi-mu"],
+    )
+    def test_malformed_model_is_a_data_error(self, ws, tmp_path, capsys, edit) -> None:
+        payload = json.loads(open(ws.model, encoding="utf-8").read())
+        edit(payload)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "v.csv"
+        rc = cli.main(["detect", "--data", ws.quiet, "--model", str(model), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
+
+
+class _FrozenClock(datetime.datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return cls(2026, 1, 2, 3, 4, 5)
+
+
+def test_timestamped_path_claims_a_fresh_name(tmp_path, monkeypatch) -> None:
+    """The name is created, not just checked, so a concurrent run cannot reuse it."""
+    monkeypatch.setattr(cli.datetime, "datetime", _FrozenClock)
+    taken = tmp_path / "detect-20260102-030405.csv"
+    taken.write_text("another run's verdicts", encoding="utf-8")
+    path = cli._timestamped_path(str(tmp_path), "detect", ".csv")
+    assert path == str(tmp_path / "detect-20260102-030405-1.csv")
+    assert os.path.isfile(path)
+    assert taken.read_text(encoding="utf-8") == "another run's verdicts"
+    assert cli._timestamped_path(str(tmp_path), "detect", ".csv").endswith("-2.csv")
+
+    (tmp_path / "evaluation-20260102-030405").mkdir()
+    directory = cli._timestamped_path(str(tmp_path), "evaluation", "", claim=os.mkdir)
+    assert directory == str(tmp_path / "evaluation-20260102-030405-1")
+    assert os.path.isdir(directory)
 
 
 class TestTune:

@@ -18,9 +18,7 @@ from faultcast.kpi import (
     KpiId,
     NormalizationStats,
     TimeSeriesDataset,
-    apply_normalization,
     fit_normalization,
-    format_kpi_id,
     load_dataset,
     load_descriptors,
     parse_kpi_id,
@@ -38,7 +36,6 @@ def test_parse_kpi_id_round_trip():
     kpi = parse_kpi_id("pressure@tank-1")
     assert kpi == KpiId(metric="pressure", node="tank-1")
     assert str(kpi) == "pressure@tank-1"
-    assert format_kpi_id(kpi) == "pressure@tank-1"
 
 
 @pytest.mark.parametrize("text", ["no-separator", "a@b@c", "@node", "metric@", "@"])
@@ -210,15 +207,13 @@ def test_fit_normalization_uses_population_std():
     assert stats.std[0] == pytest.approx(np.std([1.0, 2.0, 3.0, 4.0], ddof=0))
 
 
-def test_apply_normalization_directions():
+def test_normalization_transform_inverse_round_trip():
     kpis = [parse_kpi_id("a@n")]
     ds = TimeSeriesDataset(timestamps=[0, 1], kpis=kpis, values=[[2.0], [4.0]])
     stats = fit_normalization(ds)
-    forward_ds = apply_normalization(ds, stats, direction="forward")
-    back = apply_normalization(forward_ds, stats, direction="inverse")
-    np.testing.assert_allclose(back.values, ds.values)
-    with pytest.raises(ValueError):
-        apply_normalization(ds, stats, direction="sideways")
+    normalized = stats.transform(ds.values)
+    np.testing.assert_allclose(normalized, [[-1.0], [1.0]])
+    np.testing.assert_allclose(stats.inverse(normalized), ds.values)
 
 
 def test_load_descriptors(tmp_path):

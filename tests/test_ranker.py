@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from faultcast.classifier import ClassifierConfig, ErrorBaseline
-from faultcast.errors import InsufficientHistory, SchemaError
+from faultcast.classifier import ClassifierConfig, ErrorBaseline, score
+from faultcast.errors import DataError, InsufficientHistory, SchemaError
 from faultcast.granger import GrangerConfig
 from faultcast.kpi import KpiDescriptor, parse_kpi_id
 from faultcast.ranker import (
@@ -18,7 +18,6 @@ from faultcast.ranker import (
     attribute_components,
     build_causality_graph,
     detect_anomalous_kpis,
-    kpi_residuals,
     rank_root_causes,
     report_from_json,
     report_to_json,
@@ -55,9 +54,11 @@ def _anomalous_classifier():
 
 
 def test_kpi_residuals_zero_model():
-    np.testing.assert_allclose(
-        kpi_residuals(zero_model(3), np.array([1.0, -2.0, 0.5])), [1.0, 4.0, 0.25]
-    )
+    kpis = [parse_kpi_id(f"k{i}@n") for i in range(3)]
+    baseline = ErrorBaseline(state_mu=0.0, state_std=1.0, kpi_mu=np.zeros(3), kpi_std=np.ones(3))
+    classifier = make_classifier(zero_model(3), baseline, kpis)
+    _, residuals = score(classifier, np.array([1.0, -2.0, 0.5]))
+    np.testing.assert_allclose(residuals, [1.0, 4.0, 0.25])
 
 
 def test_detect_anomalous_kpis_strictly_above_limit():
@@ -246,6 +247,63 @@ def test_analyze_requires_history_even_for_normal_states():
     classifier = make_classifier(zero_model(2), baseline, [DRIVE, FOLLOW])
     with pytest.raises(InsufficientHistory):
         analyze(classifier, np.array([0.0, 0.0]), np.zeros((5, 2)), 4)
+
+
+def test_analyze_strict_boundary():
+    """A state error exactly on the threshold is still normal."""
+    def verdict(state_mu: float):
+        baseline = ErrorBaseline(
+            state_mu=state_mu, state_std=0.0, kpi_mu=np.zeros(2), kpi_std=np.ones(2)
+        )
+        classifier = make_classifier(zero_model(2), baseline, [DRIVE, FOLLOW])
+        config = ClassifierConfig(sigma=4.5)
+        state, history = np.array([1.0, 1.0]), np.zeros((40, 2))
+        return analyze(classifier, state, history, 7, classifier_config=config).verdict
+
+    on_line = verdict(1.0)
+    assert on_line.state_error == pytest.approx(1.0)
+    assert on_line.threshold == pytest.approx(1.0)
+    assert not on_line.anomalous
+    assert on_line.timestamp == 7
+    assert verdict(0.5).anomalous
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_analyze_rejects_non_finite_state(bad):
+    """Even a normal-threshold classifier must not score NaN as a normal state."""
+    baseline = ErrorBaseline(state_mu=1e9, state_std=0.0, kpi_mu=np.zeros(2), kpi_std=np.ones(2))
+    classifier = make_classifier(zero_model(2), baseline, [DRIVE, FOLLOW])
+    with pytest.raises(DataError):
+        analyze(classifier, np.array([bad, 0.0]), _coupled_history(), 59)
+
+
+def test_analyze_rejects_non_finite_granger_window():
+    classifier = _anomalous_classifier()
+    history = _coupled_history()
+    history[-10, 1] = np.nan
+    with pytest.raises(DataError, match="window"):
+        analyze(classifier, history[-1], history, 59)
+    # rows older than the window are not read
+    history = _coupled_history()
+    history[0, 0] = np.nan
+    assert analyze(classifier, history[-1], history, 59).verdict.anomalous
+
+
+def test_analyze_full_prefix_equals_last_window():
+    baseline = ErrorBaseline(state_mu=-1.0, state_std=0.0, kpi_mu=-np.ones(2), kpi_std=np.zeros(2))
+    classifier = make_classifier(
+        zero_model(2),
+        baseline,
+        [DRIVE, FOLLOW],
+        mean=np.array([0.3, -1.7]),
+        std=np.array([1.3, 0.6]),
+    )
+    history = _coupled_history(length=200)
+    granger = GrangerConfig(window=40)
+    full = analyze(classifier, history[-1], history, 199, granger_config=granger)
+    last = analyze(classifier, history[-1], history[-40:], 199, granger_config=granger)
+    assert full.graph.edges
+    assert report_to_json(full) == report_to_json(last)
 
 
 def test_analyze_anomalous_state_without_anomalous_kpis():
