@@ -15,6 +15,7 @@ with the largest vertical drop below the chord of the curve.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -174,6 +175,16 @@ class SweepPoint:
     prediction_count: int
 
 
+def check_sigma_grid(grid: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless ``grid`` is non-empty, positive, finite and ascending."""
+    if len(grid) == 0:
+        raise ValueError("sigma grid must be non-empty")
+    if not all(0 < sigma < math.inf for sigma in grid):
+        raise ValueError("sigma grid values must be positive and finite")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("sigma grid must be strictly ascending")
+
+
 def sigma_sweep(
     classifier: TrainedClassifier,
     dataset: TimeSeriesDataset,
@@ -186,10 +197,7 @@ def sigma_sweep(
     verdicts at or after it as predictions.  Without an onset the scenario is
     failure-free and every anomalous verdict is a false positive.
     """
-    if len(grid) == 0:
-        raise ValueError("sigma grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("sigma grid must be strictly ascending")
+    check_sigma_grid(grid)
     check_schema(classifier, dataset.kpis)
     errors, _ = score(classifier, dataset.values)
     before = (

@@ -29,6 +29,7 @@ from collections.abc import Sequence
 from . import config as config_mod
 from .classifier import (
     check_schema,
+    check_sigma_grid,
     fit_classifier,
     load_classifier,
     save_classifier,
@@ -204,6 +205,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise UsageError(f"bad --grid value: {exc}") from exc
     if not grid:
         raise UsageError("--grid must list at least one sigma")
+    try:
+        check_sigma_grid(grid)
+    except ValueError as exc:
+        raise UsageError(f"bad --grid value: {exc}") from exc
     return grid
 
 
@@ -230,8 +235,8 @@ def _cmd_train(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
-    classifier = load_classifier(args.model)
     grid = _parse_grid(args.grid) if args.grid is not None else config.sigma_grid
+    classifier = load_classifier(args.model)
     totals = {float(s): 0 for s in grid}
     for path in args.data:
         dataset = _load_series(path, config)

@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .autoencoder import TrainingConfig
-from .classifier import SIGMA_GRID, ClassifierConfig
+from .classifier import SIGMA_GRID, ClassifierConfig, check_sigma_grid
 from .errors import IoError, SchemaError
 from .granger import GrangerConfig
 from .pagerank import PageRankConfig
@@ -82,10 +82,7 @@ class ToolConfig:
             raise ValueError(f"missing_policy must be one of {MISSING_POLICIES}")
         if self.embedding_dimension < 1:
             raise ValueError("embedding_dimension must be >= 1")
-        if len(self.sigma_grid) == 0:
-            raise ValueError("sigma_grid must be non-empty")
-        if any(b <= a for a, b in zip(self.sigma_grid, self.sigma_grid[1:])):
-            raise ValueError("sigma_grid must be strictly ascending")
+        check_sigma_grid(self.sigma_grid)
 
 
 def _type_hints(cls: type) -> dict[str, object]:

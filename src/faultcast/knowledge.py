@@ -14,11 +14,21 @@ change the matrix, and retrieval is one matrix-vector product.
 The offline embedder hashes each lowercase alphanumeric token with FNV-1a
 (64 bit), buckets the hash modulo the dimension, counts, and L2-normalizes.
 It needs no model download, is stable across runs and machines, and two
-texts sharing no token are orthogonal unless buckets collide.
+texts sharing no token are orthogonal unless buckets collide.  Manuals reuse
+a small vocabulary, so the hash of each token (not its bucket, which depends
+on the dimension) is kept in a bounded process-wide LRU cache.
+
+``VectorStore.save`` writes the file itself, one chunk at a time, because
+``json.dump`` with an indent runs pure Python for every embedding float.  The
+bytes are exactly those of ``json.dump(payload, indent=1, sort_keys=True)``
+followed by a newline; floats are written with ``float.__repr__`` as
+``json`` does, and ``add_document`` refuses non-finite embeddings, which
+``json`` would write as the non-standard ``NaN``/``Infinity``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -63,6 +73,12 @@ def fnv1a_64(data: bytes) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _token_hash(token: str) -> int:
+    """FNV-1a hash of a token's UTF-8 bytes, cached across embedders."""
+    return fnv1a_64(token.encode("utf-8"))
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric runs; everything else separates tokens."""
     return _TOKEN_RE.findall(text.lower())
@@ -85,9 +101,9 @@ class OfflineEmbedder:
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
-        vector = np.zeros(self.dimension)
-        for token in tokenize(text):
-            vector[fnv1a_64(token.encode("utf-8")) % self.dimension] += 1.0
+        buckets = [_token_hash(token) % self.dimension for token in tokenize(text)]
+        counts = np.bincount(np.array(buckets, dtype=np.intp), minlength=self.dimension)
+        vector = counts.astype(np.float64)
         norm = np.linalg.norm(vector)
         return vector / norm if norm > 0 else vector
 
@@ -261,7 +277,13 @@ class VectorStore:
                     f"chunk {chunk.chunk_id}: embedding has {len(chunk.embedding)} "
                     f"dimensions, store expects {self.dimension}"
                 )
-        vectors = np.array([c.embedding for c in chunks], dtype=np.float64)
+        vectors = np.array([c.embedding for c in chunks], dtype=np.float64).reshape(
+            len(chunks), self.dimension
+        )
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            bad = chunks[int(np.argmin(finite))].chunk_id
+            raise SchemaError(f"chunk {bad}: embedding values are not finite")
         keep = [i for i, c in enumerate(self.rows) if c.doc_id != doc_id]
         rows = [self.rows[i] for i in keep] + list(chunks)
         buffer = self._buffer
@@ -270,35 +292,33 @@ class VectorStore:
             # room for as many again, so that appending costs amortised O(rows).
             buffer = np.empty((2 * len(rows), self.dimension))
             buffer[: len(keep)] = self.matrix[keep]
-        buffer[len(keep) : len(rows)] = vectors.reshape(len(chunks), self.dimension)
+        buffer[len(keep) : len(rows)] = vectors
         self._set_rows(rows, buffer, np.concatenate((self.norms[keep], _row_norms(vectors))))
         self.chunks = [c for c in self.chunks if c.doc_id != doc_id] + list(chunks)
         self.chunks.sort(key=lambda c: c.chunk_id)
         self.manifest[doc_id] = {"title": title, "source": source}
 
     def save(self, path: str | os.PathLike[str]) -> None:
-        payload = {
-            "version": 1,
+        """Write the store as ``json.dump(payload, indent=1, sort_keys=True)`` would.
+
+        Chunks are written one at a time, so the file is never held in memory.
+        """
+        tail = {
             "dimension": self.dimension,
             "embedder": self.embedder_name,
             "manifest": self.manifest,
-            "chunks": [
-                {
-                    "chunk_id": c.chunk_id,
-                    "doc_id": c.doc_id,
-                    "section": c.section,
-                    "text": c.text,
-                    "char_start": c.char_start,
-                    "char_end": c.char_end,
-                    "embedding": None if c.embedding is None else c.embedding.tolist(),
-                }
-                for c in self.chunks
-            ],
+            "version": 1,
         }
         try:
             with open(path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=1, sort_keys=True)
-                handle.write("\n")
+                handle.write('{\n "chunks": [')
+                separator = "\n"
+                for chunk in self.chunks:
+                    handle.write(separator + _chunk_json(chunk))
+                    separator = ",\n"
+                handle.write("\n ],\n" if self.chunks else "],\n")
+                # The tail's keys sort after "chunks" and sit at the same depth.
+                handle.write(json.dumps(tail, indent=1, sort_keys=True)[2:] + "\n")
         except OSError as exc:
             raise IoError(f"cannot write store: {path}") from exc
 
@@ -341,6 +361,26 @@ class VectorStore:
         )
         store._set_rows(rows, matrix, _row_norms(matrix))
         return store
+
+
+def _chunk_json(chunk: KnowledgeChunk) -> str:
+    """One chunk as ``json.dumps(..., indent=1, sort_keys=True)`` prints it in a store."""
+    if chunk.embedding is None:
+        embedding = "null"
+    else:
+        values = ",\n    ".join(map(float.__repr__, chunk.embedding.tolist()))
+        embedding = f"[\n    {values}\n   ]"
+    return (
+        "  {\n"
+        f'   "char_end": {json.dumps(chunk.char_end)},\n'
+        f'   "char_start": {json.dumps(chunk.char_start)},\n'
+        f'   "chunk_id": {json.dumps(chunk.chunk_id)},\n'
+        f'   "doc_id": {json.dumps(chunk.doc_id)},\n'
+        f'   "embedding": {embedding},\n'
+        f'   "section": {json.dumps(chunk.section)},\n'
+        f'   "text": {json.dumps(chunk.text)}\n'
+        "  }"
+    )
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:

@@ -359,26 +359,29 @@ def report_from_json(text: str) -> AnomalyReport:
     except json.JSONDecodeError as exc:
         raise SchemaError("report is not valid JSON") from exc
     try:
+        anomalous = payload["verdict"]["anomalous"]
+        if not isinstance(anomalous, bool):
+            raise SchemaError(f"report verdict is not a boolean: {anomalous!r}")
         verdict = StateVerdict(
             timestamp=int(payload["verdict"]["timestamp"]),
             state_error=float(payload["verdict"]["state_error"]),
             threshold=float(payload["verdict"]["threshold"]),
-            anomalous=bool(payload["verdict"]["anomalous"]),
+            anomalous=anomalous,
         )
         anomalies = tuple(
             KpiAnomaly(
-                kpi=parse_kpi_id(a["id"]),
+                kpi=_kpi_from_json(a["id"]),
                 score=float(a["score"]),
                 kpi_threshold=float(a["kpi_threshold"]),
             )
             for a in payload["anomalous_kpis"]
         )
         graph = CausalityGraph(
-            nodes=tuple(parse_kpi_id(k) for k in payload["graph"]["nodes"]),
+            nodes=tuple(_kpi_from_json(k) for k in payload["graph"]["nodes"]),
             edges=tuple(
                 CausalEdge(
-                    cause=parse_kpi_id(e["cause"]),
-                    effect=parse_kpi_id(e["effect"]),
+                    cause=_kpi_from_json(e["cause"]),
+                    effect=_kpi_from_json(e["effect"]),
                     f_stat=float(e["f"]),
                     p_value=float(e["p_value"]),
                 )
@@ -389,10 +392,10 @@ def report_from_json(text: str) -> AnomalyReport:
             verdict=verdict,
             anomalous_kpis=anomalies,
             graph=graph,
-            centrality={parse_kpi_id(k): float(v) for k, v in payload["centrality"].items()},
+            centrality={_kpi_from_json(k): float(v) for k, v in payload["centrality"].items()},
             root_cause_kpis=tuple(
                 RankedCause(
-                    kpi=parse_kpi_id(r["id"]),
+                    kpi=_kpi_from_json(r["id"]),
                     centrality=float(r["centrality"]),
                     score=float(r["score"]),
                 )
@@ -402,7 +405,15 @@ def report_from_json(text: str) -> AnomalyReport:
                 ComponentAttribution(node=c["node"], central_kpi_count=int(c["central_kpi_count"]))
                 for c in payload["top_components"]
             ),
-            descriptions={parse_kpi_id(k): str(d) for k, d in payload["descriptions"].items()},
+            descriptions={_kpi_from_json(k): str(d) for k, d in payload["descriptions"].items()},
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise SchemaError(f"report JSON is missing field: {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"report JSON is malformed: {exc}") from exc
+
+
+def _kpi_from_json(value: object) -> KpiId:
+    if not isinstance(value, str):
+        raise SchemaError(f"report KPI id is not a string: {value!r}")
+    return parse_kpi_id(value)

@@ -188,6 +188,9 @@ def test_sigma_sweep_validates_grid_and_schema():
         sigma_sweep(classifier, ds, grid=())
     with pytest.raises(ValueError):
         sigma_sweep(classifier, ds, grid=(3.0, 1.5))
+    for grid in ((0.0, 1.5), (-1.0,), (1.5, float("inf")), (float("nan"),)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sigma_sweep(classifier, ds, grid=grid)
     wrong = TimeSeriesDataset(timestamps=[0], kpis=[parse_kpi_id("b@n")], values=[[0.0]])
     with pytest.raises(SchemaMismatch):
         sigma_sweep(classifier, wrong, grid=(1.5,))

@@ -445,6 +445,19 @@ class TestTune:
         assert rc == 1
         assert "--grid must list at least one sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["3,1.5", "0,1", "-1,2", "1,nan"])
+    def test_grid_must_be_positive_and_ascending(self, ws, grid, capsys) -> None:
+        rc = cli.main(["tune", "--data", ws.quiet, "--model", ws.model, f"--grid={grid}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bad --grid value: sigma grid ")
+        assert len(err.splitlines()) == 1
+
+    def test_config_grid_must_be_positive(self, ws, capsys) -> None:
+        rc = cli.main(["tune", "--data", ws.quiet, "--model", ws.model, "--sigma_grid", "0,1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
 
 class TestRank:
     def test_faulty_series_produces_an_anomalous_report(
@@ -636,6 +649,21 @@ class TestTroubleshoot:
         rc = cli.main(["troubleshoot", "--report", report])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_report_with_a_numeric_kpi_id_exits_two(
+        self, manuals, tmp_path, monkeypatch, capsys
+    ) -> None:
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["kb", "ingest", str(manuals[0])]) == 0
+        capsys.readouterr()
+        report = _anomalous_report_file(tmp_path / "anomalous.json", with_description=True)
+        payload = json.loads((tmp_path / "anomalous.json").read_text(encoding="utf-8"))
+        payload["anomalous_kpis"][0]["id"] = 7
+        (tmp_path / "anomalous.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main(["troubleshoot", "--report", report]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: report KPI id is not a string")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["troubleshoot", "kb"])
     def test_malformed_store_exits_two(

@@ -50,6 +50,8 @@ def test_tool_config_validation():
     with pytest.raises(ValueError):
         ToolConfig(sigma_grid=(3.0, 1.5))
     with pytest.raises(ValueError):
+        ToolConfig(sigma_grid=(0.0, 1.5))
+    with pytest.raises(ValueError):
         EndpointsConfig(timeout=0.0)
     with pytest.raises(ValueError):
         EndpointsConfig(retries=-1)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+
+from faultcast import cli
 
 from faultcast.errors import DimensionMismatch, EmptyDocument, IoError, SchemaError
 from faultcast.knowledge import (
@@ -84,6 +88,32 @@ class TestOfflineEmbedder:
         with pytest.raises(ValueError):
             OfflineEmbedder(128).embed("")
         assert OfflineEmbedder().dimension == DEFAULT_DIMENSION
+
+    @given(
+        text=st.text(alphabet=st.sampled_from("ab9Z é-.\n"), min_size=1, max_size=80),
+        dimension=st.sampled_from([1, 3, 64, 512]),
+    )
+    @example(text="---", dimension=512)
+    @example(text="Tank-pressure 2.5 bar! tank", dimension=512)
+    def test_matches_the_per_token_reference_loop(self, text, dimension):
+        expected = _reference_embed(text, dimension)
+        actual = OfflineEmbedder(dimension).embed(text)
+        assert actual.dtype == np.float64
+        np.testing.assert_array_equal(actual, expected)
+
+    def test_text_without_tokens_is_the_zero_vector(self):
+        vector = OfflineEmbedder(16).embed("--- !?")
+        assert vector.dtype == np.float64
+        np.testing.assert_array_equal(vector, np.zeros(16))
+
+
+def _reference_embed(text: str, dimension: int) -> np.ndarray:
+    """The offline embedding, one FNV-1a hash and one increment per token."""
+    vector = np.zeros(dimension)
+    for token in tokenize(text):
+        vector[fnv1a_64(token.encode("utf-8")) % dimension] += 1.0
+    norm = np.linalg.norm(vector)
+    return vector / norm if norm > 0 else vector
 
 
 class TestChunking:
@@ -179,6 +209,16 @@ class TestVectorStore:
         with pytest.raises(ValueError, match="no embedding"):
             store.add_document("doc", "Doc", "doc.txt", bare)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_add_document_rejects_non_finite_embeddings(self, value):
+        store = VectorStore(dimension=16)
+        chunks = _embedded_chunks("doc", "tank pressure " * 10, OfflineEmbedder(16))
+        chunks[-1].embedding = chunks[-1].embedding.copy()
+        chunks[-1].embedding[3] = value
+        with pytest.raises(SchemaError, match=f"chunk {chunks[-1].chunk_id}: .*not finite"):
+            store.add_document("doc", "Doc", "doc.txt", chunks)
+        assert len(store) == 0 and store.manifest == {} and len(store.matrix) == 0
+
     def test_add_document_checks_dimension(self):
         store = VectorStore(dimension=16)
         chunks = _embedded_chunks("doc", "some text", OfflineEmbedder(8))
@@ -255,6 +295,96 @@ class TestVectorStore:
             assert store.norms[row] == np.linalg.norm(embedder.embed(chunk.text))
         with pytest.raises(ValueError):
             store.chunks[0].embedding[0] = 1.0
+
+
+_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€😀'), st.characters()), max_size=12
+)
+_VALUE = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 3.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _store_payloads(draw):
+    dimension = draw(st.integers(1, 4))
+    chunk = st.fixed_dictionaries(
+        {
+            "chunk_id": _TEXT,
+            "doc_id": _TEXT,
+            "section": st.none() | _TEXT,
+            "text": _TEXT,
+            "char_start": st.integers(0, 10**6),
+            "char_end": st.integers(0, 10**6),
+            "embedding": st.none() | st.lists(_VALUE, min_size=dimension, max_size=dimension),
+        }
+    )
+    entry = st.fixed_dictionaries({"title": _TEXT, "source": _TEXT})
+    return {
+        "version": 1,
+        "dimension": dimension,
+        "embedder": draw(_TEXT),
+        "manifest": draw(st.dictionaries(_TEXT, entry, max_size=3)),
+        "chunks": draw(st.lists(chunk, max_size=4)),
+    }
+
+
+_EDGE_CASE_STORE = {
+    "version": 1,
+    "dimension": 4,
+    "embedder": "offline",
+    "manifest": {"d\u00e9": {"title": 'say "hi"\\', "source": "m\u00e9/\x01.md"}},
+    "chunks": [
+        {
+            "chunk_id": "d\u00e9#0000",
+            "doc_id": "d\u00e9",
+            "section": None,
+            "text": 'quote " backslash \\ tab \t nul \x00 \u20ac \U0001f600',
+            "char_start": 0,
+            "char_end": 9,
+            "embedding": [-0.0, 5e-324, 1e300, 3.0],
+        },
+        {
+            "chunk_id": "d\u00e9#0001",
+            "doc_id": "d\u00e9",
+            "section": "S\u00e9ction \"1\"\n",
+            "text": "x",
+            "char_start": 5,
+            "char_end": 6,
+            "embedding": None,
+        },
+    ],
+}
+
+
+# 1e300 in a row overflows the norm that load computes; the bytes are what matter here.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@given(payload=_store_payloads())
+@example(payload=_EDGE_CASE_STORE)
+@example(payload={**_EDGE_CASE_STORE, "chunks": [], "manifest": {}})
+def test_save_writes_the_bytes_of_json_dump(tmp_path_factory, payload):
+    directory = tmp_path_factory.mktemp("store")
+    source = directory / "source.json"
+    source.write_text(json.dumps(payload), encoding="utf-8")
+    saved = directory / "saved.json"
+    VectorStore.load(source).save(saved)
+    oracle = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    assert saved.read_bytes() == oracle.encode("utf-8")
+
+
+def test_kb_ingest_of_the_fixtures_keeps_its_bytes(fixtures_dir, tmp_path, monkeypatch, capsys):
+    """Store of ``faultcast kb ingest tests/fixtures/*.md`` run from the repository root."""
+    shutil.copytree(fixtures_dir, tmp_path / "tests" / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    files = [f"tests/fixtures/{name}.md" for name in ("electrical", "engine", "tank_pressure")]
+    assert cli.main(["kb", "ingest", *files]) == 0
+    capsys.readouterr()
+    store = (tmp_path / "artifacts" / "knowledge.json").read_bytes()
+    assert (
+        hashlib.sha256(store).hexdigest()
+        == "73e3091f0ff14d63a27412b108406e6f99e26694d7013545d94cbe2224e1189e"
+    )
 
 
 def _valid_store_payload(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -403,3 +405,53 @@ def test_report_from_json_rejects_bad_payloads():
         report_from_json("{broken")
     with pytest.raises(SchemaError):
         report_from_json("{}")
+    with pytest.raises(SchemaError):
+        report_from_json("[]")
+
+
+# case -> (where in a full report, the value put there)
+MALFORMED_REPORTS = {
+    "numeric anomalous KPI id": (("anomalous_kpis", 0, "id"), 7),
+    "numeric graph node": (("graph", "nodes", 0), 7),
+    "numeric edge cause": (("graph", "edges", 0, "cause"), 7),
+    "object root cause id": (("root_cause_kpis", 0, "id"), {"metric": "drive"}),
+    "non-numeric anomaly score": (("anomalous_kpis", 0, "score"), "high"),
+    "non-numeric edge F": (("graph", "edges", 0, "f"), "big"),
+    "non-numeric centrality": (("centrality", str(DRIVE)), "most"),
+    "non-numeric timestamp": (("verdict", "timestamp"), "noon"),
+    "string verdict": (("verdict", "anomalous"), "false"),
+    "non-numeric component count": (("top_components", 0, "central_kpi_count"), "two"),
+    "self-loop edge": (("graph", "edges", 0, "effect"), str(DRIVE)),
+    "anomaly is not an object": (("anomalous_kpis", 0), "drive@alpha"),
+    **{
+        f"null {'.'.join(keys)}": (keys, None)
+        for keys in (
+            ("verdict",),
+            ("anomalous_kpis",),
+            ("graph",),
+            ("graph", "nodes"),
+            ("graph", "edges"),
+            ("centrality",),
+            ("root_cause_kpis",),
+            ("top_components",),
+            ("descriptions",),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_report_from_json_rejects_malformed_fields(case):
+    classifier = _anomalous_classifier()
+    history = _coupled_history()
+    report = analyze(classifier, history[-1], history, 59)
+    payload = json.loads(report_to_json(report))
+    assert payload["graph"]["edges"][0]["cause"] == str(DRIVE)
+    assert payload["root_cause_kpis"] and payload["top_components"]
+    keys, value = MALFORMED_REPORTS[case]
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(SchemaError):
+        report_from_json(json.dumps(payload))

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).parent.parent / "scripts"
+ROOT = Path(__file__).parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize(
@@ -42,3 +44,18 @@ def test_troubleshoot_demo_runs_offline(manuals, tmp_path) -> None:
     assert "question: What is the cause of anomalous values regarding " in proc.stdout
     assert "retrieved chunks:" in proc.stdout
     assert "answer:" in proc.stdout
+
+
+def test_kb_benchmark_smoke_matches_its_golden_outputs() -> None:
+    """Tiny kb-large run: ingest, save, load and retrieval checked against references."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke", "--workload", "kb-large"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failed"] == 0
+    assert result["correct"] is True
