@@ -30,6 +30,7 @@ from .errors import (
     SchemaError,
     SchemaMismatch,
     TooFewPoints,
+    load_json,
 )
 from .kpi import KpiId, NormalizationStats, TimeSeriesDataset, fit_normalization, parse_kpi_id
 
@@ -307,53 +308,39 @@ def load_classifier(path: str | os.PathLike[str]) -> TrainedClassifier:
     A missing key or a value of the wrong type raises :class:`SchemaError`;
     lengths that disagree with the KPI list raise :class:`DimensionMismatch`.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise IoError(f"cannot read model: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: not a model object")
-    if payload.get("version") != MODEL_FORMAT_VERSION:
-        raise SchemaError(f"{path}: unsupported model version {payload.get('version')!r}")
-    try:
-        kpis = payload["kpis"]
-        if not isinstance(kpis, list) or not all(isinstance(k, str) for k in kpis):
-            raise SchemaError("kpis is not a list of strings")
-        model = AutoencoderModel(
-            layer_sizes=[_integer(s, "layer_sizes") for s in payload["layer_sizes"]],
-            weights=[_numbers(w, 2, "weights") for w in payload["weights"]],
-            biases=[_numbers(b, 1, "biases") for b in payload["biases"]],
-        )
-        saved = payload["baseline"]
-        baseline = ErrorBaseline(
-            state_mu=float(_numbers(saved["state_mu"], 0, "baseline.state_mu")),
-            state_std=float(_numbers(saved["state_std"], 0, "baseline.state_std")),
-            kpi_mu=_numbers(saved["kpi_mu"], 1, "baseline.kpi_mu"),
-            kpi_std=_numbers(saved["kpi_std"], 1, "baseline.kpi_std"),
-        )
-        saved = payload["normalization"]
-        stats = NormalizationStats(
-            mean=_numbers(saved["mean"], 1, "normalization.mean"),
-            std=_numbers(saved["std"], 1, "normalization.std"),
-        )
-        saved = payload["training"]
-        training = TrainingConfig(
-            epochs=_integer(saved["epochs"], "training.epochs"),
-            learning_rate=float(_numbers(saved["learning_rate"], 0, "training.learning_rate")),
-            batch_size=None
-            if saved["batch_size"] is None
-            else _integer(saved["batch_size"], "training.batch_size"),
-            seed=_integer(saved["seed"], "training.seed"),
-        )
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    except KeyError as exc:
-        raise SchemaError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed model: {exc}") from exc
+    return load_json(_classifier_from_payload, "model", path=path, version=MODEL_FORMAT_VERSION)
+
+
+def _classifier_from_payload(payload: dict) -> TrainedClassifier:
+    kpis = payload["kpis"]
+    if not isinstance(kpis, list) or not all(isinstance(k, str) for k in kpis):
+        raise SchemaError("kpis is not a list of strings")
+    model = AutoencoderModel(
+        layer_sizes=[_integer(s, "layer_sizes") for s in payload["layer_sizes"]],
+        weights=[_numbers(w, 2, "weights") for w in payload["weights"]],
+        biases=[_numbers(b, 1, "biases") for b in payload["biases"]],
+    )
+    saved = payload["baseline"]
+    baseline = ErrorBaseline(
+        state_mu=float(_numbers(saved["state_mu"], 0, "baseline.state_mu")),
+        state_std=float(_numbers(saved["state_std"], 0, "baseline.state_std")),
+        kpi_mu=_numbers(saved["kpi_mu"], 1, "baseline.kpi_mu"),
+        kpi_std=_numbers(saved["kpi_std"], 1, "baseline.kpi_std"),
+    )
+    saved = payload["normalization"]
+    stats = NormalizationStats(
+        mean=_numbers(saved["mean"], 1, "normalization.mean"),
+        std=_numbers(saved["std"], 1, "normalization.std"),
+    )
+    saved = payload["training"]
+    training = TrainingConfig(
+        epochs=_integer(saved["epochs"], "training.epochs"),
+        learning_rate=float(_numbers(saved["learning_rate"], 0, "training.learning_rate")),
+        batch_size=None
+        if saved["batch_size"] is None
+        else _integer(saved["batch_size"], "training.batch_size"),
+        seed=_integer(saved["seed"], "training.seed"),
+    )
     lengths = {
         "layer_sizes[0]": model.n_inputs,
         "normalization.mean": stats.mean.shape[0],
@@ -362,9 +349,7 @@ def load_classifier(path: str | os.PathLike[str]) -> TrainedClassifier:
     }
     for what, length in lengths.items():
         if length != len(kpis):
-            raise DimensionMismatch(
-                f"{path}: {what} has length {length}, model has {len(kpis)} KPIs"
-            )
+            raise DimensionMismatch(f"{what} has length {length}, model has {len(kpis)} KPIs")
     return TrainedClassifier(
         model=model,
         baseline=baseline,

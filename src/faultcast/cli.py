@@ -48,7 +48,7 @@ from .kpi import (
     write_dataset,
 )
 from .knowledge import OfflineEmbedder, RemoteEmbedder, VectorStore, ingest_files
-from .ranker import analyze, report_from_json, report_to_json
+from .ranker import analyze, load_report, report_to_json
 from .simulate import Scenario, evaluate_scenarios, generate_normal, inject_fault, load_fault, load_spec
 from .troubleshoot import EchoClient, HttpCompletionClient, troubleshoot
 
@@ -68,22 +68,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _metavar(hint: object) -> str:
-    inner = config_mod._optional_inner(hint)
-    if inner is not None:
-        hint = inner
-    if hint is bool:
-        return "BOOL"
-    if hint is int:
-        return "N"
-    if hint is float:
-        return "X"
-    if typing.get_origin(hint) is tuple:
-        return "X,..."
-    return "STR"
-
-
-_OVERRIDE_FIELDS = config_mod.override_fields()
+_OVERRIDE_NAMES = [name for name, _hint in config_mod.override_fields()]
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -91,14 +76,8 @@ def _common_parser() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--config", metavar="PATH", default=None, help="JSON config file")
     group = parent.add_argument_group("config overrides")
-    for name, hint in _OVERRIDE_FIELDS:
-        group.add_argument(
-            f"--{name}",
-            dest=name,
-            default=None,
-            metavar=_metavar(hint),
-            help=argparse.SUPPRESS,
-        )
+    for name in _OVERRIDE_NAMES:
+        group.add_argument(f"--{name}", dest=name, default=None, help=argparse.SUPPRESS)
     return parent
 
 
@@ -156,11 +135,8 @@ def build_parser() -> _Parser:
 
 def _resolve_config(args: argparse.Namespace) -> config_mod.ToolConfig:
     config = config_mod.load_config(args.config) if args.config else config_mod.default_config()
-    overrides = {}
-    for name, _hint in _OVERRIDE_FIELDS:
-        text = getattr(args, name, None)
-        if text is not None:
-            overrides[name] = text
+    given = {name: getattr(args, name, None) for name in _OVERRIDE_NAMES}
+    overrides = {name: text for name, text in given.items() if text is not None}
     try:
         return config_mod.apply_overrides(config, overrides)
     except ValueError as exc:
@@ -348,8 +324,7 @@ def _cmd_kb_ingest(args: argparse.Namespace, config: config_mod.ToolConfig) -> i
 
 
 def _cmd_troubleshoot(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
-    with open(args.report, "r", encoding="utf-8") as handle:
-        report = report_from_json(handle.read())
+    report = load_report(args.report)
     if not report.verdict.anomalous:
         print("state is normal; nothing to troubleshoot")
         return EXIT_NO_ANOMALY

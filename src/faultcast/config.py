@@ -4,6 +4,12 @@ One JSON file configures every stage of the pipeline.  Each leaf field can
 also be overridden on the command line with a flag of the same dotted name
 (for example ``--classifier.sigma 6``), so scripted sweeps never need to
 rewrite the file.
+
+``_from_json_dict`` is the one builder of a :class:`ToolConfig` from outside
+input.  A config file goes through it via :func:`faultcast.errors.load_json`;
+overrides are written into the config's JSON form and the whole config is
+built through it once, so they are checked together with the file and their
+order never matters.
 """
 
 from __future__ import annotations
@@ -12,11 +18,11 @@ import json
 import os
 import types
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .autoencoder import TrainingConfig
 from .classifier import SIGMA_GRID, ClassifierConfig, check_sigma_grid
-from .errors import IoError, SchemaError
+from .errors import SchemaError, load_json
 from .granger import GrangerConfig
 from .pagerank import PageRankConfig
 from .troubleshoot import PromptSpec, RetrievalConfig
@@ -85,10 +91,6 @@ class ToolConfig:
         check_sigma_grid(self.sigma_grid)
 
 
-def _type_hints(cls: type) -> dict[str, object]:
-    return typing.get_type_hints(cls)
-
-
 def _optional_inner(hint: object) -> object | None:
     """The non-None member of an Optional hint, or None if not Optional."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
@@ -107,7 +109,7 @@ def _from_json_value(value: object, hint: object, where: str) -> object:
     if is_dataclass(hint):
         if not isinstance(value, dict):
             raise SchemaError(f"config field {where} must be an object")
-        return _from_json_dict(typing.cast(type, hint), value, where)
+        return _from_json_dict(value, typing.cast(type, hint), where)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise SchemaError(f"config field {where} must be an array")
@@ -134,8 +136,9 @@ def _from_json_value(value: object, hint: object, where: str) -> object:
     raise SchemaError(f"config field {where} has an unsupported type")
 
 
-def _from_json_dict(cls: type, payload: dict, where: str) -> object:
-    hints = _type_hints(cls)
+def _from_json_dict(payload: dict, cls: type = ToolConfig, where: str = "") -> object:
+    """Build ``cls`` (by default the whole config) from its JSON form, checking every field."""
+    hints = typing.get_type_hints(cls)
     names = {f.name for f in fields(cls)}
     kwargs = {}
     for key, value in payload.items():
@@ -162,13 +165,7 @@ def default_config() -> ToolConfig:
 
 
 def config_from_json(text: str) -> ToolConfig:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("config file is not valid JSON") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError("config file must hold a JSON object")
-    return typing.cast(ToolConfig, _from_json_dict(ToolConfig, payload, ""))
+    return typing.cast(ToolConfig, load_json(_from_json_dict, "config file", text=text))
 
 
 def config_to_json(config: ToolConfig) -> str:
@@ -176,17 +173,13 @@ def config_to_json(config: ToolConfig) -> str:
 
 
 def load_config(path: str | os.PathLike[str]) -> ToolConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return config_from_json(handle.read())
-    except OSError as exc:
-        raise IoError(f"cannot read config: {path}") from exc
+    return typing.cast(ToolConfig, load_json(_from_json_dict, "config file", path=path))
 
 
 def override_fields(cls: type = ToolConfig, prefix: str = "") -> list[tuple[str, object]]:
     """All (dotted name, type hint) leaves of the config tree, in field order."""
     leaves: list[tuple[str, object]] = []
-    hints = _type_hints(cls)
+    hints = typing.get_type_hints(cls)
     for f in fields(cls):
         hint = hints[f.name]
         dotted = f"{prefix}{f.name}"
@@ -228,29 +221,28 @@ def parse_override_value(text: str, hint: object, name: str) -> object:
 
 
 def apply_overrides(config: ToolConfig, overrides: dict[str, str]) -> ToolConfig:
-    """Replace leaf fields named by dotted paths; values parsed from strings.
+    """Set leaf fields named by dotted paths; values parsed from strings.
 
-    Raises ValueError on unknown names or malformed values (a usage error,
-    not a data error, since the values come from the command line).
+    The overridden values go into the config's JSON form, which is then
+    built and checked as a whole, exactly as a config file would be, so
+    fields that constrain each other may be set in any order.  Raises
+    ValueError on unknown names or malformed values (a usage error, not a
+    data error, since the values come from the command line).
     """
+    if not overrides:
+        return config
+    leaves = dict(override_fields())
+    payload = typing.cast(dict, _to_json_value(config))
     for dotted, text in overrides.items():
-        parts = dotted.split(".")
-        chain = [config]
-        hints = _type_hints(type(config))
-        for part in parts[:-1]:
-            if part not in hints or not is_dataclass(hints[part]):
-                raise ValueError(f"unknown config field: {dotted}")
-            chain.append(getattr(chain[-1], part))
-            hints = _type_hints(type(chain[-1]))
-        leaf = parts[-1]
-        if leaf not in hints or is_dataclass(hints[leaf]):
+        if dotted not in leaves:
             raise ValueError(f"unknown config field: {dotted}")
-        value = parse_override_value(text, hints[leaf], dotted)
-        try:
-            updated = replace(chain[-1], **{leaf: value})
-            for owner, part in zip(reversed(chain[:-1]), reversed(parts[:-1])):
-                updated = replace(owner, **{part: updated})
-        except ValueError as exc:
-            raise ValueError(f"bad value for --{dotted}: {exc}") from exc
-        config = typing.cast(ToolConfig, updated)
-    return config
+        *sections, leaf = dotted.split(".")
+        node = payload
+        for section in sections:
+            node = node[section]
+        node[leaf] = _to_json_value(parse_override_value(text, leaves[dotted], dotted))
+    try:
+        return typing.cast(ToolConfig, _from_json_dict(payload))
+    except SchemaError as exc:
+        names = ", ".join(f"--{name}" for name in overrides)
+        raise ValueError(f"bad value for {names}: {exc}") from exc

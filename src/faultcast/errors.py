@@ -2,10 +2,18 @@
 
 Every error raised by library code derives from :class:`FaultcastError` so
 callers (notably the CLI) can map failures to exit codes without matching on
-message text.
+message text.  :func:`load_json` is the one way outside JSON (model, store,
+report, config, simulation spec, fault spec) becomes a typed value or one of
+these errors.
 """
 
 from __future__ import annotations
+
+import json
+import os
+from typing import Any, Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class FaultcastError(Exception):
@@ -82,3 +90,47 @@ class OnsetOutOfRange(DataError):
 
 class NoAnomalousReport(FaultcastError):
     """Localization scoring got no anomalous report to score."""
+
+
+def load_json(
+    build: Callable[[dict[str, Any]], T],
+    what: str,
+    *,
+    path: str | os.PathLike[str] | None = None,
+    text: str = "",
+    version: int | None = None,
+) -> T:
+    """Decode one JSON object from ``path`` (or else ``text``) and ``build`` a value from it.
+
+    An unreadable file raises :class:`IoError`.  Text that is not JSON, a
+    document that is not an object (or whose ``version`` differs, when one is
+    given), and a ``KeyError``, ``TypeError``, ``ValueError``,
+    ``AttributeError`` or ``OverflowError`` raised by ``build`` raise
+    :class:`SchemaError`; ``what`` names the document.  Every
+    :class:`DataError` from a file ends with the file's path.
+    """
+    where = "" if path is None else f" (in {path})"
+    try:
+        if path is None:
+            payload = json.loads(text)
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+    except OSError as exc:
+        raise IoError(f"cannot read {what}: {path}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise SchemaError(f"{what} is not valid JSON{where}") from exc
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{what} must hold a JSON object{where}")
+    if version is not None and payload.get("version") != version:
+        raise SchemaError(f"unsupported {what} version {payload.get('version')!r}{where}")
+    try:
+        return build(payload)
+    except KeyError as exc:
+        raise SchemaError(f"{what} is missing key {exc}{where}") from exc
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise SchemaError(f"malformed {what}: {exc}{where}") from exc
+    except DataError as exc:
+        if path is None:
+            raise
+        raise type(exc)(f"{exc}{where}") from exc

@@ -39,7 +39,7 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from . import endpoints
-from .errors import DimensionMismatch, EmptyDocument, EndpointError, IoError, SchemaError
+from .errors import DimensionMismatch, EmptyDocument, EndpointError, IoError, SchemaError, load_json
 
 DEFAULT_DIMENSION = 512
 DEFAULT_MAX_CHARS = 1000
@@ -324,40 +324,28 @@ class VectorStore:
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> VectorStore:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError as exc:
-            raise IoError(f"cannot read store: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON") from exc
-        if not isinstance(payload, dict):
-            raise SchemaError(f"{path}: not a store object")
-        if payload.get("version") != 1:
-            raise SchemaError(f"{path}: unsupported store version {payload.get('version')!r}")
-        try:
-            store = cls(dimension=int(payload["dimension"]), embedder_name=payload["embedder"])
-            store.manifest = dict(payload["manifest"])
-            entries = payload["chunks"]
-            store.chunks = [
-                KnowledgeChunk(
-                    chunk_id=entry["chunk_id"],
-                    doc_id=entry["doc_id"],
-                    section=entry["section"],
-                    text=entry["text"],
-                    char_start=int(entry["char_start"]),
-                    char_end=int(entry["char_end"]),
-                )
-                for entry in entries
-            ]
-            vectors = [entry["embedding"] for entry in entries]
-        except KeyError as exc:
-            raise SchemaError(f"{path}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: malformed store: {exc}") from exc
+        return load_json(cls._from_payload, "store", path=path, version=1)
+
+    @classmethod
+    def _from_payload(cls, payload: dict) -> VectorStore:
+        store = cls(dimension=int(payload["dimension"]), embedder_name=payload["embedder"])
+        store.manifest = dict(payload["manifest"])
+        entries = payload["chunks"]
+        store.chunks = [
+            KnowledgeChunk(
+                chunk_id=entry["chunk_id"],
+                doc_id=entry["doc_id"],
+                section=entry["section"],
+                text=entry["text"],
+                char_start=int(entry["char_start"]),
+                char_end=int(entry["char_end"]),
+            )
+            for entry in entries
+        ]
+        vectors = [entry["embedding"] for entry in entries]
         rows = [chunk for chunk, vector in zip(store.chunks, vectors) if vector is not None]
         matrix = _embedding_matrix(
-            [vector for vector in vectors if vector is not None], store.dimension, path
+            [vector for vector in vectors if vector is not None], store.dimension
         )
         store._set_rows(rows, matrix, _row_norms(matrix))
         return store
@@ -387,30 +375,34 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, computed row by row.
 
     ``np.linalg.norm(matrix, axis=1)`` sums in another order, and its last
-    bits can reorder near-tied similarities.
+    bits can reorder near-tied similarities.  A finite row whose squares
+    overflow (values near 1e300) is scaled by its largest magnitude first;
+    every other norm keeps the bits of the plain computation.
     """
-    return np.array([np.linalg.norm(row) for row in matrix], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norms = np.array([np.linalg.norm(row) for row in matrix], dtype=np.float64)
+    for i in np.flatnonzero(~np.isfinite(norms)):
+        scale = np.abs(matrix[i]).max()
+        norms[i] = scale * np.linalg.norm(matrix[i] / scale)
+    return norms
 
 
-def _embedding_matrix(vectors: list, dimension: int, path: str | os.PathLike[str]) -> np.ndarray:
+def _embedding_matrix(vectors: list, dimension: int) -> np.ndarray:
     """Stack parsed embedding lists into a finite ``(len, dimension)`` matrix."""
     for vector in vectors:
         if not isinstance(vector, list):
-            raise SchemaError(f"{path}: embedding is not a list")
+            raise SchemaError("embedding is not a list")
         if len(vector) != dimension:
             raise DimensionMismatch(
-                f"{path}: embedding has {len(vector)} dimensions, store expects {dimension}"
+                f"embedding has {len(vector)} dimensions, store expects {dimension}"
             )
     if not vectors:
         return np.empty((0, dimension))
-    try:
-        matrix = np.array(vectors)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: embedding values are not numbers") from exc
+    matrix = np.array(vectors)
     if matrix.dtype.kind not in "iuf" or matrix.shape != (len(vectors), dimension):
-        raise SchemaError(f"{path}: embedding values are not numbers")
+        raise SchemaError("embedding values are not numbers")
     if not np.isfinite(matrix).all():
-        raise SchemaError(f"{path}: embedding values are not finite")
+        raise SchemaError("embedding values are not finite")
     return matrix.astype(np.float64, copy=False)
 
 

@@ -13,12 +13,13 @@ verdict is gated: a normal state yields an empty report body.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classifier import ClassifierConfig, StateVerdict, TrainedClassifier, score, threshold
-from .errors import DataError, InsufficientHistory, SchemaError
+from .errors import DataError, InsufficientHistory, SchemaError, load_json
 from .granger import GrangerConfig, granger_test
 from .kpi import KpiDescriptor, KpiId, parse_kpi_id
 from .pagerank import PageRankConfig, pagerank
@@ -354,63 +355,62 @@ def report_to_json(report: AnomalyReport) -> str:
 
 def report_from_json(text: str) -> AnomalyReport:
     """Inverse of :func:`report_to_json`."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("report is not valid JSON") from exc
-    try:
-        anomalous = payload["verdict"]["anomalous"]
-        if not isinstance(anomalous, bool):
-            raise SchemaError(f"report verdict is not a boolean: {anomalous!r}")
-        verdict = StateVerdict(
-            timestamp=int(payload["verdict"]["timestamp"]),
-            state_error=float(payload["verdict"]["state_error"]),
-            threshold=float(payload["verdict"]["threshold"]),
-            anomalous=anomalous,
+    return load_json(_report_from_payload, "report", text=text)
+
+
+def load_report(path: str | os.PathLike[str]) -> AnomalyReport:
+    return load_json(_report_from_payload, "report", path=path)
+
+
+def _report_from_payload(payload: dict) -> AnomalyReport:
+    anomalous = payload["verdict"]["anomalous"]
+    if not isinstance(anomalous, bool):
+        raise SchemaError(f"report verdict is not a boolean: {anomalous!r}")
+    verdict = StateVerdict(
+        timestamp=int(payload["verdict"]["timestamp"]),
+        state_error=float(payload["verdict"]["state_error"]),
+        threshold=float(payload["verdict"]["threshold"]),
+        anomalous=anomalous,
+    )
+    anomalies = tuple(
+        KpiAnomaly(
+            kpi=_kpi_from_json(a["id"]),
+            score=float(a["score"]),
+            kpi_threshold=float(a["kpi_threshold"]),
         )
-        anomalies = tuple(
-            KpiAnomaly(
-                kpi=_kpi_from_json(a["id"]),
-                score=float(a["score"]),
-                kpi_threshold=float(a["kpi_threshold"]),
+        for a in payload["anomalous_kpis"]
+    )
+    graph = CausalityGraph(
+        nodes=tuple(_kpi_from_json(k) for k in payload["graph"]["nodes"]),
+        edges=tuple(
+            CausalEdge(
+                cause=_kpi_from_json(e["cause"]),
+                effect=_kpi_from_json(e["effect"]),
+                f_stat=float(e["f"]),
+                p_value=float(e["p_value"]),
             )
-            for a in payload["anomalous_kpis"]
-        )
-        graph = CausalityGraph(
-            nodes=tuple(_kpi_from_json(k) for k in payload["graph"]["nodes"]),
-            edges=tuple(
-                CausalEdge(
-                    cause=_kpi_from_json(e["cause"]),
-                    effect=_kpi_from_json(e["effect"]),
-                    f_stat=float(e["f"]),
-                    p_value=float(e["p_value"]),
-                )
-                for e in payload["graph"]["edges"]
-            ),
-        )
-        return AnomalyReport(
-            verdict=verdict,
-            anomalous_kpis=anomalies,
-            graph=graph,
-            centrality={_kpi_from_json(k): float(v) for k, v in payload["centrality"].items()},
-            root_cause_kpis=tuple(
-                RankedCause(
-                    kpi=_kpi_from_json(r["id"]),
-                    centrality=float(r["centrality"]),
-                    score=float(r["score"]),
-                )
-                for r in payload["root_cause_kpis"]
-            ),
-            top_components=tuple(
-                ComponentAttribution(node=c["node"], central_kpi_count=int(c["central_kpi_count"]))
-                for c in payload["top_components"]
-            ),
-            descriptions={_kpi_from_json(k): str(d) for k, d in payload["descriptions"].items()},
-        )
-    except KeyError as exc:
-        raise SchemaError(f"report JSON is missing field: {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise SchemaError(f"report JSON is malformed: {exc}") from exc
+            for e in payload["graph"]["edges"]
+        ),
+    )
+    return AnomalyReport(
+        verdict=verdict,
+        anomalous_kpis=anomalies,
+        graph=graph,
+        centrality={_kpi_from_json(k): float(v) for k, v in payload["centrality"].items()},
+        root_cause_kpis=tuple(
+            RankedCause(
+                kpi=_kpi_from_json(r["id"]),
+                centrality=float(r["centrality"]),
+                score=float(r["score"]),
+            )
+            for r in payload["root_cause_kpis"]
+        ),
+        top_components=tuple(
+            ComponentAttribution(node=c["node"], central_kpi_count=int(c["central_kpi_count"]))
+            for c in payload["top_components"]
+        ),
+        descriptions={_kpi_from_json(k): str(d) for k, d in payload["descriptions"].items()},
+    )
 
 
 def _kpi_from_json(value: object) -> KpiId:

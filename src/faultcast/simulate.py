@@ -15,13 +15,14 @@ before the onset and KPIs the fault cannot reach stay bitwise identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classifier import SIGMA_GRID, TrainedClassifier, sigma_sweep
-from .errors import OnsetOutOfRange, SchemaError, IoError, NoAnomalousReport
+from .errors import NoAnomalousReport, OnsetOutOfRange, SchemaError, load_json
 from .kpi import KpiDescriptor, KpiId, TimeSeriesDataset, parse_kpi_id
 from .ranker import AnomalyReport
 
@@ -42,6 +43,8 @@ class CausalLink:
     def __post_init__(self) -> None:
         if self.lag < 1:
             raise ValueError("lag must be >= 1")
+        if not math.isfinite(self.coefficient):
+            raise ValueError("coefficient must be finite")
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,8 @@ class SimulationSpec:
         for edge in self.causal_edges:
             if edge.source not in known or edge.target not in known:
                 raise ValueError(f"edge {edge.source}->{edge.target} references an unknown KPI")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be finite and non-negative")
         if self.length < 1:
             raise ValueError("length must be >= 1")
 
@@ -92,6 +95,8 @@ class FaultSpec:
             raise ValueError(f"kind must be one of {FAULT_KINDS}")
         if self.onset < 0:
             raise OnsetOutOfRange(f"onset {self.onset} is negative")
+        if not math.isfinite(self.magnitude):
+            raise ValueError("magnitude must be finite")
 
     @property
     def ground_truth_component(self) -> str:
@@ -158,6 +163,8 @@ def inject_fault(
     n = dataset.n_kpis
     length = dataset.n_rows
     index = {kpi: i for i, kpi in enumerate(spec.kpi_ids)}
+    if fault.target not in index:
+        raise SchemaError(f"fault target {fault.target} is not a KPI of the simulation spec")
     target = index[fault.target]
     edges = [
         (index[e.source], index[e.target], e.coefficient, e.lag) for e in spec.causal_edges
@@ -375,34 +382,32 @@ def spec_to_json(spec: SimulationSpec) -> str:
 
 
 def spec_from_json(text: str) -> SimulationSpec:
-    try:
-        payload = json.loads(text)
-        return SimulationSpec(
-            kpis=tuple(
-                KpiDescriptor(
-                    kpi=parse_kpi_id(d["kpi"]),
-                    description=d["description"],
-                    unit=d.get("unit"),
-                )
-                for d in payload["kpis"]
-            ),
-            causal_edges=tuple(
-                CausalLink(
-                    source=parse_kpi_id(e["source"]),
-                    target=parse_kpi_id(e["target"]),
-                    coefficient=float(e["coefficient"]),
-                    lag=int(e["lag"]),
-                )
-                for e in payload["causal_edges"]
-            ),
-            noise_std=float(payload["noise_std"]),
-            length=int(payload["length"]),
-            seed=int(payload["seed"]),
-        )
-    except json.JSONDecodeError as exc:
-        raise SchemaError("simulation spec is not valid JSON") from exc
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"simulation spec is missing field: {exc}") from exc
+    return load_json(_spec_from_payload, "simulation spec", text=text)
+
+
+def _spec_from_payload(payload: dict) -> SimulationSpec:
+    return SimulationSpec(
+        kpis=tuple(
+            KpiDescriptor(
+                kpi=parse_kpi_id(d["kpi"]),
+                description=d["description"],
+                unit=d.get("unit"),
+            )
+            for d in payload["kpis"]
+        ),
+        causal_edges=tuple(
+            CausalLink(
+                source=parse_kpi_id(e["source"]),
+                target=parse_kpi_id(e["target"]),
+                coefficient=float(e["coefficient"]),
+                lag=int(e["lag"]),
+            )
+            for e in payload["causal_edges"]
+        ),
+        noise_std=float(payload["noise_std"]),
+        length=int(payload["length"]),
+        seed=int(payload["seed"]),
+    )
 
 
 def fault_to_json(fault: FaultSpec) -> str:
@@ -420,31 +425,21 @@ def fault_to_json(fault: FaultSpec) -> str:
 
 
 def fault_from_json(text: str) -> FaultSpec:
-    try:
-        payload = json.loads(text)
-        return FaultSpec(
-            onset=int(payload["onset"]),
-            kind=payload["kind"],
-            target=parse_kpi_id(payload["target"]),
-            magnitude=float(payload["magnitude"]),
-        )
-    except json.JSONDecodeError as exc:
-        raise SchemaError("fault spec is not valid JSON") from exc
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"fault spec is missing field: {exc}") from exc
+    return load_json(_fault_from_payload, "fault spec", text=text)
+
+
+def _fault_from_payload(payload: dict) -> FaultSpec:
+    return FaultSpec(
+        onset=int(payload["onset"]),
+        kind=payload["kind"],
+        target=parse_kpi_id(payload["target"]),
+        magnitude=float(payload["magnitude"]),
+    )
 
 
 def load_spec(path: str | os.PathLike[str]) -> SimulationSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return spec_from_json(handle.read())
-    except OSError as exc:
-        raise IoError(f"cannot read simulation spec: {path}") from exc
+    return load_json(_spec_from_payload, "simulation spec", path=path)
 
 
 def load_fault(path: str | os.PathLike[str]) -> FaultSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return fault_from_json(handle.read())
-    except OSError as exc:
-        raise IoError(f"cannot read fault spec: {path}") from exc
+    return load_json(_fault_from_payload, "fault spec", path=path)

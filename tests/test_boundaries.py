@@ -1,0 +1,227 @@
+"""Boundary fuzzers: mutated JSON either loads or fails with a typed error.
+
+Each test starts from a valid model, store, report, config, simulation spec
+or fault spec, applies one mutation anywhere in it (drop a key or a list
+item, or put a string, ``null``, a list, a boolean or the literal ``1e400``
+in place of a value) and loads the result.  The loaders must return or raise
+a :class:`FaultcastError`; the command line must exit 0, or exit 2 with one
+error line and no traceback.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from faultcast import cli
+from faultcast.classifier import StateVerdict, load_classifier, save_classifier
+from faultcast.config import config_from_json, config_to_json, default_config, load_config
+from faultcast.errors import FaultcastError, SchemaError
+from faultcast.knowledge import OfflineEmbedder, VectorStore, ingest_files
+from faultcast.kpi import KpiId, TimeSeriesDataset, write_dataset
+from faultcast.ranker import (
+    AnomalyReport,
+    CausalEdge,
+    CausalityGraph,
+    ComponentAttribution,
+    KpiAnomaly,
+    RankedCause,
+    load_report,
+    report_from_json,
+    report_to_json,
+)
+from faultcast.simulate import (
+    FaultSpec,
+    fault_from_json,
+    fault_to_json,
+    load_fault,
+    load_spec,
+    make_chain_spec,
+    spec_from_json,
+    spec_to_json,
+)
+
+from helpers import make_classifier, unit_baseline, zero_model
+
+LOAD = KpiId("load", "pump")
+TEMP = KpiId("temp", "pump")
+
+# Sentinel written out as the JSON number literal 1e400, which decodes to inf.
+HUGE = "<1e400>"
+MUTATIONS = {"drop": None, "text": "x", "null": None, "list": [1], "bool": True, "1e400": HUGE}
+
+
+def _paths(node: object, prefix: tuple = ()) -> list[tuple]:
+    """Every key and list index under ``node``, as paths from the root."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append((*prefix, key))
+        paths.extend(_paths(child, (*prefix, key)))
+    return paths
+
+
+def _mutated(payload: dict, data: st.DataObject) -> str:
+    path = data.draw(st.sampled_from(_paths(payload)), label="path")
+    mutation = data.draw(st.sampled_from(sorted(MUTATIONS)), label="mutation")
+    payload = copy.deepcopy(payload)
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(MUTATIONS[mutation])
+    return json.dumps(payload).replace(json.dumps(HUGE), "1e400")
+
+
+def _report() -> AnomalyReport:
+    return AnomalyReport(
+        verdict=StateVerdict(timestamp=9, state_error=9.0, threshold=0.5, anomalous=True),
+        anomalous_kpis=(
+            KpiAnomaly(kpi=LOAD, score=8.0, kpi_threshold=1.0),
+            KpiAnomaly(kpi=TEMP, score=4.0, kpi_threshold=1.0),
+        ),
+        graph=CausalityGraph(
+            nodes=(LOAD, TEMP),
+            edges=(CausalEdge(cause=LOAD, effect=TEMP, f_stat=12.0, p_value=0.001),),
+        ),
+        centrality={LOAD: 0.6, TEMP: 0.4},
+        root_cause_kpis=(
+            RankedCause(kpi=LOAD, centrality=0.6, score=8.0),
+            RankedCause(kpi=TEMP, centrality=0.4, score=4.0),
+        ),
+        top_components=(ComponentAttribution(node="pump", central_kpi_count=2),),
+        descriptions={LOAD: "air pressure in the starting tank", TEMP: "pump temperature"},
+    )
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory, manuals) -> dict[str, dict]:
+    """One valid payload of each kind, as decoded JSON."""
+    root = tmp_path_factory.mktemp("valid")
+    save_classifier(
+        make_classifier(zero_model(2), unit_baseline(2), [LOAD, TEMP]), root / "model.json"
+    )
+    store = VectorStore(dimension=16, embedder_name="offline")
+    ingest_files(store, manuals[:1], OfflineEmbedder(16), max_chars=400, overlap_chars=80)
+    store.save(root / "store.json")
+    spec = make_chain_spec(components=2, kpis_per_component=2, noise_std=1.0, length=30, seed=0)
+    fault = FaultSpec(onset=10, kind="offset", target=KpiId("load", "component-1"), magnitude=3.0)
+    return {
+        "model": json.loads((root / "model.json").read_text(encoding="utf-8")),
+        "store": json.loads((root / "store.json").read_text(encoding="utf-8")),
+        "report": json.loads(report_to_json(_report())),
+        "config": json.loads(config_to_json(default_config())),
+        "spec": json.loads(spec_to_json(spec)),
+        "fault": json.loads(fault_to_json(fault)),
+    }
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+def _load_file(loader):
+    def load(text, directory):
+        path = directory / "mutated.json"
+        path.write_text(text, encoding="utf-8")
+        return loader(path)
+
+    return load
+
+
+LOADERS = {
+    "model": _load_file(load_classifier),
+    "store": _load_file(VectorStore.load),
+    "report": lambda text, _directory: report_from_json(text),
+    "config": lambda text, _directory: config_from_json(text),
+    "spec": lambda text, _directory: spec_from_json(text),
+    "fault": lambda text, _directory: fault_from_json(text),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_mutated_payload_loads_or_raises_a_faultcast_error(kind, valid, scratch, data):
+    text = _mutated(valid[kind], data)
+    try:
+        LOADERS[kind](text, scratch)
+    except FaultcastError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "loader", [load_classifier, VectorStore.load, load_report, load_config, load_spec, load_fault]
+)
+def test_a_file_that_is_not_utf8_is_a_schema_error_naming_it(loader, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"version": 1, "\xff": 0}')
+    with pytest.raises(SchemaError, match="not valid JSON") as caught:
+        loader(path)
+    assert str(path) in str(caught.value)
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+CLI_INPUTS = ("model", "store", "report", "spec", "fault")
+
+
+@pytest.fixture(scope="module")
+def workspace(valid, tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    for kind in CLI_INPUTS:
+        (root / f"{kind}.json").write_text(json.dumps(valid[kind]), encoding="utf-8")
+    rows = np.random.default_rng(0).normal(size=(20, 2))
+    dataset = TimeSeriesDataset(timestamps=np.arange(20), kpis=[LOAD, TEMP], values=rows)
+    write_dataset(dataset, str(root / "data.csv"))
+    return root
+
+
+# command -> (the input that is mutated, the arguments after the command)
+COMMANDS = {
+    "simulate spec": ("spec", ["--spec", "{spec}", "--seed", "1", "--fault", "{fault}"]),
+    "simulate fault": ("fault", ["--spec", "{spec}", "--seed", "1", "--fault", "{fault}"]),
+    "detect model": ("model", ["--data", "{data}", "--model", "{model}"]),
+    "troubleshoot report": ("report", ["--report", "{report}", "--paths.kb_store", "{store}"]),
+    "troubleshoot store": ("store", ["--report", "{report}", "--paths.kb_store", "{store}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_cli_exits_zero_or_two_with_one_error_line(case, valid, workspace, scratch, data):
+    kind, arguments = COMMANDS[case]
+    (scratch / f"{kind}.json").write_text(_mutated(valid[kind], data), encoding="utf-8")
+    files = {name: str(workspace / f"{name}.json") for name in CLI_INPUTS}
+    files.update({"data": str(workspace / "data.csv"), kind: str(scratch / f"{kind}.json")})
+    argv = [case.split()[0], *(a.format(**files) for a in arguments), "--out", str(scratch / "out")]
+    code, err = _run(argv)
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2, err
+        assert len(err.splitlines()) == 1, err
+        # "error: " is a typed failure that is not a data problem, such as
+        # an anomalous KPI without a description (MissingDescriptor).
+        assert err.startswith(("data error: ", "error: ")), err

@@ -757,6 +757,29 @@ class TestSimulate:
         assert produced.kpis == reference.kpis
         assert (produced.values == reference.values).all()
 
+    def test_fault_on_an_unknown_kpi_is_a_data_error(self, ws, tmp_path, capsys) -> None:
+        fault = tmp_path / "fault.json"
+        payload = json.loads(fault_to_json(ws.fault))
+        fault.write_text(json.dumps({**payload, "target": "nosuch@x"}), encoding="utf-8")
+        rc = cli.main(
+            [
+                "simulate",
+                "--spec",
+                ws.spec_json,
+                "--seed",
+                "1",
+                "--fault",
+                str(fault),
+                "--out",
+                str(tmp_path / "out.csv"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "nosuch@x" in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_spec_is_a_data_error(self, tmp_path, capsys) -> None:
         rc = cli.main(
             ["simulate", "--spec", str(tmp_path / "nope.json"), "--seed", "1"]

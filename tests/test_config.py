@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from faultcast import cli
 from faultcast.classifier import SIGMA_GRID
 from faultcast.config import (
     EndpointsConfig,
@@ -196,3 +197,42 @@ class TestApplyOverrides:
 
     def test_empty_overrides_are_identity(self):
         assert apply_overrides(default_config(), {}) == default_config()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"granger.lag": "20", "granger.window": "60"},
+            {"granger.window": "60", "granger.lag": "20"},
+        ],
+    )
+    def test_related_fields_are_checked_together_in_any_order(self, overrides):
+        from_file = config_from_json('{"granger": {"lag": 20, "window": 60}}')
+        assert apply_overrides(default_config(), overrides) == from_file
+
+    def test_an_invalid_pair_names_the_override(self):
+        with pytest.raises(ValueError, match="bad value for --granger.lag"):
+            apply_overrides(default_config(), {"granger.lag": "30"})
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--granger.lag", "20", "--granger.window", "60"],
+        ["--granger.window", "60", "--granger.lag", "20"],
+    ],
+)
+def test_cli_overrides_match_the_config_file(flags, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text('{"granger": {"lag": 20, "window": 60}}', encoding="utf-8")
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args, resolved: seen.append(resolved) or 0)
+    spec = ["simulate", "--spec", "spec.json", "--seed", "1"]
+    assert cli.main([*spec, *flags]) == 0
+    assert cli.main([*spec, "--config", str(config)]) == 0
+    assert seen[0] == seen[1] == load_config(config)
+
+
+def test_cli_invalid_override_pair_is_a_usage_error(capsys):
+    rc = cli.main(["simulate", "--spec", "spec.json", "--seed", "1", "--granger.lag", "30"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error: bad value for --granger.lag")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -358,8 +359,6 @@ _EDGE_CASE_STORE = {
 }
 
 
-# 1e300 in a row overflows the norm that load computes; the bytes are what matter here.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @given(payload=_store_payloads())
 @example(payload=_EDGE_CASE_STORE)
 @example(payload={**_EDGE_CASE_STORE, "chunks": [], "manifest": {}})
@@ -448,6 +447,28 @@ def test_load_accepts_integer_embedding_values(tmp_path):
     loaded = VectorStore.load(path)
     assert loaded.matrix.dtype == np.float64
     np.testing.assert_array_equal(loaded.chunks[0].embedding, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_huge_embedding_scores_its_true_cosine(tmp_path):
+    chunk = {"doc_id": "d", "section": None, "text": "x", "char_start": 0, "char_end": 1}
+    payload = {
+        "version": 1,
+        "dimension": 2,
+        "embedder": "offline",
+        "manifest": {},
+        "chunks": [
+            {**chunk, "chunk_id": "d#0000", "embedding": [1e300, 1e300]},
+            {**chunk, "chunk_id": "d#0001", "embedding": [1.0, 0.0]},
+        ],
+    }
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    store = VectorStore.load(path)
+    assert store.norms[1] == np.linalg.norm([1.0, 0.0])
+    ranked = retrieve(store, np.array([1.0, 1.0]), RetrievalConfig(top_k=2))
+    hits = {chunk.chunk_id: similarity for chunk, similarity in ranked}
+    assert abs(hits["d#0000"] - 1.0) <= 1e-12
+    assert abs(hits["d#0001"] - math.sqrt(0.5)) <= 1e-12
 
 
 class TestIngestFiles:

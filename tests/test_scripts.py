@@ -46,10 +46,16 @@ def test_troubleshoot_demo_runs_offline(manuals, tmp_path) -> None:
     assert "answer:" in proc.stdout
 
 
-def test_kb_benchmark_smoke_matches_its_golden_outputs() -> None:
-    """Tiny kb-large run: ingest, save, load and retrieval checked against references."""
+@pytest.mark.parametrize("workload", ["kb-large", "plant-12"])
+def test_kb_benchmark_smoke_matches_its_golden_outputs(workload: str) -> None:
+    """Tiny benchmark run checked against references and golden outputs.
+
+    kb-large covers ingest, save, load and retrieval; plant-12 covers
+    training, ``faultcast detect`` (config resolution and model loading),
+    ranking and troubleshooting.
+    """
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--smoke", "--workload", "kb-large"],
+        [sys.executable, "perfbench/run.py", "--smoke", "--workload", workload],
         capture_output=True,
         text=True,
         timeout=300,

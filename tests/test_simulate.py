@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -379,3 +381,28 @@ class TestSerialization:
             spec_from_json("{}")
         with pytest.raises(SchemaError):
             fault_from_json('{"onset": 1}')
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"coefficient": "abc"},
+            {"coefficient": 1e400},
+            {"lag": 0},
+            {"noise_std": 1e400},
+        ],
+    )
+    def test_spec_with_a_bad_value_is_a_schema_error(self, edit):
+        payload = json.loads(spec_to_json(_pair_spec(noise_std=0.3)))
+        if "noise_std" in edit:
+            payload.update(edit)
+        else:
+            payload["causal_edges"][0].update(edit)
+        with pytest.raises(SchemaError):
+            spec_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("edit", [{"kind": "bogus"}, {"magnitude": 1e400}, {"onset": 1e400}])
+    def test_fault_with_a_bad_value_is_a_schema_error(self, edit):
+        fault = FaultSpec(onset=2, kind="spike", target=B, magnitude=1.0)
+        payload = {**json.loads(fault_to_json(fault)), **edit}
+        with pytest.raises(SchemaError):
+            fault_from_json(json.dumps(payload))
