@@ -32,7 +32,15 @@ from .errors import (
     TooFewPoints,
     load_json,
 )
-from .kpi import KpiId, NormalizationStats, TimeSeriesDataset, fit_normalization, parse_kpi_id
+from .kpi import (
+    KpiId,
+    NormalizationStats,
+    TimeSeriesDataset,
+    fit_normalization,
+    from_json,
+    parse_kpi_id,
+    to_json,
+)
 
 # Default sigma multiplier and the sweep grid it was chosen from.
 DEFAULT_SIGMA = 4.5
@@ -47,10 +55,10 @@ class ClassifierConfig:
     sigma_kpi: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.sigma_kpi is not None and self.sigma_kpi <= 0:
-            raise ValueError("sigma_kpi must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if self.sigma_kpi is not None and not 0 < self.sigma_kpi < math.inf:
+            raise ValueError("sigma_kpi must be positive and finite")
 
     @property
     def effective_sigma_kpi(self) -> float:
@@ -115,8 +123,8 @@ def score(classifier: TrainedClassifier, raw_values: np.ndarray) -> tuple[np.nda
 
 def threshold(baseline: ErrorBaseline, sigma: float) -> float:
     """Anomaly threshold: baseline mean plus sigma standard deviations."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     return baseline.state_mu + sigma * baseline.state_std
 
 
@@ -268,12 +276,7 @@ def save_classifier(classifier: TrainedClassifier, path: str | os.PathLike[str])
             "kpi_mu": classifier.baseline.kpi_mu.tolist(),
             "kpi_std": classifier.baseline.kpi_std.tolist(),
         },
-        "training": {
-            "epochs": classifier.training.epochs,
-            "learning_rate": classifier.training.learning_rate,
-            "batch_size": classifier.training.batch_size,
-            "seed": classifier.training.seed,
-        },
+        "training": to_json(classifier.training),
     }
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -332,15 +335,7 @@ def _classifier_from_payload(payload: dict) -> TrainedClassifier:
         mean=_numbers(saved["mean"], 1, "normalization.mean"),
         std=_numbers(saved["std"], 1, "normalization.std"),
     )
-    saved = payload["training"]
-    training = TrainingConfig(
-        epochs=_integer(saved["epochs"], "training.epochs"),
-        learning_rate=float(_numbers(saved["learning_rate"], 0, "training.learning_rate")),
-        batch_size=None
-        if saved["batch_size"] is None
-        else _integer(saved["batch_size"], "training.batch_size"),
-        seed=_integer(saved["seed"], "training.seed"),
-    )
+    training = from_json(payload["training"], TrainingConfig, "model", "training")
     lengths = {
         "layer_sizes[0]": model.n_inputs,
         "normalization.mean": stats.mean.shape[0],

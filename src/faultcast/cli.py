@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import glob
+import math
 import os
 import sys
 import typing
@@ -35,7 +36,6 @@ from .classifier import (
     save_classifier,
     score,
     select_elbow,
-    sigma_sweep,
     threshold,
 )
 from .errors import DataError, EndpointError, FaultcastError
@@ -188,6 +188,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
+def _curve_csv(curve: list[tuple[float, int]]) -> str:
+    """The ``sigma,total_fp`` table that ``tune`` prints and writes and ``evaluate`` writes."""
+    return "sigma,total_fp\n" + "".join(f"{sigma:g},{fp}\n" for sigma, fp in curve)
+
+
 def _load_series(path: str, config: config_mod.ToolConfig) -> TimeSeriesDataset:
     return load_dataset(path, missing_policy=config.missing_policy)
 
@@ -213,24 +218,17 @@ def _cmd_train(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
 def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else config.sigma_grid
     classifier = load_classifier(args.model)
-    totals = {float(s): 0 for s in grid}
-    for path in args.data:
-        dataset = _load_series(path, config)
-        for point in sigma_sweep(classifier, dataset, grid):
-            totals[point.sigma] += point.fp_count
-    curve = sorted(totals.items())
-    print("sigma,total_fp")
-    for sigma, fp in curve:
-        print(f"{sigma:g},{fp}")
+    scenarios = [Scenario(name=path, dataset=_load_series(path, config)) for path in args.data]
+    curve = evaluate_scenarios(classifier, scenarios, grid).elbow_curve()
+    text = _curve_csv(curve)
+    print(text, end="")
     if len(curve) >= 3:
         print(f"elbow: sigma={select_elbow(curve):g}")
     else:
         print("elbow: needs at least 3 grid points")
     out = _timestamped_path(config.paths.report_dir, "tune", ".csv")
     with open(out, "w", encoding="utf-8") as handle:
-        handle.write("sigma,total_fp\n")
-        for sigma, fp in curve:
-            handle.write(f"{sigma:g},{fp}\n")
+        handle.write(text)
     print(f"curve: {out}")
     return EXIT_OK
 
@@ -240,8 +238,8 @@ def _cmd_detect(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     dataset = _load_series(args.data, config)
     check_schema(classifier, dataset.kpis)
     sigma = config.classifier.sigma if args.sigma is None else args.sigma
-    if sigma <= 0:
-        raise UsageError("--sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise UsageError("--sigma must be positive and finite")
     limit = threshold(classifier.baseline, sigma)
     errors, _ = score(classifier, dataset.values)
     anomalous = errors > limit
@@ -423,9 +421,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: config_mod.ToolConfig) -> in
     curve = table.elbow_curve()
     curve_path = os.path.join(out_dir, "elbow.csv")
     with open(curve_path, "w", encoding="utf-8") as handle:
-        handle.write("sigma,total_fp\n")
-        for sigma, fp in curve:
-            handle.write(f"{sigma:g},{fp}\n")
+        handle.write(_curve_csv(curve))
     print(table.to_text(), end="")
     if len(curve) >= 3:
         print(f"elbow: sigma={select_elbow(curve):g}")

@@ -5,18 +5,18 @@ also be overridden on the command line with a flag of the same dotted name
 (for example ``--classifier.sigma 6``), so scripted sweeps never need to
 rewrite the file.
 
-``_from_json_dict`` is the one builder of a :class:`ToolConfig` from outside
-input.  A config file goes through it via :func:`faultcast.errors.load_json`;
-overrides are written into the config's JSON form and the whole config is
-built through it once, so they are checked together with the file and their
-order never matters.
+A config file is a partial config: it overlays the defaults, and the keys it
+leaves out keep their default values.  Overrides form a partial config too and
+overlay the config they are applied to.  Either way the whole config is then
+built once with :func:`faultcast.kpi.from_json`, so values that constrain each
+other are checked together and the order of overrides never matters.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -24,6 +24,7 @@ from .autoencoder import TrainingConfig
 from .classifier import SIGMA_GRID, ClassifierConfig, check_sigma_grid
 from .errors import SchemaError, load_json
 from .granger import GrangerConfig
+from .kpi import _optional_inner, from_json, to_json
 from .pagerank import PageRankConfig
 from .troubleshoot import PromptSpec, RetrievalConfig
 
@@ -54,12 +55,12 @@ class EndpointsConfig:
     backoff: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be positive and finite")
         if self.retries < 0:
             raise ValueError("retries must be non-negative")
-        if self.backoff < 0:
-            raise ValueError("backoff must be non-negative")
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError("backoff must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -91,73 +92,20 @@ class ToolConfig:
         check_sigma_grid(self.sigma_grid)
 
 
-def _optional_inner(hint: object) -> object | None:
-    """The non-None member of an Optional hint, or None if not Optional."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        args = [a for a in typing.get_args(hint) if a is not type(None)]
-        if len(args) == 1 and len(typing.get_args(hint)) == 2:
-            return args[0]
-    return None
+def _overlay(base: dict, partial: dict) -> dict:
+    """``base`` with the values of ``partial`` written over it, object by object."""
+    merged = dict(base)
+    for key, value in partial.items():
+        if isinstance(base.get(key), dict) and isinstance(value, dict):
+            merged[key] = _overlay(base[key], value)
+        else:
+            merged[key] = value
+    return merged
 
 
-def _from_json_value(value: object, hint: object, where: str) -> object:
-    inner = _optional_inner(hint)
-    if inner is not None:
-        if value is None:
-            return None
-        hint = inner
-    if is_dataclass(hint):
-        if not isinstance(value, dict):
-            raise SchemaError(f"config field {where} must be an object")
-        return _from_json_dict(value, typing.cast(type, hint), where)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise SchemaError(f"config field {where} must be an array")
-        item = typing.get_args(hint)[0]
-        return tuple(
-            _from_json_value(v, item, f"{where}[{i}]") for i, v in enumerate(value)
-        )
-    if hint is bool:
-        if not isinstance(value, bool):
-            raise SchemaError(f"config field {where} must be a boolean")
-        return value
-    if hint is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"config field {where} must be an integer")
-        return value
-    if hint is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"config field {where} must be a number")
-        return float(value)
-    if hint is str:
-        if not isinstance(value, str):
-            raise SchemaError(f"config field {where} must be a string")
-        return value
-    raise SchemaError(f"config field {where} has an unsupported type")
-
-
-def _from_json_dict(payload: dict, cls: type = ToolConfig, where: str = "") -> object:
-    """Build ``cls`` (by default the whole config) from its JSON form, checking every field."""
-    hints = typing.get_type_hints(cls)
-    names = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in payload.items():
-        label = f"{where}.{key}" if where else key
-        if key not in names:
-            raise SchemaError(f"unknown config field: {label}")
-        kwargs[key] = _from_json_value(value, hints[key], label)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise SchemaError(f"invalid config value under {where or 'config'}: {exc}") from exc
-
-
-def _to_json_value(value: object) -> object:
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _to_json_value(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_to_json_value(v) for v in value]
-    return value
+def _build(partial: dict, base: ToolConfig = ToolConfig()) -> ToolConfig:
+    """``base`` (by default the defaults) overlaid with a partial JSON config."""
+    return from_json(_overlay(to_json(base), partial), ToolConfig, "config")
 
 
 def default_config() -> ToolConfig:
@@ -165,15 +113,15 @@ def default_config() -> ToolConfig:
 
 
 def config_from_json(text: str) -> ToolConfig:
-    return typing.cast(ToolConfig, load_json(_from_json_dict, "config file", text=text))
+    return load_json(_build, "config file", text=text)
 
 
 def config_to_json(config: ToolConfig) -> str:
-    return json.dumps(_to_json_value(config), indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_json(config), indent=2, sort_keys=True) + "\n"
 
 
 def load_config(path: str | os.PathLike[str]) -> ToolConfig:
-    return typing.cast(ToolConfig, load_json(_from_json_dict, "config file", path=path))
+    return load_json(_build, "config file", path=path)
 
 
 def override_fields(cls: type = ToolConfig, prefix: str = "") -> list[tuple[str, object]]:
@@ -223,8 +171,8 @@ def parse_override_value(text: str, hint: object, name: str) -> object:
 def apply_overrides(config: ToolConfig, overrides: dict[str, str]) -> ToolConfig:
     """Set leaf fields named by dotted paths; values parsed from strings.
 
-    The overridden values go into the config's JSON form, which is then
-    built and checked as a whole, exactly as a config file would be, so
+    The overridden values form a partial config that overlays ``config`` as
+    a config file overlays the defaults; the result is checked as a whole, so
     fields that constrain each other may be set in any order.  Raises
     ValueError on unknown names or malformed values (a usage error, not a
     data error, since the values come from the command line).
@@ -232,17 +180,17 @@ def apply_overrides(config: ToolConfig, overrides: dict[str, str]) -> ToolConfig
     if not overrides:
         return config
     leaves = dict(override_fields())
-    payload = typing.cast(dict, _to_json_value(config))
+    partial: dict = {}
     for dotted, text in overrides.items():
         if dotted not in leaves:
             raise ValueError(f"unknown config field: {dotted}")
         *sections, leaf = dotted.split(".")
-        node = payload
+        node = partial
         for section in sections:
-            node = node[section]
-        node[leaf] = _to_json_value(parse_override_value(text, leaves[dotted], dotted))
+            node = node.setdefault(section, {})
+        node[leaf] = to_json(parse_override_value(text, leaves[dotted], dotted))
     try:
-        return typing.cast(ToolConfig, _from_json_dict(payload))
+        return _build(partial, config)
     except SchemaError as exc:
         names = ", ".join(f"--{name}" for name in overrides)
         raise ValueError(f"bad value for {names}: {exc}") from exc

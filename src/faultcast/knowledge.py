@@ -331,17 +331,7 @@ class VectorStore:
         store = cls(dimension=int(payload["dimension"]), embedder_name=payload["embedder"])
         store.manifest = dict(payload["manifest"])
         entries = payload["chunks"]
-        store.chunks = [
-            KnowledgeChunk(
-                chunk_id=entry["chunk_id"],
-                doc_id=entry["doc_id"],
-                section=entry["section"],
-                text=entry["text"],
-                char_start=int(entry["char_start"]),
-                char_end=int(entry["char_end"]),
-            )
-            for entry in entries
-        ]
+        store.chunks = [_chunk_from_json(entry) for entry in entries]
         vectors = [entry["embedding"] for entry in entries]
         rows = [chunk for chunk, vector in zip(store.chunks, vectors) if vector is not None]
         matrix = _embedding_matrix(
@@ -349,6 +339,26 @@ class VectorStore:
         )
         store._set_rows(rows, matrix, _row_norms(matrix))
         return store
+
+
+# The JSON types of a stored chunk's fields other than its embedding.
+_CHUNK_FIELDS = {
+    "chunk_id": str,
+    "doc_id": str,
+    "text": str,
+    "section": (str, type(None)),
+    "char_start": int,
+    "char_end": int,
+}
+
+
+def _chunk_from_json(entry: dict) -> KnowledgeChunk:
+    """A stored chunk without its embedding; a field of the wrong type is a :class:`SchemaError`."""
+    for key, kind in _CHUNK_FIELDS.items():
+        value = entry[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise SchemaError(f"store chunk field {key} has the wrong type: {value!r}")
+    return KnowledgeChunk(**{key: entry[key] for key in _CHUNK_FIELDS})
 
 
 def _chunk_json(chunk: KnowledgeChunk) -> str:
@@ -376,12 +386,13 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
 
     ``np.linalg.norm(matrix, axis=1)`` sums in another order, and its last
     bits can reorder near-tied similarities.  A finite row whose squares
-    overflow (values near 1e300) is scaled by its largest magnitude first;
-    every other norm keeps the bits of the plain computation.
+    overflow (values near 1e300) or a nonzero row whose squares underflow
+    (values near 1e-200) is scaled by its largest magnitude first; every
+    other norm keeps the bits of the plain computation.
     """
     with np.errstate(over="ignore"):
         norms = np.array([np.linalg.norm(row) for row in matrix], dtype=np.float64)
-    for i in np.flatnonzero(~np.isfinite(norms)):
+    for i in np.flatnonzero(~np.isfinite(norms) | ((norms == 0.0) & matrix.any(axis=1))):
         scale = np.abs(matrix[i]).max()
         norms[i] = scale * np.linalg.norm(matrix[i] / scale)
     return norms

@@ -1,16 +1,26 @@
-"""KPI identities, time-series datasets, and normalization.
+"""KPI identities, time-series datasets, normalization, and the JSON codec.
 
 A KPI is a metric measured on a node and is keyed by the text form
 ``metric@node``.  Datasets are dense matrices: one row per timestamp, one
 column per KPI, values finite, timestamps strictly increasing.
+
+:func:`to_json` and :func:`from_json` are the one codec, driven by type hints,
+between dataclasses (reports, specs, the config, a model's training block) and
+JSON.  A :class:`KpiId` is its ``metric@node`` string, and a field is keyed by
+its ``"json"`` metadata entry if it has one, else by its name.  Reading needs
+every key, refuses unknown ones and checks types exactly: an integer takes no
+float and a number no boolean.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -266,3 +276,98 @@ def load_descriptors(path: str | os.PathLike[str]) -> dict[KpiId, KpiDescriptor]
             unit = row[2].strip() or None if has_unit and len(row) > 2 else None
             table[kpi] = KpiDescriptor(kpi=kpi, description=row[1].strip(), unit=unit)
     return table
+
+
+_SCALARS = {bool: "a boolean", int: "an integer", str: "a string"}
+
+
+def to_json(value: object) -> object:
+    """The JSON form of a dataclass value (and of anything its fields hold)."""
+    if isinstance(value, KpiId):
+        return str(value)
+    if is_dataclass(value) and not isinstance(value, type):
+        return {key: to_json(getattr(value, name)) for name, key, _ in _json_fields(type(value))}
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {to_json(k): to_json(v) for k, v in value.items()}
+    return value
+
+
+def from_json(payload: object, cls: typing.Any, what: str, where: str = "") -> typing.Any:
+    """Build ``cls`` from its JSON form, checking every key and value.
+
+    ``what`` names the document in error messages and ``where`` the path of
+    ``payload`` inside it.  A missing or unknown key, or a value of the wrong
+    type, raises :class:`SchemaError`; so does a ``ValueError`` from a
+    dataclass's own checks.  A :class:`DataError` from them propagates.
+    """
+    label = where or what
+    if cls is float:
+        if isinstance(payload, bool) or not isinstance(payload, (int, float)):
+            raise SchemaError(f"{what} field {label} must be a number")
+        return float(payload)
+    if cls in _SCALARS:
+        if not isinstance(payload, cls) or (cls is int and isinstance(payload, bool)):
+            raise SchemaError(f"{what} field {label} must be {_SCALARS[cls]}")
+        return payload
+    if cls is KpiId:
+        if not isinstance(payload, str):
+            raise SchemaError(f"{what} KPI id is not a string: {label} is {payload!r}")
+        return parse_kpi_id(payload)
+    if is_dataclass(cls):
+        if not isinstance(payload, dict):
+            raise SchemaError(f"{what} field {label} must be an object")
+        return _dataclass_from_json(payload, cls, what, where)
+    origin = typing.get_origin(cls)
+    if origin is tuple:
+        if not isinstance(payload, list):
+            raise SchemaError(f"{what} field {label} must be an array")
+        item = typing.get_args(cls)[0]
+        return tuple(from_json(v, item, what, f"{where}[{i}]") for i, v in enumerate(payload))
+    if origin is dict:
+        if not isinstance(payload, dict):
+            raise SchemaError(f"{what} field {label} must be an object")
+        key_type, value_type = typing.get_args(cls)
+        return {
+            from_json(k, key_type, what, where): from_json(v, value_type, what, f"{where}.{k}")
+            for k, v in payload.items()
+        }
+    inner = _optional_inner(cls)
+    if inner is None:
+        raise SchemaError(f"{what} field {label} has an unsupported type")
+    return None if payload is None else from_json(payload, inner, what, where)
+
+
+def _optional_inner(hint: typing.Any) -> typing.Any:
+    """The non-None member of an Optional hint, or None if not Optional."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        if len(args) == 1 and len(typing.get_args(hint)) == 2:
+            return args[0]
+    return None
+
+
+@functools.cache
+def _json_fields(cls: type) -> tuple[tuple[str, str, object], ...]:
+    """(field name, JSON key, type hint) of each field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.metadata.get("json", f.name), hints[f.name]) for f in fields(cls))
+
+
+def _dataclass_from_json(payload: dict, cls: type, what: str, where: str) -> object:
+    known = _json_fields(cls)
+    keys = {key for _, key, _ in known}
+    for key in payload:
+        if key not in keys:
+            raise SchemaError(f"unknown {what} field: {f'{where}.{key}' if where else key}")
+    kwargs = {}
+    for name, key, hint in known:
+        label = f"{where}.{key}" if where else key
+        if key not in payload:
+            raise SchemaError(f"{what} is missing key {label!r}")
+        kwargs[name] = from_json(payload[key], hint, what, label)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"invalid {what} value under {where or what}: {exc}") from exc

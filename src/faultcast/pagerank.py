@@ -11,6 +11,7 @@ drops below the tolerance or after ``max_iters`` sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence, TypeVar
 
@@ -31,8 +32,8 @@ class PageRankConfig:
     def __post_init__(self) -> None:
         if not 0 < self.damping < 1:
             raise ValueError("damping must lie in (0, 1)")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

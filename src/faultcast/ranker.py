@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import ClassifierConfig, StateVerdict, TrainedClassifier, score, threshold
-from .errors import DataError, InsufficientHistory, SchemaError, load_json
+from .errors import DataError, InsufficientHistory, load_json
 from .granger import GrangerConfig, granger_test
-from .kpi import KpiDescriptor, KpiId, parse_kpi_id
+from .kpi import KpiDescriptor, KpiId, from_json, to_json
 from .pagerank import PageRankConfig, pagerank
 
 
@@ -29,7 +29,7 @@ from .pagerank import PageRankConfig, pagerank
 class KpiAnomaly:
     """One KPI whose squared residual exceeded its own threshold."""
 
-    kpi: KpiId
+    kpi: KpiId = field(metadata={"json": "id"})
     score: float
     kpi_threshold: float
 
@@ -40,7 +40,7 @@ class CausalEdge:
 
     cause: KpiId
     effect: KpiId
-    f_stat: float
+    f_stat: float = field(metadata={"json": "f"})
     p_value: float
 
 
@@ -60,7 +60,7 @@ class CausalityGraph:
 
 @dataclass(frozen=True)
 class RankedCause:
-    kpi: KpiId
+    kpi: KpiId = field(metadata={"json": "id"})
     centrality: float
     score: float
 
@@ -321,36 +321,7 @@ def analyze_series(
 
 def report_to_json(report: AnomalyReport) -> str:
     """Serialize a report to JSON (KPIs rendered as ``metric@node``)."""
-    payload = {
-        "verdict": {
-            "timestamp": report.verdict.timestamp,
-            "state_error": report.verdict.state_error,
-            "threshold": report.verdict.threshold,
-            "anomalous": report.verdict.anomalous,
-        },
-        "anomalous_kpis": [
-            {"id": str(a.kpi), "score": a.score, "kpi_threshold": a.kpi_threshold}
-            for a in report.anomalous_kpis
-        ],
-        "graph": {
-            "nodes": [str(k) for k in report.graph.nodes],
-            "edges": [
-                {"cause": str(e.cause), "effect": str(e.effect), "f": e.f_stat, "p_value": e.p_value}
-                for e in report.graph.edges
-            ],
-        },
-        "centrality": {str(k): v for k, v in report.centrality.items()},
-        "root_cause_kpis": [
-            {"id": str(r.kpi), "centrality": r.centrality, "score": r.score}
-            for r in report.root_cause_kpis
-        ],
-        "top_components": [
-            {"node": c.node, "central_kpi_count": c.central_kpi_count}
-            for c in report.top_components
-        ],
-        "descriptions": {str(k): d for k, d in report.descriptions.items()},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(to_json(report), indent=2, sort_keys=True)
 
 
 def report_from_json(text: str) -> AnomalyReport:
@@ -363,57 +334,4 @@ def load_report(path: str | os.PathLike[str]) -> AnomalyReport:
 
 
 def _report_from_payload(payload: dict) -> AnomalyReport:
-    anomalous = payload["verdict"]["anomalous"]
-    if not isinstance(anomalous, bool):
-        raise SchemaError(f"report verdict is not a boolean: {anomalous!r}")
-    verdict = StateVerdict(
-        timestamp=int(payload["verdict"]["timestamp"]),
-        state_error=float(payload["verdict"]["state_error"]),
-        threshold=float(payload["verdict"]["threshold"]),
-        anomalous=anomalous,
-    )
-    anomalies = tuple(
-        KpiAnomaly(
-            kpi=_kpi_from_json(a["id"]),
-            score=float(a["score"]),
-            kpi_threshold=float(a["kpi_threshold"]),
-        )
-        for a in payload["anomalous_kpis"]
-    )
-    graph = CausalityGraph(
-        nodes=tuple(_kpi_from_json(k) for k in payload["graph"]["nodes"]),
-        edges=tuple(
-            CausalEdge(
-                cause=_kpi_from_json(e["cause"]),
-                effect=_kpi_from_json(e["effect"]),
-                f_stat=float(e["f"]),
-                p_value=float(e["p_value"]),
-            )
-            for e in payload["graph"]["edges"]
-        ),
-    )
-    return AnomalyReport(
-        verdict=verdict,
-        anomalous_kpis=anomalies,
-        graph=graph,
-        centrality={_kpi_from_json(k): float(v) for k, v in payload["centrality"].items()},
-        root_cause_kpis=tuple(
-            RankedCause(
-                kpi=_kpi_from_json(r["id"]),
-                centrality=float(r["centrality"]),
-                score=float(r["score"]),
-            )
-            for r in payload["root_cause_kpis"]
-        ),
-        top_components=tuple(
-            ComponentAttribution(node=c["node"], central_kpi_count=int(c["central_kpi_count"]))
-            for c in payload["top_components"]
-        ),
-        descriptions={_kpi_from_json(k): str(d) for k, d in payload["descriptions"].items()},
-    )
-
-
-def _kpi_from_json(value: object) -> KpiId:
-    if not isinstance(value, str):
-        raise SchemaError(f"report KPI id is not a string: {value!r}")
-    return parse_kpi_id(value)
+    return from_json(payload, AnomalyReport, "report")

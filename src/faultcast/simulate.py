@@ -23,7 +23,7 @@ import numpy as np
 
 from .classifier import SIGMA_GRID, TrainedClassifier, sigma_sweep
 from .errors import NoAnomalousReport, OnsetOutOfRange, SchemaError, load_json
-from .kpi import KpiDescriptor, KpiId, TimeSeriesDataset, parse_kpi_id
+from .kpi import KpiDescriptor, KpiId, TimeSeriesDataset, from_json, to_json
 from .ranker import AnomalyReport
 
 SELF_COEFFICIENT = 0.5
@@ -360,25 +360,7 @@ def make_chain_spec(
 
 
 def spec_to_json(spec: SimulationSpec) -> str:
-    payload = {
-        "kpis": [
-            {"kpi": str(d.kpi), "description": d.description, "unit": d.unit}
-            for d in spec.kpis
-        ],
-        "causal_edges": [
-            {
-                "source": str(e.source),
-                "target": str(e.target),
-                "coefficient": e.coefficient,
-                "lag": e.lag,
-            }
-            for e in spec.causal_edges
-        ],
-        "noise_std": spec.noise_std,
-        "length": spec.length,
-        "seed": spec.seed,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(to_json(spec), indent=2, sort_keys=True)
 
 
 def spec_from_json(text: str) -> SimulationSpec:
@@ -386,42 +368,13 @@ def spec_from_json(text: str) -> SimulationSpec:
 
 
 def _spec_from_payload(payload: dict) -> SimulationSpec:
-    return SimulationSpec(
-        kpis=tuple(
-            KpiDescriptor(
-                kpi=parse_kpi_id(d["kpi"]),
-                description=d["description"],
-                unit=d.get("unit"),
-            )
-            for d in payload["kpis"]
-        ),
-        causal_edges=tuple(
-            CausalLink(
-                source=parse_kpi_id(e["source"]),
-                target=parse_kpi_id(e["target"]),
-                coefficient=float(e["coefficient"]),
-                lag=int(e["lag"]),
-            )
-            for e in payload["causal_edges"]
-        ),
-        noise_std=float(payload["noise_std"]),
-        length=int(payload["length"]),
-        seed=int(payload["seed"]),
-    )
+    return from_json(payload, SimulationSpec, "simulation spec")
 
 
 def fault_to_json(fault: FaultSpec) -> str:
-    return json.dumps(
-        {
-            "onset": fault.onset,
-            "kind": fault.kind,
-            "target": str(fault.target),
-            "magnitude": fault.magnitude,
-            "ground_truth_component": fault.ground_truth_component,
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    payload = to_json(fault)
+    payload["ground_truth_component"] = fault.ground_truth_component
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def fault_from_json(text: str) -> FaultSpec:
@@ -429,12 +382,9 @@ def fault_from_json(text: str) -> FaultSpec:
 
 
 def _fault_from_payload(payload: dict) -> FaultSpec:
-    return FaultSpec(
-        onset=int(payload["onset"]),
-        kind=payload["kind"],
-        target=parse_kpi_id(payload["target"]),
-        magnitude=float(payload["magnitude"]),
-    )
+    """The derived ``ground_truth_component`` key, when present, is not read."""
+    payload.pop("ground_truth_component", None)
+    return from_json(payload, FaultSpec, "fault spec")
 
 
 def load_spec(path: str | os.PathLike[str]) -> SimulationSpec:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 
@@ -106,6 +107,46 @@ def _report() -> AnomalyReport:
         top_components=(ComponentAttribution(node="pump", central_kpi_count=2),),
         descriptions={LOAD: "air pressure in the starting tank", TEMP: "pump temperature"},
     )
+
+
+def _model_bytes(path) -> bytes:
+    save_classifier(make_classifier(zero_model(2), unit_baseline(2), [LOAD, TEMP]), path)
+    return path.read_bytes()
+
+
+README_FAULT = FaultSpec(onset=400, kind="offset", target=KpiId("load", "component-1"), magnitude=8.0)
+
+# artifact -> (its bytes, given a temporary file path; sha256 of the bytes the
+# hand-written encoders wrote before the dataclass codec replaced them)
+PINNED = {
+    "spec": (
+        lambda _path: spec_to_json(make_chain_spec()).encode(),
+        "18a2d0f45e0caa2d78be34c608d12f6d32673489dd89f53977f908f77c4c3c9b",
+    ),
+    "fault": (
+        lambda _path: fault_to_json(README_FAULT).encode(),
+        "c514e0e8f49e626eb33953e405373f90b1424de6c81e0ef52c4b901902644fad",
+    ),
+    "config": (
+        lambda _path: config_to_json(default_config()).encode(),
+        "cec8ff559a9d007928608302e64bec60d16c351d7bf974900e0e2ff7661ea5b2",
+    ),
+    "report": (
+        lambda _path: report_to_json(_report()).encode(),
+        "f6b74219f81834385bdb1a8fb7d5264f4a00ba329564c1a4d8be6f0dbe4e572b",
+    ),
+    "model": (
+        _model_bytes,
+        "4ea7a85d6424be43b54f7f14bf83c2454653622625a94c0ecfb9ad03e6d72ebf",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_the_codec_keeps_the_bytes_of_every_artifact(kind, tmp_path):
+    """No trained weights are involved, so the bytes hold on any host."""
+    write, expected = PINNED[kind]
+    assert hashlib.sha256(write(tmp_path / "artifact.json")).hexdigest() == expected
 
 
 @pytest.fixture(scope="module")

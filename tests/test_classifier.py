@@ -351,6 +351,8 @@ def test_load_classifier_rejects_missing_key(tmp_path, small_classifier, key):
         (("training", "epochs"), "80"),
         (("training", "epochs"), 0),
         (("training", "learning_rate"), True),
+        (("training", "learning_rate"), float("inf")),
+        (("training", "comment"), "unknown key"),
         (("training", "batch_size"), 2.5),
         (("training", "seed"), None),
     ],

@@ -262,6 +262,33 @@ class TestDetect:
         assert rc == 1
         assert "--sigma must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sigma", "nan"],
+            ["--sigma", "inf"],
+            ["--classifier.sigma", "inf"],
+            ["--classifier.sigma", "nan"],
+            ["--classifier.sigma_kpi", "inf"],
+        ],
+    )
+    def test_non_finite_sigma_flag_is_a_usage_error(self, ws, tmp_path, flags, capsys) -> None:
+        out = tmp_path / "verdicts.csv"
+        rc = cli.main(["detect", "--data", ws.quiet, "--model", ws.model, "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ") and "finite" in err
+        assert not out.exists()
+
+    def test_non_finite_sigma_in_a_config_file_is_a_data_error(self, ws, tmp_path, capsys) -> None:
+        config = tmp_path / "config.json"
+        config.write_text('{"classifier": {"sigma": 1e400}}', encoding="utf-8")
+        rc = cli.main(
+            ["detect", "--config", str(config), "--data", ws.quiet, "--model", ws.model]
+        )
+        assert rc == 2
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+
     def test_huge_sigma_flags_nothing(self, ws, tmp_path, capsys) -> None:
         out = tmp_path / "quietest.csv"
         rc = cli.main(
@@ -683,6 +710,21 @@ class TestTroubleshoot:
             argv = ["troubleshoot", "--report", report]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_store_with_a_numeric_chunk_text_exits_two(
+        self, manuals, tmp_path, monkeypatch, capsys
+    ) -> None:
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["kb", "ingest", str(manuals[0])]) == 0
+        capsys.readouterr()
+        store_path = tmp_path / "artifacts" / "knowledge.json"
+        payload = json.loads(store_path.read_text(encoding="utf-8"))
+        payload["chunks"][0]["text"] = 5
+        store_path.write_text(json.dumps(payload), encoding="utf-8")
+        report = _anomalous_report_file(tmp_path / "anomalous.json", with_description=True)
+        assert cli.main(["troubleshoot", "--report", report]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: store chunk field text") and len(err.splitlines()) == 1
 
     def test_http_llm_against_a_dead_endpoint(
         self, manuals, tmp_path, monkeypatch, capsys

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from faultcast import cli
-from faultcast.classifier import SIGMA_GRID
+from faultcast.autoencoder import TrainingConfig
+from faultcast.classifier import SIGMA_GRID, ClassifierConfig, ErrorBaseline, threshold
 from faultcast.config import (
     EndpointsConfig,
     PathsConfig,
@@ -17,6 +21,7 @@ from faultcast.config import (
     parse_override_value,
 )
 from faultcast.errors import IoError, SchemaError
+from faultcast.pagerank import PageRankConfig
 
 
 def test_defaults():
@@ -60,6 +65,25 @@ def test_tool_config_validation():
         EndpointsConfig(backoff=-0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: ClassifierConfig(sigma=v),
+        lambda v: ClassifierConfig(sigma_kpi=v),
+        lambda v: PageRankConfig(tolerance=v),
+        lambda v: EndpointsConfig(timeout=v),
+        lambda v: EndpointsConfig(backoff=v),
+        lambda v: TrainingConfig(learning_rate=v),
+        lambda v: threshold(ErrorBaseline(0.0, 1.0, np.zeros(1), np.ones(1)), v),
+    ],
+    ids=["sigma", "sigma_kpi", "tolerance", "timeout", "backoff", "learning_rate", "threshold"],
+)
+def test_non_finite_values_are_refused(build, value):
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
+
+
 def test_config_to_json_layout():
     text = config_to_json(default_config())
     assert text.startswith('{\n  "classifier"')
@@ -98,6 +122,10 @@ def test_partial_json_fills_defaults():
         ('{"paths": 3}', "must be an object"),
         ('{"paths": {"model": 4}}', "must be a string"),
         ('{"classifier": {"sigma": -1}}', "invalid config value"),
+        ('{"classifier": {"sigma": 1e400}}', "invalid config value"),
+        ('{"pagerank": {"tolerance": NaN}}', "invalid config value"),
+        ('{"endpoints": {"timeout": Infinity}}', "invalid config value"),
+        ('{"training": {"learning_rate": 1e400}}', "invalid config value"),
         ("[1, 2]", "JSON object"),
         ("{broken", "not valid JSON"),
     ],

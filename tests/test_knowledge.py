@@ -18,6 +18,7 @@ from faultcast.knowledge import (
     KnowledgeChunk,
     OfflineEmbedder,
     VectorStore,
+    _row_norms,
     chunk_document,
     document_title,
     fnv1a_64,
@@ -410,6 +411,13 @@ MALFORMED_STORES = {
         for key in ("chunk_id", "doc_id", "section", "text", "char_start", "char_end", "embedding")
     },
     "chunk is not an object": (FIRST_CHUNK, "chunk", SchemaError),
+    "numeric text": ((*FIRST_CHUNK, "text"), 5, SchemaError),
+    "numeric chunk_id": ((*FIRST_CHUNK, "chunk_id"), 5, SchemaError),
+    "list section": ((*FIRST_CHUNK, "section"), [1], SchemaError),
+    "null doc_id": ((*FIRST_CHUNK, "doc_id"), None, SchemaError),
+    "string char_start": ((*FIRST_CHUNK, "char_start"), "0", SchemaError),
+    "boolean char_start": ((*FIRST_CHUNK, "char_start"), False, SchemaError),
+    "fractional char_end": ((*FIRST_CHUNK, "char_end"), 10.5, SchemaError),
     "dimension is not a number": (("dimension",), "wide", SchemaError),
     "dimension is zero": (("dimension",), 0, SchemaError),
     "short embedding": ((*FIRST_CHUNK, "embedding"), [0.5] * 3, DimensionMismatch),
@@ -469,6 +477,36 @@ def test_huge_embedding_scores_its_true_cosine(tmp_path):
     hits = {chunk.chunk_id: similarity for chunk, similarity in ranked}
     assert abs(hits["d#0000"] - 1.0) <= 1e-12
     assert abs(hits["d#0001"] - math.sqrt(0.5)) <= 1e-12
+
+
+def test_tiny_embedding_scores_its_true_cosine(tmp_path):
+    chunk = {"doc_id": "d", "section": None, "text": "x", "char_start": 0, "char_end": 1}
+    payload = {
+        "version": 1,
+        "dimension": 2,
+        "embedder": "offline",
+        "manifest": {},
+        "chunks": [
+            {**chunk, "chunk_id": "d#0000", "embedding": [1e-200, 1e-200]},
+            {**chunk, "chunk_id": "d#0001", "embedding": [1e-200, 0.0]},
+            {**chunk, "chunk_id": "d#0002", "embedding": [0.0, 0.0]},
+        ],
+    }
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    store = VectorStore.load(path)
+    assert store.norms[2] == 0.0
+    ranked = retrieve(store, np.array([1.0, 1.0]), RetrievalConfig(top_k=3))
+    hits = {chunk.chunk_id: similarity for chunk, similarity in ranked}
+    assert abs(hits["d#0000"] - 1.0) <= 1e-12
+    assert abs(hits["d#0001"] - math.sqrt(0.5)) <= 1e-12
+    assert hits["d#0002"] == 0.0
+
+
+def test_row_norms_keep_the_bits_of_the_plain_norm():
+    rows = np.random.default_rng(3).normal(size=(20, 7)) * np.logspace(-150, 150, 20)[:, None]
+    expected = [np.linalg.norm(row) for row in rows]
+    assert _row_norms(rows).tolist() == expected
 
 
 class TestIngestFiles:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,9 +21,11 @@ from faultcast.kpi import (
     NormalizationStats,
     TimeSeriesDataset,
     fit_normalization,
+    from_json,
     load_dataset,
     load_descriptors,
     parse_kpi_id,
+    to_json,
     write_dataset,
 )
 
@@ -248,3 +252,56 @@ def test_load_descriptors_errors(tmp_path):
         load_descriptors(bad)
     with pytest.raises(IoError):
         load_descriptors(tmp_path / "absent.csv")
+
+
+@dataclass(frozen=True)
+class _Sample:
+    kpi: KpiId = field(metadata={"json": "id"})
+    weights: dict[KpiId, float]
+    counts: tuple[int, ...]
+    note: str | None
+
+
+SAMPLE = _Sample(
+    kpi=KpiId("a", "n"), weights={KpiId("b", "n"): 0.5}, counts=(1, 2), note=None
+)
+SAMPLE_JSON = {"id": "a@n", "weights": {"b@n": 0.5}, "counts": [1, 2], "note": None}
+
+
+def test_codec_round_trips_a_dataclass():
+    assert to_json(SAMPLE) == SAMPLE_JSON
+    assert from_json(SAMPLE_JSON, _Sample, "sample") == SAMPLE
+    with_note = {**SAMPLE_JSON, "note": "checked"}
+    assert from_json(with_note, _Sample, "sample").note == "checked"
+
+
+def test_codec_reads_an_integer_as_a_float():
+    loaded = from_json({**SAMPLE_JSON, "weights": {"b@n": 1}}, _Sample, "sample")
+    assert type(loaded.weights[KpiId("b", "n")]) is float
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        ({"note": "DROP"}, "sample is missing key 'note'"),
+        ({"extra": 1}, "unknown sample field: extra"),
+        ({"counts": [1.0]}, r"sample field counts\[0\] must be an integer"),
+        ({"counts": [True]}, "must be an integer"),
+        ({"counts": "1,2"}, "sample field counts must be an array"),
+        ({"weights": {"b@n": True}}, "sample field weights.b@n must be a number"),
+        ({"weights": {"b@n": "0.5"}}, "must be a number"),
+        ({"weights": [0.5]}, "sample field weights must be an object"),
+        ({"id": 5}, "sample KPI id is not a string: id is 5"),
+        ({"note": 5}, "sample field note must be a string"),
+    ],
+)
+def test_codec_refuses_what_its_type_hints_do_not_allow(edit, fragment):
+    payload = {**SAMPLE_JSON, **edit}
+    payload = {k: v for k, v in payload.items() if v != "DROP"}
+    with pytest.raises(SchemaError, match=fragment):
+        from_json(payload, _Sample, "sample")
+
+
+def test_codec_reports_a_malformed_kpi_id():
+    with pytest.raises(MalformedKpiId):
+        from_json({**SAMPLE_JSON, "weights": {"b": 0.5}}, _Sample, "sample")

@@ -419,6 +419,16 @@ MALFORMED_REPORTS = {
     "non-numeric edge F": (("graph", "edges", 0, "f"), "big"),
     "non-numeric centrality": (("centrality", str(DRIVE)), "most"),
     "non-numeric timestamp": (("verdict", "timestamp"), "noon"),
+    "fractional timestamp": (("verdict", "timestamp"), 59.5),
+    "boolean timestamp": (("verdict", "timestamp"), True),
+    "numeric-string anomaly score": (("anomalous_kpis", 0, "score"), "1.5"),
+    "boolean state error": (("verdict", "state_error"), False),
+    "numeric-string centrality": (("centrality", str(DRIVE)), "0.5"),
+    "fractional component count": (("top_components", 0, "central_kpi_count"), 1.5),
+    "numeric description": (("descriptions", str(DRIVE)), 5),
+    "numeric component node": (("top_components", 0, "node"), 5),
+    "unknown verdict key": (("verdict", "comment"), "extra"),
+    "unknown top-level key": (("comment",), "extra"),
     "string verdict": (("verdict", "anomalous"), "false"),
     "non-numeric component count": (("top_components", 0, "central_kpi_count"), "two"),
     "self-loop edge": (("graph", "edges", 0, "effect"), str(DRIVE)),

@@ -34,6 +34,15 @@ A = parse_kpi_id("load@pump-1")
 B = parse_kpi_id("flow@pump-2")
 
 
+# The list whose first entry holds each edited spec key; other keys are top level.
+SPEC_SECTIONS = {
+    "coefficient": "causal_edges",
+    "lag": "causal_edges",
+    "description": "kpis",
+    "unit": "kpis",
+}
+
+
 def _descriptor(kpi):
     return KpiDescriptor(kpi=kpi, description=f"{kpi.metric} on {kpi.node}")
 
@@ -389,20 +398,49 @@ class TestSerialization:
             {"coefficient": 1e400},
             {"lag": 0},
             {"noise_std": 1e400},
+            {"lag": 1.9},
+            {"lag": True},
+            {"seed": True},
+            {"length": 30.0},
+            {"description": 5},
+            {"unit": 3},
+            {"comment": "unknown key"},
         ],
     )
     def test_spec_with_a_bad_value_is_a_schema_error(self, edit):
         payload = json.loads(spec_to_json(_pair_spec(noise_std=0.3)))
-        if "noise_std" in edit:
-            payload.update(edit)
-        else:
-            payload["causal_edges"][0].update(edit)
+        section = SPEC_SECTIONS.get(next(iter(edit)))
+        (payload if section is None else payload[section][0]).update(edit)
         with pytest.raises(SchemaError):
             spec_from_json(json.dumps(payload))
 
-    @pytest.mark.parametrize("edit", [{"kind": "bogus"}, {"magnitude": 1e400}, {"onset": 1e400}])
+    def test_spec_kpi_must_carry_its_unit(self):
+        payload = json.loads(spec_to_json(_pair_spec(noise_std=0.3)))
+        assert payload["kpis"][0]["unit"] is None
+        del payload["kpis"][0]["unit"]
+        with pytest.raises(SchemaError, match="missing key 'kpis\\[0\\].unit'"):
+            spec_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"kind": "bogus"},
+            {"magnitude": 1e400},
+            {"onset": 1e400},
+            {"magnitude": "3.5"},
+            {"magnitude": True},
+            {"onset": 10.9},
+            {"comment": "unknown key"},
+        ],
+    )
     def test_fault_with_a_bad_value_is_a_schema_error(self, edit):
         fault = FaultSpec(onset=2, kind="spike", target=B, magnitude=1.0)
         payload = {**json.loads(fault_to_json(fault)), **edit}
         with pytest.raises(SchemaError):
             fault_from_json(json.dumps(payload))
+
+    def test_fault_reads_without_its_derived_component(self):
+        fault = FaultSpec(onset=2, kind="spike", target=B, magnitude=1.0)
+        payload = json.loads(fault_to_json(fault))
+        del payload["ground_truth_component"]
+        assert fault_from_json(json.dumps(payload)) == fault
