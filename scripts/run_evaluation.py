@@ -93,9 +93,7 @@ def main() -> None:
         handle.write(table.to_csv())
     curve_path = os.path.join(args.out_dir, "elbow.csv")
     with open(curve_path, "w", encoding="utf-8") as handle:
-        handle.write("sigma,total_fp\n")
-        for sigma, fp in elbow_curve:
-            handle.write(f"{sigma:g},{fp}\n")
+        handle.write(table.elbow_csv())
     print(f"table: {table_path}")
     print(f"curve: {curve_path}")
 

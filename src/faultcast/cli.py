@@ -188,11 +188,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-def _curve_csv(curve: list[tuple[float, int]]) -> str:
-    """The ``sigma,total_fp`` table that ``tune`` prints and writes and ``evaluate`` writes."""
-    return "sigma,total_fp\n" + "".join(f"{sigma:g},{fp}\n" for sigma, fp in curve)
-
-
 def _load_series(path: str, config: config_mod.ToolConfig) -> TimeSeriesDataset:
     return load_dataset(path, missing_policy=config.missing_policy)
 
@@ -219,8 +214,8 @@ def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else config.sigma_grid
     classifier = load_classifier(args.model)
     scenarios = [Scenario(name=path, dataset=_load_series(path, config)) for path in args.data]
-    curve = evaluate_scenarios(classifier, scenarios, grid).elbow_curve()
-    text = _curve_csv(curve)
+    table = evaluate_scenarios(classifier, scenarios, grid)
+    curve, text = table.elbow_curve(), table.elbow_csv()
     print(text, end="")
     if len(curve) >= 3:
         print(f"elbow: sigma={select_elbow(curve):g}")
@@ -421,7 +416,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: config_mod.ToolConfig) -> in
     curve = table.elbow_curve()
     curve_path = os.path.join(out_dir, "elbow.csv")
     with open(curve_path, "w", encoding="utf-8") as handle:
-        handle.write(_curve_csv(curve))
+        handle.write(table.elbow_csv())
     print(table.to_text(), end="")
     if len(curve) >= 3:
         print(f"elbow: sigma={select_elbow(curve):g}")

@@ -24,11 +24,11 @@ from .autoencoder import TrainingConfig
 from .classifier import SIGMA_GRID, ClassifierConfig, check_sigma_grid
 from .errors import SchemaError, load_json
 from .granger import GrangerConfig
+from .knowledge import EMBEDDER_MODES
 from .kpi import _optional_inner, from_json, to_json
 from .pagerank import PageRankConfig
 from .troubleshoot import PromptSpec, RetrievalConfig
 
-EMBEDDER_MODES = ("offline", "remote")
 LLM_MODES = ("echo", "http")
 MISSING_POLICIES = ("forward_fill", "reject")
 

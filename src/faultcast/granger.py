@@ -11,13 +11,18 @@ parameters leaves W - 3p - 1 denominator degrees of freedom.  The p-value is
 the upper tail of the F distribution, evaluated through the regularized
 incomplete beta function.
 
-Rank-deficient regressions (constant series, collinear lags) are reported as
-non-significant with the ``degenerate`` flag set rather than raised.
+:func:`granger_tests` tests every ordered pair of columns at once: one
+stacked SVD fits the restricted designs (one per effect), a second the
+unrestricted ones (one per pair).  As in ``numpy.linalg.lstsq``, the
+coefficients are V S^-1 U^T y, the residual is y minus the design times them,
+and a design is full rank when ``s_min > s_max * eps * max(rows, cols)``.
+Rank-deficient designs (constant series, collinear lags, a KPI against
+itself) and exact fits of both models are flagged ``degenerate`` and
+non-significant rather than raised.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,27 +54,50 @@ class GrangerResult:
     degenerate: bool = False
 
 
-_DEGENERATE = GrangerResult(f_stat=float("nan"), p_value=1.0, significant=False, degenerate=True)
-
-
-def _lag_matrix(series: np.ndarray, lag: int) -> np.ndarray:
-    """Columns [x_{t-1}, ..., x_{t-lag}] for t = lag..end."""
-    return np.column_stack([series[lag - k : len(series) - k] for k in range(1, lag + 1)])
-
-
-def _fit_rss(design: np.ndarray, target: np.ndarray) -> tuple[float, bool]:
-    """Least-squares residual sum of squares and a full-rank flag."""
-    beta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    residual = target - design @ beta
-    return float(residual @ residual), rank == design.shape[1]
-
-
-def f_test_p_value(f_stat: float, df1: int, df2: int) -> float:
+def f_test_p_value(f_stat: float | np.ndarray, df1: int, df2: int) -> np.ndarray:
     """Upper-tail F probability via the regularized incomplete beta function."""
-    if math.isinf(f_stat):
-        return 0.0
-    x = df2 / (df2 + df1 * f_stat)
-    return float(special.betainc(df2 / 2.0, df1 / 2.0, x))
+    return special.betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * np.asarray(f_stat)))
+
+
+def _stacked_rss(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual sums of squares and full-rank flags of a stack of designs."""
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    full_rank = s[..., -1] > s[..., 0] * np.finfo(np.float64).eps * max(design.shape[-2:])
+    column = target[..., None]
+    beta = vt.swapaxes(-1, -2) @ (u.swapaxes(-1, -2) @ column / s[..., None])
+    residual = column - design @ beta
+    return (residual * residual).sum(axis=(-2, -1)), full_rank
+
+
+def granger_tests(series: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F statistics, p-values and degenerate flags of every ordered column pair.
+
+    ``series`` holds one KPI per column, rows oldest to newest.  Each result
+    is an m x m array whose entry ``[cause, effect]`` tests whether column
+    ``cause`` Granger-causes column ``effect``; a degenerate entry has F = NaN
+    and p = 1.
+    """
+    length, m = series.shape
+    df2 = length - 3 * lag - 1
+    if df2 <= 0:  # too few rows for positive denominator degrees of freedom
+        return np.full((m, m), np.nan), np.ones((m, m)), np.ones((m, m), dtype=bool)
+
+    rows = length - lag
+    target = series[lag:].T
+    lags = np.stack([series[lag - k : length - k].T for k in range(1, lag + 1)], axis=-1)
+    restricted = np.concatenate([np.ones((m, rows, 1)), lags], axis=-1)
+    unrestricted = np.concatenate(
+        [np.broadcast_to(restricted, (m, m, rows, lag + 1)), np.broadcast_to(lags[:, None], (m, m, rows, lag))],
+        axis=-1,
+    )
+    with np.errstate(all="ignore"):  # only rank-deficient or exact fits overflow or divide by zero
+        rss_r, full_rank_r = _stacked_rss(restricted, target)
+        rss_u, full_rank_u = _stacked_rss(unrestricted, target)
+        f = np.maximum(rss_r - rss_u, 0.0) / lag / (rss_u / df2)
+    degenerate = ~(full_rank_r & full_rank_u) | ((rss_u <= 0.0) & (rss_r <= 0.0))
+    np.fill_diagonal(degenerate, True)
+    f_stat = np.where(degenerate, np.nan, f)
+    return f_stat, np.where(degenerate, 1.0, f_test_p_value(f_stat, lag, df2)), degenerate
 
 
 def granger_test(x: np.ndarray, y: np.ndarray, lag: int = 3, alpha: float = 0.05) -> GrangerResult:
@@ -81,28 +109,5 @@ def granger_test(x: np.ndarray, y: np.ndarray, lag: int = 3, alpha: float = 0.05
     length = len(x)
     if length < 2 * lag + 2:
         raise ValueError(f"series too short: need at least {2 * lag + 2} samples, got {length}")
-    df2 = length - 3 * lag - 1
-    if df2 <= 0:
-        # Too few rows to estimate the unrestricted model with positive
-        # denominator degrees of freedom.
-        return _DEGENERATE
-
-    target = y[lag:]
-    rows = len(target)
-    intercept = np.ones((rows, 1))
-    restricted = np.hstack([intercept, _lag_matrix(y, lag)])
-    unrestricted = np.hstack([restricted, _lag_matrix(x, lag)])
-
-    rss_r, full_rank_r = _fit_rss(restricted, target)
-    rss_u, full_rank_u = _fit_rss(unrestricted, target)
-    if not (full_rank_r and full_rank_u):
-        return _DEGENERATE
-
-    if rss_u <= 0.0:
-        if rss_r <= 0.0:
-            return _DEGENERATE
-        f_stat = float("inf")
-    else:
-        f_stat = max(rss_r - rss_u, 0.0) / lag / (rss_u / df2)
-    p_value = f_test_p_value(f_stat, lag, df2)
-    return GrangerResult(f_stat=f_stat, p_value=p_value, significant=p_value <= alpha)
+    f, p, degenerate = (result[0, 1].item() for result in granger_tests(np.column_stack([x, y]), lag))
+    return GrangerResult(f_stat=f, p_value=p, significant=not degenerate and p <= alpha, degenerate=degenerate)

@@ -40,10 +40,12 @@ import numpy as np
 
 from . import endpoints
 from .errors import DimensionMismatch, EmptyDocument, EndpointError, IoError, SchemaError, load_json
+from .kpi import from_json
 
 DEFAULT_DIMENSION = 512
 DEFAULT_MAX_CHARS = 1000
 DEFAULT_OVERLAP_CHARS = 200
+EMBEDDER_MODES = ("offline", "remote")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -328,8 +330,15 @@ class VectorStore:
 
     @classmethod
     def _from_payload(cls, payload: dict) -> VectorStore:
-        store = cls(dimension=int(payload["dimension"]), embedder_name=payload["embedder"])
-        store.manifest = dict(payload["manifest"])
+        dimension = from_json(payload["dimension"], int, "store", "dimension")
+        embedder = payload["embedder"]
+        if embedder not in EMBEDDER_MODES:
+            raise SchemaError(f"store embedder must be one of {EMBEDDER_MODES}, not {embedder!r}")
+        manifest = from_json(payload["manifest"], dict[str, dict[str, str]], "store", "manifest")
+        if any(entry.keys() != {"title", "source"} for entry in manifest.values()):
+            raise SchemaError("store manifest entries must hold exactly a title and a source")
+        store = cls(dimension=dimension, embedder_name=embedder)
+        store.manifest = manifest
         entries = payload["chunks"]
         store.chunks = [_chunk_from_json(entry) for entry in entries]
         vectors = [entry["embedding"] for entry in entries]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import os
 import types
@@ -125,6 +126,25 @@ def _parse_timestamp(cell: str, row_no: int) -> int:
         raise SchemaError(f"row {row_no}: timestamp {text!r} is not an integer") from exc
 
 
+def _csv_reader(path: str | os.PathLike[str], what: str) -> typing.Iterator[list[str]]:
+    """Rows of a UTF-8 CSV file; undecodable bytes and csv errors name their row."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {what}: {path}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row_no = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}: row {row_no} is not valid UTF-8") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: row {reader.line_num}: {exc}") from exc
+
+
 def load_dataset(path: str | os.PathLike[str], missing_policy: str = "forward_fill") -> TimeSeriesDataset:
     """Load a KPI dataset from CSV.
 
@@ -135,56 +155,43 @@ def load_dataset(path: str | os.PathLike[str], missing_policy: str = "forward_fi
     """
     if missing_policy not in ("forward_fill", "reject"):
         raise ValueError(f"unknown missing_policy: {missing_policy!r}")
+    reader = _csv_reader(path, "dataset")
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoError(f"cannot read dataset: {path}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if not header or header[0].strip() != TIMESTAMP_COLUMN:
-            raise SchemaError(f"{path}: first header cell must be {TIMESTAMP_COLUMN!r}")
-        kpis = [parse_kpi_id(cell.strip()) for cell in header[1:]]
-        if not kpis:
-            raise SchemaError(f"{path}: no KPI columns")
-        if len(set(kpis)) != len(kpis):
-            raise SchemaError(f"{path}: duplicate KPI columns")
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file") from None
+    if not header or header[0].strip() != TIMESTAMP_COLUMN:
+        raise SchemaError(f"{path}: first header cell must be {TIMESTAMP_COLUMN!r}")
+    kpis = [parse_kpi_id(cell.strip()) for cell in header[1:]]
+    if not kpis:
+        raise SchemaError(f"{path}: no KPI columns")
+    if len(set(kpis)) != len(kpis):
+        raise SchemaError(f"{path}: duplicate KPI columns")
 
-        timestamps: list[int] = []
-        rows: list[list[float]] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
+    timestamps: list[int] = []
+    rows: list[list[float]] = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(kpis) + 1:
+            raise SchemaError(f"{path}: row {row_no} has {len(row)} cells, expected {len(kpis) + 1}")
+        timestamps.append(_parse_timestamp(row[0], row_no))
+        parsed: list[float] = []
+        for col, cell in enumerate(row[1:]):
+            text = cell.strip()
+            if not text:
+                if missing_policy == "reject" or not rows:
+                    raise MissingValue(f"{path}: row {row_no} column {kpis[col]} is empty")
+                parsed.append(rows[-1][col])
                 continue
-            if len(row) != len(kpis) + 1:
-                raise SchemaError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(kpis) + 1}"
-                )
-            timestamps.append(_parse_timestamp(row[0], row_no))
-            parsed: list[float] = []
-            for col, cell in enumerate(row[1:]):
-                text = cell.strip()
-                if not text:
-                    if missing_policy == "reject" or not rows:
-                        raise MissingValue(
-                            f"{path}: row {row_no} column {kpis[col]} is empty"
-                        )
-                    parsed.append(rows[-1][col])
-                    continue
-                try:
-                    value = float(text)
-                except ValueError as exc:
-                    raise SchemaError(
-                        f"{path}: row {row_no} column {kpis[col]}: {text!r} is not a number"
-                    ) from exc
-                if not math.isfinite(value):
-                    raise SchemaError(
-                        f"{path}: row {row_no} column {kpis[col]}: non-finite value"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            try:
+                value = float(text)
+            except ValueError as exc:
+                raise SchemaError(f"{path}: row {row_no} column {kpis[col]}: {text!r} is not a number") from exc
+            if not math.isfinite(value):
+                raise SchemaError(f"{path}: row {row_no} column {kpis[col]}: non-finite value")
+            parsed.append(value)
+        rows.append(parsed)
 
     values = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, len(kpis)))
     return TimeSeriesDataset(timestamps=np.asarray(timestamps, dtype=np.int64), kpis=kpis, values=values)
@@ -255,26 +262,23 @@ def fit_normalization(dataset: TimeSeriesDataset) -> NormalizationStats:
 
 def load_descriptors(path: str | os.PathLike[str]) -> dict[KpiId, KpiDescriptor]:
     """Load a KPI descriptor table from CSV (``kpi,description[,unit]``)."""
+    reader = _csv_reader(path, "descriptor table")
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoError(f"cannot read descriptor table: {path}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if header[:2] != ["kpi", "description"]:
-            raise SchemaError(f"{path}: header must start with kpi,description")
-        has_unit = len(header) > 2 and header[2] == "unit"
-        table: dict[KpiId, KpiDescriptor] = {}
-        for row in reader:
-            if not row:
-                continue
-            kpi = parse_kpi_id(row[0].strip())
-            unit = row[2].strip() or None if has_unit and len(row) > 2 else None
-            table[kpi] = KpiDescriptor(kpi=kpi, description=row[1].strip(), unit=unit)
+        header = [cell.strip() for cell in next(reader)]
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file") from None
+    if header[:2] != ["kpi", "description"]:
+        raise SchemaError(f"{path}: header must start with kpi,description")
+    has_unit = len(header) > 2 and header[2] == "unit"
+    table: dict[KpiId, KpiDescriptor] = {}
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise SchemaError(f"{path}: row {row_no} has {len(row)} cell, expected at least 2")
+        kpi = parse_kpi_id(row[0].strip())
+        unit = row[2].strip() or None if has_unit and len(row) > 2 else None
+        table[kpi] = KpiDescriptor(kpi=kpi, description=row[1].strip(), unit=unit)
     return table
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classifier import ClassifierConfig, StateVerdict, TrainedClassifier, score, threshold
 from .errors import DataError, InsufficientHistory, load_json
-from .granger import GrangerConfig, granger_test
+from .granger import GrangerConfig, granger_tests
 from .kpi import KpiDescriptor, KpiId, from_json, to_json
 from .pagerank import PageRankConfig, pagerank
 
@@ -110,7 +110,8 @@ def build_causality_graph(
 
     ``window`` holds the most recent normalized samples (rows oldest to
     newest, one column per KPI in ``kpis``); only its last ``config.window``
-    rows are used.  Degenerate regressions contribute no edge.
+    rows are used.  Edges come cause-major in anomaly order; degenerate
+    regressions contribute no edge.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2 or window.shape[1] != len(kpis):
@@ -119,27 +120,15 @@ def build_causality_graph(
         raise InsufficientHistory(
             f"need {config.window} samples, have {window.shape[0]}"
         )
-    recent = window[-config.window :]
-    column = {kpi: i for i, kpi in enumerate(kpis)}
     nodes = tuple(a.kpi for a in anomalies)
-    edges: list[CausalEdge] = []
-    for cause in nodes:
-        for effect in nodes:
-            if cause == effect:
-                continue
-            result = granger_test(
-                recent[:, column[cause]], recent[:, column[effect]], config.lag, config.alpha
-            )
-            if result.significant and not result.degenerate:
-                edges.append(
-                    CausalEdge(
-                        cause=cause,
-                        effect=effect,
-                        f_stat=result.f_stat,
-                        p_value=result.p_value,
-                    )
-                )
-    return CausalityGraph(nodes=nodes, edges=tuple(edges))
+    column = {kpi: i for i, kpi in enumerate(kpis)}
+    recent = window[-config.window :, [column[kpi] for kpi in nodes]]
+    f_stat, p_value, degenerate = granger_tests(recent, config.lag)
+    edges = tuple(
+        CausalEdge(nodes[c], nodes[e], float(f_stat[c, e]), float(p_value[c, e]))
+        for c, e in zip(*np.nonzero(~degenerate & (p_value <= config.alpha)))
+    )
+    return CausalityGraph(nodes=nodes, edges=edges)
 
 
 def rank_root_causes(

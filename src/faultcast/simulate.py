@@ -103,28 +103,39 @@ class FaultSpec:
         return self.target.node
 
 
-def generate_normal(spec: SimulationSpec, seed: int | None = None) -> TimeSeriesDataset:
-    """Simulate a failure-free run; pure function of (spec, seed)."""
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
-    n = len(spec.kpis)
+def _propagate(
+    spec: SimulationSpec, innovations: np.ndarray, start: int, pinned: tuple[int, np.ndarray] | None = None
+) -> np.ndarray:
+    """The generator recursion driven by ``innovations``, rows ``start`` onward.
+
+    Row t is ``innovations[t]`` plus the AR(1) self-term and the lagged
+    parent contributions; earlier rows stay zero.  ``pinned = (column,
+    values)`` overrides that column with ``values[t]`` as each row is built.
+    """
     index = {kpi: i for i, kpi in enumerate(spec.kpi_ids)}
-    edges = [
-        (index[e.source], index[e.target], e.coefficient, e.lag) for e in spec.causal_edges
-    ]
-    noise = rng.normal(0.0, spec.noise_std, size=(spec.length, n))
-    values = np.zeros((spec.length, n))
-    for t in range(spec.length):
-        row = noise[t].copy()
+    edges = [(index[e.source], index[e.target], e.coefficient, e.lag) for e in spec.causal_edges]
+    values = np.zeros_like(innovations)
+    for t in range(start, len(innovations)):
+        row = innovations[t].copy()
         if t > 0:
             row += SELF_COEFFICIENT * values[t - 1]
         for src, tgt, coeff, lag in edges:
             if t - lag >= 0:
                 row[tgt] += coeff * values[t - lag, src]
+        if pinned is not None:
+            row[pinned[0]] = pinned[1][t]
         values[t] = row
+    return values
+
+
+def generate_normal(spec: SimulationSpec, seed: int | None = None) -> TimeSeriesDataset:
+    """Simulate a failure-free run; pure function of (spec, seed)."""
+    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    noise = rng.normal(0.0, spec.noise_std, size=(spec.length, len(spec.kpis)))
     return TimeSeriesDataset(
         timestamps=np.arange(spec.length, dtype=np.int64),
         kpis=spec.kpi_ids,
-        values=values,
+        values=_propagate(spec, noise, 0),
     )
 
 
@@ -160,33 +171,13 @@ def inject_fault(
         raise OnsetOutOfRange(
             f"onset {fault.onset} outside the simulated range [0, {dataset.n_rows})"
         )
-    n = dataset.n_kpis
-    length = dataset.n_rows
-    index = {kpi: i for i, kpi in enumerate(spec.kpi_ids)}
-    if fault.target not in index:
+    if fault.target not in spec.kpi_ids:
         raise SchemaError(f"fault target {fault.target} is not a KPI of the simulation spec")
-    target = index[fault.target]
-    edges = [
-        (index[e.source], index[e.target], e.coefficient, e.lag) for e in spec.causal_edges
-    ]
-
-    delta = np.zeros((length, n))
-    forced = _fault_delta_on_target(dataset.values[:, target], fault, length)
-    for t in range(fault.onset, length):
-        row = np.zeros(n)
-        if t > 0:
-            row += SELF_COEFFICIENT * delta[t - 1]
-        for src, tgt, coeff, lag in edges:
-            if t - lag >= 0:
-                row[tgt] += coeff * delta[t - lag, src]
-        row[target] = forced[t]
-        delta[t] = row
-
-    values = dataset.values + delta
+    target = spec.kpi_ids.index(fault.target)
+    forced = _fault_delta_on_target(dataset.values[:, target], fault, dataset.n_rows)
+    delta = _propagate(spec, np.zeros_like(dataset.values), fault.onset, (target, forced))
     faulty = TimeSeriesDataset(
-        timestamps=dataset.timestamps.copy(),
-        kpis=list(dataset.kpis),
-        values=values,
+        timestamps=dataset.timestamps.copy(), kpis=list(dataset.kpis), values=dataset.values + delta
     )
     return faulty, fault
 
@@ -235,6 +226,10 @@ class EvaluationTable:
             if use_all or row.failure_free:
                 curve[row.sigma] = curve.get(row.sigma, 0) + row.fp_count
         return sorted(curve.items())
+
+    def elbow_csv(self) -> str:
+        """:meth:`elbow_curve` as the ``sigma,total_fp`` table that ``tune`` and ``evaluate`` write."""
+        return "sigma,total_fp\n" + "".join(f"{sigma:g},{fp}\n" for sigma, fp in self.elbow_curve())
 
     def to_csv(self) -> str:
         lines = ["scenario,sigma,fp,predictions"]

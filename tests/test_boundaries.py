@@ -26,7 +26,7 @@ from faultcast.classifier import StateVerdict, load_classifier, save_classifier
 from faultcast.config import config_from_json, config_to_json, default_config, load_config
 from faultcast.errors import FaultcastError, SchemaError
 from faultcast.knowledge import OfflineEmbedder, VectorStore, ingest_files
-from faultcast.kpi import KpiId, TimeSeriesDataset, write_dataset
+from faultcast.kpi import KpiId, TimeSeriesDataset, load_dataset, load_descriptors, write_dataset
 from faultcast.ranker import (
     AnomalyReport,
     CausalEdge,
@@ -213,6 +213,21 @@ def test_a_file_that_is_not_utf8_is_a_schema_error_naming_it(loader, tmp_path):
     path = tmp_path / "binary.json"
     path.write_bytes(b'{"version": 1, "\xff": 0}')
     with pytest.raises(SchemaError, match="not valid JSON") as caught:
+        loader(path)
+    assert str(path) in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (load_dataset, b"timestamp,a@n\n0,1\n1,\xff\n"),
+        (load_descriptors, b"kpi,description\na@n,x\nb@n,\xff\n"),
+    ],
+)
+def test_a_csv_that_is_not_utf8_is_a_schema_error_naming_it(loader, text, tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(text)
+    with pytest.raises(SchemaError, match="row 3 is not valid UTF-8") as caught:
         loader(path)
     assert str(path) in str(caught.value)
 

@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -254,6 +255,12 @@ class TestDetect:
         message = capsys.readouterr().out
         assert " of 260 states anomalous at sigma=4.5 " in message
         assert f"verdicts: {out}" in message
+
+    def test_data_that_is_not_utf8_exits_two(self, ws, tmp_path, capsys) -> None:
+        data = tmp_path / "data.csv"
+        data.write_bytes(Path(ws.quiet).read_bytes().replace(b"\n3,", b"\n3,\xff", 1))
+        assert cli.main(["detect", "--data", str(data), "--model", ws.model]) == 2
+        assert capsys.readouterr().err == f"data error: {data}: row 5 is not valid UTF-8\n"
 
     def test_sigma_must_be_positive(self, ws, capsys) -> None:
         rc = cli.main(
@@ -540,6 +547,21 @@ class TestRank:
         assert report.anomalous_kpis == ()
         assert report.root_cause_kpis == ()
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (b"kpi,description\nload@component-1\n", "row 2 has 1 cell, expected at least 2"),
+            (b"kpi,description\nload@component-1,caf\xe9\n", "row 2 is not valid UTF-8"),
+        ],
+    )
+    def test_bad_descriptor_table_exits_two(self, ws, tmp_path, capsys, table, message) -> None:
+        descriptors = tmp_path / "descriptors.csv"
+        descriptors.write_bytes(table)
+        argv = ["rank", "--data", ws.faulty, "--model", ws.model, "--out", str(tmp_path / "r.json")]
+        assert cli.main([*argv, "--paths.descriptors", str(descriptors)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {descriptors}: {message}\n"
+
 
 class TestKnowledgeBase:
     def test_ingest_creates_the_default_store(
@@ -710,6 +732,22 @@ class TestTroubleshoot:
             argv = ["troubleshoot", "--report", report]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+    @pytest.mark.parametrize(
+        "key, value", [("dimension", "4"), ("dimension", 4.7), ("embedder", 5), ("manifest", {"doc": 3})]
+    )
+    def test_store_with_a_malformed_header_exits_two(
+        self, key, value, manuals, tmp_path, monkeypatch, capsys
+    ) -> None:
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["kb", "ingest", str(manuals[0])]) == 0
+        capsys.readouterr()
+        store_path = tmp_path / "artifacts" / "knowledge.json"
+        payload = json.loads(store_path.read_text(encoding="utf-8"))
+        store_path.write_text(json.dumps({**payload, key: value}), encoding="utf-8")
+        assert cli.main(["kb", "ingest", str(manuals[1])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and key in err and len(err.splitlines()) == 1
 
     def test_store_with_a_numeric_chunk_text_exits_two(
         self, manuals, tmp_path, monkeypatch, capsys

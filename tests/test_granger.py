@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from faultcast.granger import GrangerConfig, f_test_p_value, granger_test
+from faultcast import granger
+from faultcast.granger import GrangerConfig, f_test_p_value, granger_test, granger_tests
 
 
 def _coupled_pair(length: int, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -157,3 +158,49 @@ def test_result_is_always_well_formed(seed, lag, extra):
         assert result.f_stat >= 0.0
         assert 0.0 <= result.p_value <= 1.0
         assert result.significant == (result.p_value <= 0.05)
+
+
+def _assert_same_bits(actual: float, expected: float) -> None:
+    assert np.float64(actual).tobytes() == np.float64(expected).tobytes()
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    lag=st.integers(min_value=1, max_value=4),
+    extra=st.integers(min_value=0, max_value=30),
+    m=st.integers(min_value=2, max_value=7),
+)
+def test_every_entry_of_the_stacked_tests_is_the_pairwise_test_bit_for_bit(seed, lag, extra, m):
+    rng = np.random.default_rng(seed)
+    series = rng.normal(size=(2 * lag + 2 + extra, m))
+    series[:, rng.integers(m)] = rng.normal()  # a constant column: degenerate as cause and as effect
+    f_stat, p_value, degenerate = granger_tests(series, lag)
+    assert f_stat.shape == p_value.shape == degenerate.shape == (m, m)
+    assert degenerate.diagonal().all()
+    for cause in range(m):
+        for effect in range(m):
+            if cause == effect:
+                continue
+            pair = granger_test(series[:, cause], series[:, effect], lag=lag)
+            assert pair.degenerate == degenerate[cause, effect]
+            _assert_same_bits(pair.f_stat, f_stat[cause, effect])
+            _assert_same_bits(pair.p_value, p_value[cause, effect])
+            assert pair.significant == (not pair.degenerate and pair.p_value <= 0.05)
+
+
+@pytest.mark.parametrize(
+    "rss_r, degenerate, f_stat, p_value", [(2.0, False, math.inf, 0.0), (0.0, True, math.nan, 1.0)]
+)
+def test_an_exact_unrestricted_fit(monkeypatch, rss_r, degenerate, f_stat, p_value):
+    """RSS_u = 0 gives F = inf and p = 0, unless RSS_r = 0 too: then the pair is degenerate."""
+
+    def exact_fit(design, target):
+        stacked = design.shape[:-2]
+        rss = np.zeros(stacked) if design.ndim == 4 else np.full(stacked, rss_r)
+        return rss, np.ones(stacked, dtype=bool)
+
+    monkeypatch.setattr(granger, "_stacked_rss", exact_fit)
+    result = granger_test(*np.random.default_rng(0).normal(size=(2, 30)), lag=3)
+    assert result.degenerate == degenerate and result.significant == (not degenerate)
+    _assert_same_bits(result.f_stat, f_stat)
+    assert result.p_value == p_value

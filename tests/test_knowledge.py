@@ -15,6 +15,7 @@ from faultcast import cli
 from faultcast.errors import DimensionMismatch, EmptyDocument, IoError, SchemaError
 from faultcast.knowledge import (
     DEFAULT_DIMENSION,
+    EMBEDDER_MODES,
     KnowledgeChunk,
     OfflineEmbedder,
     VectorStore,
@@ -326,7 +327,7 @@ def _store_payloads(draw):
     return {
         "version": 1,
         "dimension": dimension,
-        "embedder": draw(_TEXT),
+        "embedder": draw(st.sampled_from(EMBEDDER_MODES)),
         "manifest": draw(st.dictionaries(_TEXT, entry, max_size=3)),
         "chunks": draw(st.lists(chunk, max_size=4)),
     }
@@ -420,6 +421,15 @@ MALFORMED_STORES = {
     "fractional char_end": ((*FIRST_CHUNK, "char_end"), 10.5, SchemaError),
     "dimension is not a number": (("dimension",), "wide", SchemaError),
     "dimension is zero": (("dimension",), 0, SchemaError),
+    "dimension is a string": (("dimension",), "4", SchemaError),
+    "dimension is fractional": (("dimension",), 4.7, SchemaError),
+    "dimension is a boolean": (("dimension",), True, SchemaError),
+    "numeric embedder": (("embedder",), 5, SchemaError),
+    "unknown embedder": (("embedder",), "remote:model", SchemaError),
+    "manifest is a list": (("manifest",), [], SchemaError),
+    "numeric manifest entry": (("manifest", "doc"), 3, SchemaError),
+    "manifest entry without source": (("manifest", "doc", "source"), MISSING, SchemaError),
+    "numeric manifest title": (("manifest", "doc", "title"), 3, SchemaError),
     "short embedding": ((*FIRST_CHUNK, "embedding"), [0.5] * 3, DimensionMismatch),
     "long embedding": ((*FIRST_CHUNK, "embedding"), [0.5] * 5, DimensionMismatch),
     "embedding is not a list": ((*FIRST_CHUNK, "embedding"), 0.5, SchemaError),

@@ -250,6 +250,9 @@ def test_load_descriptors_errors(tmp_path):
     bad.write_text("name,description\na@n,x\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         load_descriptors(bad)
+    bad.write_text("kpi,description\na@n,x\nb@n\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="row 3 has 1 cell"):
+        load_descriptors(bad)
     with pytest.raises(IoError):
         load_descriptors(tmp_path / "absent.csv")
 

@@ -7,7 +7,7 @@ import pytest
 
 from faultcast.classifier import ClassifierConfig, ErrorBaseline, score
 from faultcast.errors import DataError, InsufficientHistory, SchemaError
-from faultcast.granger import GrangerConfig
+from faultcast.granger import GrangerConfig, granger_test
 from faultcast.kpi import KpiDescriptor, parse_kpi_id
 from faultcast.ranker import (
     CausalEdge,
@@ -219,6 +219,34 @@ def test_build_causality_graph_degenerate_pairs_add_no_edges():
     graph = build_causality_graph(history, [DRIVE, FOLLOW], anomalies)
     assert graph.nodes == (DRIVE, FOLLOW)
     assert graph.edges == ()
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_build_causality_graph_with_fewer_than_two_anomalies_has_no_edges(count):
+    anomalies = [KpiAnomaly(kpi=DRIVE, score=9.0, kpi_threshold=0.0)][:count]
+    graph = build_causality_graph(_coupled_history(), [DRIVE, FOLLOW], anomalies)
+    assert graph.nodes == (DRIVE,)[:count]
+    assert graph.edges == ()
+
+
+def test_build_causality_graph_edges_are_the_significant_pairs_cause_major():
+    """Edges equal a per-pair loop of ``granger_test``, in anomaly order."""
+    rng = np.random.default_rng(4)
+    kpis = [parse_kpi_id(f"m{i}@n{i % 3}") for i in range(6)]
+    history = rng.normal(size=(50, 6))
+    for t in range(1, 50):
+        history[t, 1:] += 0.9 * history[t - 1, :-1]
+    anomalies = [KpiAnomaly(kpi=kpis[i], score=1.0, kpi_threshold=0.0) for i in (4, 0, 2, 1, 3)]
+    graph = build_causality_graph(history, kpis, anomalies)
+    recent = history[-GrangerConfig().window :]
+    expected = []
+    for cause in graph.nodes:
+        for effect in graph.nodes:
+            result = granger_test(recent[:, kpis.index(cause)], recent[:, kpis.index(effect)])
+            if cause != effect and result.significant:
+                expected.append(CausalEdge(cause, effect, result.f_stat, result.p_value))
+    assert len(expected) >= 4
+    assert graph.edges == tuple(expected)
 
 
 def test_build_causality_graph_validation():

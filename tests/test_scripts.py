@@ -46,13 +46,14 @@ def test_troubleshoot_demo_runs_offline(manuals, tmp_path) -> None:
     assert "answer:" in proc.stdout
 
 
-@pytest.mark.parametrize("workload", ["kb-large", "plant-12"])
+@pytest.mark.parametrize("workload", ["kb-large", "plant-12", "wide-50"])
 def test_kb_benchmark_smoke_matches_its_golden_outputs(workload: str) -> None:
     """Tiny benchmark run checked against references and golden outputs.
 
     kb-large covers ingest, save, load and retrieval; plant-12 covers
     training, ``faultcast detect`` (config resolution and model loading),
-    ranking and troubleshooting.
+    ranking and troubleshooting; wide-50 checks every graph of a 50-KPI
+    ``analyze`` against pairwise ``lstsq`` Granger tests.
     """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--smoke", "--workload", workload],
