@@ -16,19 +16,26 @@ The offline embedder hashes each lowercase alphanumeric token with FNV-1a
 It needs no model download, is stable across runs and machines, and two
 texts sharing no token are orthogonal unless buckets collide.  Manuals reuse
 a small vocabulary, so the hash of each token (not its bucket, which depends
-on the dimension) is kept in a bounded process-wide LRU cache.
+on the dimension) is kept in a bounded process-wide LRU cache.  The hashes
+of a text are bucketed in one unsigned 64-bit numpy modulo.
 
 ``VectorStore.save`` writes the file itself, one chunk at a time, because
 ``json.dump`` with an indent runs pure Python for every embedding float.  The
 bytes are exactly those of ``json.dump(payload, indent=1, sort_keys=True)``
 followed by a newline; floats are written with ``float.__repr__`` as
 ``json`` does, and ``add_document`` refuses non-finite embeddings, which
-``json`` would write as the non-standard ``NaN``/``Infinity``.
+``json`` would write as the non-standard ``NaN``/``Infinity``.  An offline
+row is mostly ``0.0`` and a few counts over one norm, so a block of rows
+holds few distinct values: each is formatted once, keyed by its bits so that
+``-0.0`` keeps its sign, and every row is joined from those strings.  Blocks
+of about 2**17 values, taken in write order, bound the strings held at once;
+dense remote rows gain nothing from this and pay for one extra sort.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import re
@@ -45,6 +52,7 @@ from .kpi import from_json
 DEFAULT_DIMENSION = 512
 DEFAULT_MAX_CHARS = 1000
 DEFAULT_OVERLAP_CHARS = 200
+_FORMAT_BLOCK = 1 << 17  # embedding values formatted per block by VectorStore.save
 EMBEDDER_MODES = ("offline", "remote")
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -103,8 +111,12 @@ class OfflineEmbedder:
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
-        buckets = [_token_hash(token) % self.dimension for token in tokenize(text)]
-        counts = np.bincount(np.array(buckets, dtype=np.intp), minlength=self.dimension)
+        tokens = tokenize(text)
+        # Hashes reach 2**64 - 1; uint64 mixed with a signed integer type
+        # promotes to float64, which drops their low bits.
+        hashes = np.fromiter(map(_token_hash, tokens), np.uint64, len(tokens))
+        buckets = (hashes % np.uint64(self.dimension)).astype(np.intp)
+        counts = np.bincount(buckets, minlength=self.dimension)
         vector = counts.astype(np.float64)
         norm = np.linalg.norm(vector)
         return vector / norm if norm > 0 else vector
@@ -311,12 +323,22 @@ class VectorStore:
             "manifest": self.manifest,
             "version": 1,
         }
+        row_of = {id(chunk): row for row, chunk in enumerate(self.rows)}
+        rows = [row_of.get(id(chunk)) for chunk in self.chunks]
+        embedded = [row for row in rows if row is not None]
+        # A block of rows at a time, in write order: a dense store, whose
+        # values are all distinct, never holds all their strings at once.
+        step = max(1, _FORMAT_BLOCK // self.dimension)
+        values = itertools.chain.from_iterable(
+            _row_values(self.matrix[embedded[i : i + step]]) for i in range(0, len(embedded), step)
+        )
         try:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write('{\n "chunks": [')
                 separator = "\n"
-                for chunk in self.chunks:
-                    handle.write(separator + _chunk_json(chunk))
+                for chunk, row in zip(self.chunks, rows):
+                    embedding = None if row is None else ",\n    ".join(next(values).tolist())
+                    handle.write(separator + _chunk_json(chunk, embedding))
                     separator = ",\n"
                 handle.write("\n ],\n" if self.chunks else "],\n")
                 # The tail's keys sort after "chunks" and sit at the same depth.
@@ -370,13 +392,29 @@ def _chunk_from_json(entry: dict) -> KnowledgeChunk:
     return KnowledgeChunk(**{key: entry[key] for key in _CHUNK_FIELDS})
 
 
-def _chunk_json(chunk: KnowledgeChunk) -> str:
-    """One chunk as ``json.dumps(..., indent=1, sort_keys=True)`` prints it in a store."""
-    if chunk.embedding is None:
-        embedding = "null"
-    else:
-        values = ",\n    ".join(map(float.__repr__, chunk.embedding.tolist()))
-        embedding = f"[\n    {values}\n   ]"
+def _row_values(matrix: np.ndarray) -> np.ndarray:
+    """Each entry of ``matrix`` as ``float.__repr__`` writes it, in an object array.
+
+    Each distinct value is formatted once.  Values are told apart by their
+    bits, so ``-0.0`` keeps its sign; all-zero bits (exact ``+0.0``, most of
+    an offline row) are code 0 and never reach the sort.
+    """
+    bits = matrix.view(np.uint64)
+    nonzero = bits != 0
+    distinct, inverse = np.unique(bits[nonzero], return_inverse=True)
+    codes = np.zeros(bits.shape, dtype=np.intp)
+    codes[nonzero] = inverse + 1
+    reprs = ["0.0", *map(float.__repr__, distinct.view(np.float64).tolist())]
+    return np.array(reprs, dtype=object)[codes]
+
+
+def _chunk_json(chunk: KnowledgeChunk, values: str | None) -> str:
+    """One chunk as ``json.dumps(..., indent=1, sort_keys=True)`` prints it in a store.
+
+    ``values`` is its embedding's entries joined as they are written, or
+    ``None`` for a chunk without an embedding.
+    """
+    embedding = "null" if values is None else f"[\n    {values}\n   ]"
     return (
         "  {\n"
         f'   "char_end": {json.dumps(chunk.char_end)},\n'

@@ -145,6 +145,14 @@ def _csv_reader(path: str | os.PathLike[str], what: str) -> typing.Iterator[list
         raise SchemaError(f"{path}: row {reader.line_num}: {exc}") from exc
 
 
+def _kpi_cell(cell: str, path: str | os.PathLike[str], row_no: int) -> KpiId:
+    """The KPI id in a CSV cell; a malformed one names the file and row."""
+    try:
+        return parse_kpi_id(cell.strip())
+    except MalformedKpiId as exc:
+        raise MalformedKpiId(f"{path}: row {row_no}: {exc}") from exc
+
+
 def load_dataset(path: str | os.PathLike[str], missing_policy: str = "forward_fill") -> TimeSeriesDataset:
     """Load a KPI dataset from CSV.
 
@@ -162,7 +170,7 @@ def load_dataset(path: str | os.PathLike[str], missing_policy: str = "forward_fi
         raise SchemaError(f"{path}: empty file") from None
     if not header or header[0].strip() != TIMESTAMP_COLUMN:
         raise SchemaError(f"{path}: first header cell must be {TIMESTAMP_COLUMN!r}")
-    kpis = [parse_kpi_id(cell.strip()) for cell in header[1:]]
+    kpis = [_kpi_cell(cell, path, 1) for cell in header[1:]]
     if not kpis:
         raise SchemaError(f"{path}: no KPI columns")
     if len(set(kpis)) != len(kpis):
@@ -276,7 +284,7 @@ def load_descriptors(path: str | os.PathLike[str]) -> dict[KpiId, KpiDescriptor]
             continue
         if len(row) < 2:
             raise SchemaError(f"{path}: row {row_no} has {len(row)} cell, expected at least 2")
-        kpi = parse_kpi_id(row[0].strip())
+        kpi = _kpi_cell(row[0], path, row_no)
         unit = row[2].strip() or None if has_unit and len(row) > 2 else None
         table[kpi] = KpiDescriptor(kpi=kpi, description=row[1].strip(), unit=unit)
     return table

@@ -232,6 +232,28 @@ def test_a_csv_that_is_not_utf8_is_a_schema_error_naming_it(loader, text, tmp_pa
     assert str(path) in str(caught.value)
 
 
+@pytest.mark.parametrize(
+    "command, name, text, row",
+    [
+        ("detect", "data", "timestamp,load@pump,bad\n0,1,2\n", 1),
+        ("rank", "data", "timestamp,load@pump,bad\n0,1,2\n", 1),
+        ("rank", "descriptors", "kpi,description\nload@pump,x\nbad,y\n", 3),
+    ],
+)
+def test_cli_names_the_file_and_row_of_a_malformed_kpi_id(
+    command, name, text, row, workspace, tmp_path
+):
+    bad = tmp_path / f"{name}.csv"
+    bad.write_text(text, encoding="utf-8")
+    data = bad if name == "data" else workspace / "data.csv"
+    argv = [command, "--data", str(data), "--model", str(workspace / "model.json")]
+    if name == "descriptors":
+        argv += ["--paths.descriptors", str(bad)]
+    code, err = _run([*argv, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err == f"data error: {bad}: row {row}: expected exactly one '@' in KPI id: 'bad'\n"
+
+
 def _run(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

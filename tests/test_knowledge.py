@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from faultcast import cli
+from faultcast import cli, knowledge
 
 from faultcast.errors import DimensionMismatch, EmptyDocument, IoError, SchemaError
 from faultcast.knowledge import (
@@ -108,6 +108,18 @@ class TestOfflineEmbedder:
         vector = OfflineEmbedder(16).embed("--- !?")
         assert vector.dtype == np.float64
         np.testing.assert_array_equal(vector, np.zeros(16))
+
+    @pytest.mark.parametrize("dimension", [1, 7, 512, 1000])
+    def test_buckets_are_the_unsigned_hash_modulo_the_dimension(self, dimension):
+        text = "Tank diesel, torque; compressor z q pressure valve tank"
+        hashes = [fnv1a_64(token.encode("utf-8")) for token in tokenize(text)]
+        assert any(h >= 2**63 for h in hashes)
+        if dimension > 1:
+            # Hashes above 2**53 lose bits as floats: a float modulo moves a bucket.
+            assert any(int(float(h) % dimension) != h % dimension for h in hashes)
+        embedder = OfflineEmbedder(dimension)
+        assert embedder.embed(text).tobytes() == _reference_embed(text, dimension).tobytes()
+        assert embedder.embed("--- !?").tobytes() == np.zeros(dimension).tobytes()
 
 
 def _reference_embed(text: str, dimension: int) -> np.ndarray:
@@ -310,26 +322,26 @@ _VALUE = st.one_of(
 
 
 @st.composite
-def _store_payloads(draw):
-    dimension = draw(st.integers(1, 4))
+def _store_payloads(draw, max_dimension=4, max_chunks=4, values=_VALUE, text=_TEXT):
+    dimension = draw(st.integers(1, max_dimension))
     chunk = st.fixed_dictionaries(
         {
-            "chunk_id": _TEXT,
-            "doc_id": _TEXT,
-            "section": st.none() | _TEXT,
-            "text": _TEXT,
+            "chunk_id": text,
+            "doc_id": text,
+            "section": st.none() | text,
+            "text": text,
             "char_start": st.integers(0, 10**6),
             "char_end": st.integers(0, 10**6),
-            "embedding": st.none() | st.lists(_VALUE, min_size=dimension, max_size=dimension),
+            "embedding": st.none() | st.lists(values, min_size=dimension, max_size=dimension),
         }
     )
-    entry = st.fixed_dictionaries({"title": _TEXT, "source": _TEXT})
+    entry = st.fixed_dictionaries({"title": text, "source": text})
     return {
         "version": 1,
         "dimension": dimension,
         "embedder": draw(st.sampled_from(EMBEDDER_MODES)),
-        "manifest": draw(st.dictionaries(_TEXT, entry, max_size=3)),
-        "chunks": draw(st.lists(chunk, max_size=4)),
+        "manifest": draw(st.dictionaries(text, entry, max_size=3)),
+        "chunks": draw(st.lists(chunk, max_size=max_chunks)),
     }
 
 
@@ -372,6 +384,59 @@ def test_save_writes_the_bytes_of_json_dump(tmp_path_factory, payload):
     VectorStore.load(source).save(saved)
     oracle = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     assert saved.read_bytes() == oracle.encode("utf-8")
+
+
+# Few distinct values, so rows share them as offline rows do, with both zeros
+# and the extremes of float.__repr__ among them.
+_POOLED_VALUE = st.sampled_from([0.0, -0.0, 5e-324, 1e300, 0.25, 0.7071067811865476])
+
+
+def _with_embeddings(*embeddings):
+    chunk = _EDGE_CASE_STORE["chunks"][0]
+    chunks = [{**chunk, "chunk_id": f"c{i}", "embedding": e} for i, e in enumerate(embeddings)]
+    return {**_EDGE_CASE_STORE, "chunks": chunks}
+
+
+@given(
+    payload=_store_payloads(
+        max_dimension=16, max_chunks=8, values=_POOLED_VALUE, text=st.text('a"\\é', max_size=3)
+    )
+)
+@example(payload=_with_embeddings([0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.25, 0.0]))
+@example(payload=_with_embeddings([-0.0, -0.0, -0.0, -0.0], [0.0, 0.0, 0.0, 0.0]))
+@example(payload=_with_embeddings(None, None, None))
+def test_save_writes_the_bytes_of_json_dump_when_values_repeat(tmp_path_factory, payload):
+    directory = tmp_path_factory.mktemp("store")
+    source = directory / "source.json"
+    source.write_text(json.dumps(payload), encoding="utf-8")
+    saved = directory / "saved.json"
+    VectorStore.load(source).save(saved)
+    oracle = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    assert saved.read_bytes() == oracle.encode("utf-8")
+
+
+@pytest.mark.parametrize("block", [1, 8, 12])
+def test_save_writes_rows_in_chunk_order_across_format_blocks(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(knowledge, "_FORMAT_BLOCK", block)  # rows per block: 1, 2 and 3
+    store = VectorStore(dimension=4)
+    # Document "b" first, so matrix rows run in another order than the sorted chunks.
+    documents = {"b": [[0.5, -0.0, 0.0, 0.25], [1.0] * 4], "a": [[0.25, 0.0, -0.0, 1.0]] * 3}
+    for doc_id, rows in documents.items():
+        chunks = chunk_document(doc_id, "word " * 5 * len(rows), max_chars=25, overlap_chars=0)
+        for chunk, row in zip(chunks, rows, strict=True):
+            chunk.embedding = np.array(row)
+        store.add_document(doc_id, doc_id, f"{doc_id}.md", chunks)
+    store.save(tmp_path / "saved.json")
+    chunks = [{**vars(c), "embedding": c.embedding.tolist()} for c in store.chunks]
+    payload = {
+        "chunks": chunks,
+        "dimension": 4,
+        "embedder": "offline",
+        "manifest": store.manifest,
+        "version": 1,
+    }
+    oracle = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    assert (tmp_path / "saved.json").read_bytes() == oracle.encode("utf-8")
 
 
 def test_kb_ingest_of_the_fixtures_keeps_its_bytes(fixtures_dir, tmp_path, monkeypatch, capsys):

@@ -257,6 +257,23 @@ def test_load_descriptors_errors(tmp_path):
         load_descriptors(tmp_path / "absent.csv")
 
 
+@pytest.mark.parametrize(
+    "loader, text, where",
+    [
+        (load_dataset, "timestamp,a@n,bad\n0,1,2\n", "row 1: expected exactly one '@'"),
+        (load_dataset, "timestamp, @n\n0,1\n", "row 1: empty metric"),
+        (load_descriptors, "kpi,description\na@n,x\n\nb@n@m,y\n", "row 4: expected exactly one"),
+        (load_descriptors, "kpi,description,unit\na@,x,bar\n", "row 2: empty node"),
+    ],
+)
+def test_a_malformed_kpi_id_names_its_file_and_row(loader, text, where, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedKpiId) as caught:
+        loader(path)
+    assert str(caught.value).startswith(f"{path}: {where}")
+
+
 @dataclass(frozen=True)
 class _Sample:
     kpi: KpiId = field(metadata={"json": "id"})
