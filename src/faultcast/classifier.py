@@ -23,22 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from .autoencoder import AutoencoderModel, TrainingConfig, forward, init_autoencoder, train
-from .errors import (
-    DataError,
-    DimensionMismatch,
-    IoError,
-    SchemaError,
-    SchemaMismatch,
-    TooFewPoints,
-    load_json,
-)
+from .errors import DataError, DimensionMismatch, IoError, SchemaMismatch, TooFewPoints, load_json
 from .kpi import (
     KpiId,
+    Matrix,
     NormalizationStats,
     TimeSeriesDataset,
+    Vector,
     fit_normalization,
     from_json,
-    parse_kpi_id,
     to_json,
 )
 
@@ -69,16 +62,19 @@ class ClassifierConfig:
 class ErrorBaseline:
     """Population statistics of training reconstruction errors.
 
-    ``state_mu``/``state_std`` summarize per-state mean squared errors;
-    ``kpi_mu``/``kpi_std`` summarize per-KPI squared residuals column-wise.
+    ``state_mu``/``state_std`` summarize per-state mean squared errors and
+    must be finite; ``kpi_mu``/``kpi_std`` summarize per-KPI squared
+    residuals column-wise.
     """
 
     state_mu: float
     state_std: float
-    kpi_mu: np.ndarray
-    kpi_std: np.ndarray
+    kpi_mu: Vector
+    kpi_std: Vector
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.state_mu) and math.isfinite(self.state_std)):
+            raise ValueError("state_mu and state_std must be finite")
         self.kpi_mu = np.asarray(self.kpi_mu, dtype=np.float64)
         self.kpi_std = np.asarray(self.kpi_std, dtype=np.float64)
 
@@ -258,97 +254,67 @@ def select_elbow(curve: Sequence[tuple[float, float]]) -> float:
 MODEL_FORMAT_VERSION = 1
 
 
+@dataclass(frozen=True)
+class _ModelFile:
+    """The top-level keys of a model file."""
+
+    version: int
+    kpis: list[KpiId]
+    layer_sizes: list[int]
+    weights: list[Matrix]
+    biases: list[Vector]
+    normalization: NormalizationStats
+    baseline: ErrorBaseline
+    training: TrainingConfig
+
+
 def save_classifier(classifier: TrainedClassifier, path: str | os.PathLike[str]) -> None:
     """Persist a classifier as a single JSON file (full double precision)."""
-    payload = {
-        "version": MODEL_FORMAT_VERSION,
-        "kpis": [str(k) for k in classifier.kpis],
-        "layer_sizes": classifier.model.layer_sizes,
-        "weights": [w.tolist() for w in classifier.model.weights],
-        "biases": [b.tolist() for b in classifier.model.biases],
-        "normalization": {
-            "mean": classifier.normalization.mean.tolist(),
-            "std": classifier.normalization.std.tolist(),
-        },
-        "baseline": {
-            "state_mu": classifier.baseline.state_mu,
-            "state_std": classifier.baseline.state_std,
-            "kpi_mu": classifier.baseline.kpi_mu.tolist(),
-            "kpi_std": classifier.baseline.kpi_std.tolist(),
-        },
-        "training": to_json(classifier.training),
-    }
+    model = classifier.model
+    saved = _ModelFile(
+        version=MODEL_FORMAT_VERSION,
+        kpis=classifier.kpis,
+        layer_sizes=model.layer_sizes,
+        weights=model.weights,
+        biases=model.biases,
+        normalization=classifier.normalization,
+        baseline=classifier.baseline,
+        training=classifier.training,
+    )
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump(to_json(saved), handle, indent=2, sort_keys=True)
             handle.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write model: {path}") from exc
 
 
-def _numbers(value: object, ndim: int, what: str) -> np.ndarray:
-    """A finite float array of ``ndim`` dimensions read from (nested) JSON lists."""
-    try:
-        array = np.array(value)
-    except ValueError as exc:
-        raise SchemaError(f"{what} is not a {ndim}-D list of numbers") from exc
-    if array.ndim != ndim or array.dtype.kind not in "iuf":
-        raise SchemaError(f"{what} is not a {ndim}-D list of numbers")
-    if not np.isfinite(array).all():
-        raise SchemaError(f"{what} has non-finite values")
-    return array.astype(np.float64)
-
-
-def _integer(value: object, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{what} is not an integer")
-    return value
-
-
 def load_classifier(path: str | os.PathLike[str]) -> TrainedClassifier:
     """Load a classifier persisted by :func:`save_classifier`.
 
-    A missing key or a value of the wrong type raises :class:`SchemaError`;
-    lengths that disagree with the KPI list raise :class:`DimensionMismatch`.
+    A missing or unknown key or a value of the wrong type raises
+    :class:`SchemaError`; lengths that disagree with the KPI list raise
+    :class:`DimensionMismatch`.
     """
     return load_json(_classifier_from_payload, "model", path=path, version=MODEL_FORMAT_VERSION)
 
 
 def _classifier_from_payload(payload: dict) -> TrainedClassifier:
-    kpis = payload["kpis"]
-    if not isinstance(kpis, list) or not all(isinstance(k, str) for k in kpis):
-        raise SchemaError("kpis is not a list of strings")
-    model = AutoencoderModel(
-        layer_sizes=[_integer(s, "layer_sizes") for s in payload["layer_sizes"]],
-        weights=[_numbers(w, 2, "weights") for w in payload["weights"]],
-        biases=[_numbers(b, 1, "biases") for b in payload["biases"]],
-    )
-    saved = payload["baseline"]
-    baseline = ErrorBaseline(
-        state_mu=float(_numbers(saved["state_mu"], 0, "baseline.state_mu")),
-        state_std=float(_numbers(saved["state_std"], 0, "baseline.state_std")),
-        kpi_mu=_numbers(saved["kpi_mu"], 1, "baseline.kpi_mu"),
-        kpi_std=_numbers(saved["kpi_std"], 1, "baseline.kpi_std"),
-    )
-    saved = payload["normalization"]
-    stats = NormalizationStats(
-        mean=_numbers(saved["mean"], 1, "normalization.mean"),
-        std=_numbers(saved["std"], 1, "normalization.std"),
-    )
-    training = from_json(payload["training"], TrainingConfig, "model", "training")
+    saved = from_json(payload, _ModelFile, "model")
+    model = AutoencoderModel(layer_sizes=saved.layer_sizes, weights=saved.weights, biases=saved.biases)
     lengths = {
         "layer_sizes[0]": model.n_inputs,
-        "normalization.mean": stats.mean.shape[0],
-        "baseline.kpi_mu": baseline.kpi_mu.shape[0],
-        "baseline.kpi_std": baseline.kpi_std.shape[0],
+        "normalization.mean": saved.normalization.mean.shape[0],
+        "baseline.kpi_mu": saved.baseline.kpi_mu.shape[0],
+        "baseline.kpi_std": saved.baseline.kpi_std.shape[0],
     }
     for what, length in lengths.items():
-        if length != len(kpis):
-            raise DimensionMismatch(f"{what} has length {length}, model has {len(kpis)} KPIs")
+        if length != len(saved.kpis):
+            raise DimensionMismatch(f"{what} has length {length}, model has {len(saved.kpis)} KPIs")
     return TrainedClassifier(
         model=model,
-        baseline=baseline,
-        normalization=stats,
-        kpis=[parse_kpi_id(k) for k in kpis],
-        training=training,
+        baseline=saved.baseline,
+        normalization=saved.normalization,
+        kpis=saved.kpis,
+        training=saved.training,
     )

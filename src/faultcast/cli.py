@@ -174,6 +174,14 @@ def _ensure_parent(path: str) -> None:
     os.makedirs(parent, exist_ok=True)
 
 
+def _out_path(args: argparse.Namespace, config: config_mod.ToolConfig, stem: str, suffix: str) -> str:
+    """``--out`` with its directory made, or else a fresh timestamped path under the report directory."""
+    if not args.out:
+        return _timestamped_path(config.paths.report_dir, stem, suffix)
+    _ensure_parent(args.out)
+    return args.out
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         grid = tuple(float(part) for part in text.split(",") if part.strip())
@@ -238,9 +246,7 @@ def _cmd_detect(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     limit = threshold(classifier.baseline, sigma)
     errors, _ = score(classifier, dataset.values)
     anomalous = errors > limit
-    out = args.out or _timestamped_path(config.paths.report_dir, "detect", ".csv")
-    if args.out:
-        _ensure_parent(out)
+    out = _out_path(args, config, "detect", ".csv")
     with open(out, "w", encoding="utf-8") as handle:
         handle.write("timestamp,state_error,threshold,anomalous\n")
         rows = zip(dataset.timestamps.tolist(), errors.tolist(), anomalous.tolist())
@@ -269,9 +275,7 @@ def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
         descriptors=_descriptor_table(config) or None,
         count_central_only=config.count_central_only,
     )
-    out = args.out or _timestamped_path(config.paths.report_dir, "report", ".json")
-    if args.out:
-        _ensure_parent(out)
+    out = _out_path(args, config, "report", ".json")
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(report_to_json(report))
     if report.verdict.anomalous:
@@ -288,14 +292,7 @@ def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
 
 def _make_embedder(config: config_mod.ToolConfig, store: VectorStore):
     if store.embedder_name == "remote":
-        return RemoteEmbedder(
-            base_url=config.endpoints.base_url,
-            model=config.endpoints.embed_model,
-            dimension=store.dimension,
-            timeout=config.endpoints.timeout,
-            retries=config.endpoints.retries,
-            backoff=config.endpoints.backoff,
-        )
+        return RemoteEmbedder(config.endpoints, dimension=store.dimension)
     return OfflineEmbedder(store.dimension)
 
 
@@ -325,16 +322,7 @@ def _cmd_troubleshoot(args: argparse.Namespace, config: config_mod.ToolConfig) -
     descriptors = _descriptor_table(config)
     for kpi, description in report.descriptions.items():
         descriptors.setdefault(kpi, KpiDescriptor(kpi=kpi, description=description))
-    if config.llm == "http":
-        llm = HttpCompletionClient(
-            base_url=config.endpoints.base_url,
-            model=config.endpoints.completion_model,
-            timeout=config.endpoints.timeout,
-            retries=config.endpoints.retries,
-            backoff=config.endpoints.backoff,
-        )
-    else:
-        llm = EchoClient()
+    llm = HttpCompletionClient(config.endpoints) if config.llm == "http" else EchoClient()
     answer = troubleshoot(
         report.anomalous_kpis,
         descriptors,
@@ -344,9 +332,7 @@ def _cmd_troubleshoot(args: argparse.Namespace, config: config_mod.ToolConfig) -
         llm=llm,
         embedder=_make_embedder(config, store),
     )
-    out = args.out or _timestamped_path(config.paths.report_dir, "troubleshoot", ".md")
-    if args.out:
-        _ensure_parent(out)
+    out = _out_path(args, config, "troubleshoot", ".md")
     lines = [
         "# Troubleshooting answer",
         "",
@@ -381,9 +367,7 @@ def _cmd_simulate(args: argparse.Namespace, config: config_mod.ToolConfig) -> in
     if args.fault is not None:
         fault = load_fault(args.fault)
         dataset, fault = inject_fault(dataset, spec, fault)
-    out = args.out or _timestamped_path(config.paths.report_dir, "scenario", ".csv")
-    if args.out:
-        _ensure_parent(out)
+    out = _out_path(args, config, "scenario", ".csv")
     write_dataset(dataset, out)
     status = f"simulated {dataset.n_rows} states x {dataset.n_kpis} KPIs (seed {args.seed})"
     if fault is not None:

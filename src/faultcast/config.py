@@ -15,13 +15,13 @@ other are checked together and the order of overrides never matters.
 from __future__ import annotations
 
 import json
-import math
 import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .autoencoder import TrainingConfig
 from .classifier import SIGMA_GRID, ClassifierConfig, check_sigma_grid
+from .endpoints import EndpointsConfig
 from .errors import SchemaError, load_json
 from .granger import GrangerConfig
 from .knowledge import EMBEDDER_MODES
@@ -37,30 +37,9 @@ MISSING_POLICIES = ("forward_fill", "reject")
 class PathsConfig:
     """Where artifacts live; relative paths resolve against the working directory."""
 
-    model: str = "artifacts/model.json"
     kb_store: str = "artifacts/knowledge.json"
     report_dir: str = "reports"
     descriptors: str | None = None
-
-
-@dataclass(frozen=True)
-class EndpointsConfig:
-    """Remote completion/embedding service addresses and retry policy."""
-
-    base_url: str = "http://localhost:11434"
-    completion_model: str = "troubleshoot-llm"
-    embed_model: str = "kb-embedder"
-    timeout: float = 30.0
-    retries: int = 2
-    backoff: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0 < self.timeout < math.inf:
-            raise ValueError("timeout must be positive and finite")
-        if self.retries < 0:
-            raise ValueError("retries must be non-negative")
-        if not 0 <= self.backoff < math.inf:
-            raise ValueError("backoff must be non-negative and finite")
 
 
 @dataclass(frozen=True)

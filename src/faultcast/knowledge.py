@@ -47,7 +47,7 @@ import numpy as np
 
 from . import endpoints
 from .errors import DimensionMismatch, EmptyDocument, EndpointError, IoError, SchemaError, load_json
-from .kpi import from_json
+from .kpi import Vector, from_json, read_utf8
 
 DEFAULT_DIMENSION = 512
 DEFAULT_MAX_CHARS = 1000
@@ -125,35 +125,19 @@ class OfflineEmbedder:
 class RemoteEmbedder:
     """Embedding endpoint client: POST {base_url}/embed, one input per call."""
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        dimension: int | None = None,
-        timeout: float = endpoints.DEFAULT_TIMEOUT,
-        retries: int = endpoints.DEFAULT_RETRIES,
-        backoff: float = endpoints.DEFAULT_BACKOFF,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
+    def __init__(self, endpoint: endpoints.EndpointsConfig, dimension: int | None = None):
+        self.endpoint = endpoint
         self.dimension = dimension if dimension is not None else 0
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
 
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
         body = endpoints.post_json(
-            f"{self.base_url}/embed",
-            {"model": self.model, "input": [text]},
-            timeout=self.timeout,
-            retries=self.retries,
-            backoff=self.backoff,
+            self.endpoint, "embed", {"model": self.endpoint.embed_model, "input": [text]}
         )
         try:
-            vector = np.asarray(body["embeddings"][0], dtype=np.float64)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            vector = from_json(body["embeddings"][0], Vector, "embedding response", "embeddings[0]")
+        except (KeyError, IndexError, TypeError, SchemaError) as exc:
             raise EndpointError(f"malformed embedding response: {exc}") from exc
         if self.dimension == 0:
             self.dimension = len(vector)
@@ -481,15 +465,13 @@ def ingest_files(
 
     Markdown files get per-chunk section labels from their headings; plain
     text files get none.  Re-ingesting a document replaces its chunks, so
-    ingestion is idempotent for unchanged files.
+    ingestion is idempotent for unchanged files.  A file that cannot be read,
+    or is not UTF-8, raises a :class:`DataError` naming it.
     """
     added = 0
     for raw_path in paths:
         path = Path(raw_path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot read document: {path}") from exc
+        text = read_utf8(path, "document")
         doc_id = path.stem
         chunks = chunk_document(doc_id, text, max_chars=max_chars, overlap_chars=overlap_chars)
         if path.suffix.lower() in (".md", ".markdown"):

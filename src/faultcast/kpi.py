@@ -5,11 +5,13 @@ A KPI is a metric measured on a node and is keyed by the text form
 column per KPI, values finite, timestamps strictly increasing.
 
 :func:`to_json` and :func:`from_json` are the one codec, driven by type hints,
-between dataclasses (reports, specs, the config, a model's training block) and
-JSON.  A :class:`KpiId` is its ``metric@node`` string, and a field is keyed by
-its ``"json"`` metadata entry if it has one, else by its name.  Reading needs
+between dataclasses (reports, specs, the config, the model file) and JSON.  A
+:class:`KpiId` is its ``metric@node`` string, a :data:`Vector` or
+:data:`Matrix` is a nested array of numbers, and a field is keyed by its
+``"json"`` metadata entry if it has one, else by its name.  Reading needs
 every key, refuses unknown ones and checks types exactly: an integer takes no
-float and a number no boolean.
+float, a number no boolean, and an array only finite numbers in exactly its
+number of dimensions.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 import types
@@ -35,6 +38,10 @@ from .errors import (
 )
 
 TIMESTAMP_COLUMN = "timestamp"
+
+# float64 arrays, read by :func:`from_json` with exactly this many dimensions.
+Vector = typing.Annotated[np.ndarray, 1]
+Matrix = typing.Annotated[np.ndarray, 2]
 
 
 @dataclass(frozen=True, order=True)
@@ -126,19 +133,23 @@ def _parse_timestamp(cell: str, row_no: int) -> int:
         raise SchemaError(f"row {row_no}: timestamp {text!r} is not an integer") from exc
 
 
-def _csv_reader(path: str | os.PathLike[str], what: str) -> typing.Iterator[list[str]]:
-    """Rows of a UTF-8 CSV file; undecodable bytes and csv errors name their row."""
+def read_utf8(path: str | os.PathLike[str], what: str) -> str:
+    """The text of a UTF-8 file; undecodable bytes are a :class:`SchemaError` naming the file and row."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise IoError(f"cannot read {what}: {path}") from exc
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         row_no = data.count(b"\n", 0, exc.start) + 1
         raise SchemaError(f"{path}: row {row_no} is not valid UTF-8") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
+
+
+def _csv_reader(path: str | os.PathLike[str], what: str) -> typing.Iterator[list[str]]:
+    """Rows of a UTF-8 CSV file; undecodable bytes and csv errors name their row."""
+    reader = csv.reader(io.StringIO(read_utf8(path, what), newline=""))
     try:
         yield from reader
     except csv.Error as exc:
@@ -226,8 +237,8 @@ class NormalizationStats:
     constant and an effective scale of 1.0 is used when (de)normalizing.
     """
 
-    mean: np.ndarray
-    std: np.ndarray
+    mean: Vector
+    std: Vector
 
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -297,9 +308,11 @@ def to_json(value: object) -> object:
     """The JSON form of a dataclass value (and of anything its fields hold)."""
     if isinstance(value, KpiId):
         return str(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if is_dataclass(value) and not isinstance(value, type):
         return {key: to_json(getattr(value, name)) for name, key, _ in _json_fields(type(value))}
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [to_json(v) for v in value]
     if isinstance(value, dict):
         return {to_json(k): to_json(v) for k, v in value.items()}
@@ -332,11 +345,13 @@ def from_json(payload: object, cls: typing.Any, what: str, where: str = "") -> t
             raise SchemaError(f"{what} field {label} must be an object")
         return _dataclass_from_json(payload, cls, what, where)
     origin = typing.get_origin(cls)
-    if origin is tuple:
+    if origin is typing.Annotated:
+        return _array(payload, typing.get_args(cls)[1], what, label)
+    if origin in (tuple, list):
         if not isinstance(payload, list):
             raise SchemaError(f"{what} field {label} must be an array")
         item = typing.get_args(cls)[0]
-        return tuple(from_json(v, item, what, f"{where}[{i}]") for i, v in enumerate(payload))
+        return origin(from_json(v, item, what, f"{where}[{i}]") for i, v in enumerate(payload))
     if origin is dict:
         if not isinstance(payload, dict):
             raise SchemaError(f"{what} field {label} must be an object")
@@ -351,6 +366,25 @@ def from_json(payload: object, cls: typing.Any, what: str, where: str = "") -> t
     return None if payload is None else from_json(payload, inner, what, where)
 
 
+def _array(payload: object, ndim: int, what: str, label: str) -> np.ndarray:
+    """A float64 array of ``ndim`` dimensions read from nested JSON arrays of finite numbers."""
+    malformed = SchemaError(f"{what} field {label} must be a {ndim}-D array of finite numbers")
+    leaves = [payload]
+    for _ in range(ndim):
+        if not set(map(type, leaves)) <= {list}:
+            raise malformed
+        leaves = list(itertools.chain.from_iterable(leaves))
+    if not set(map(type, leaves)) <= {int, float}:  # a JSON number is never a bool
+        raise malformed
+    try:
+        array = np.array(payload, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:  # ragged rows, or an integer beyond float range
+        raise malformed from exc
+    if array.ndim != ndim or not np.isfinite(array).all():
+        raise malformed
+    return array
+
+
 def _optional_inner(hint: typing.Any) -> typing.Any:
     """The non-None member of an Optional hint, or None if not Optional."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
@@ -363,7 +397,7 @@ def _optional_inner(hint: typing.Any) -> typing.Any:
 @functools.cache
 def _json_fields(cls: type) -> tuple[tuple[str, str, object], ...]:
     """(field name, JSON key, type hint) of each field of a dataclass."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     return tuple((f.name, f.metadata.get("json", f.name), hints[f.name]) for f in fields(cls))
 
 

@@ -160,32 +160,19 @@ class EchoClient:
 class HttpCompletionClient:
     """Completion endpoint client: POST {base_url}/complete."""
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        timeout: float = endpoints.DEFAULT_TIMEOUT,
-        retries: int = endpoints.DEFAULT_RETRIES,
-        backoff: float = endpoints.DEFAULT_BACKOFF,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
+    def __init__(self, endpoint: endpoints.EndpointsConfig):
+        self.endpoint = endpoint
 
     def complete(self, augmented_prompt: str) -> str:
         body = endpoints.post_json(
-            f"{self.base_url}/complete",
-            {"model": self.model, "prompt": augmented_prompt},
-            timeout=self.timeout,
-            retries=self.retries,
-            backoff=self.backoff,
+            self.endpoint,
+            "complete",
+            {"model": self.endpoint.completion_model, "prompt": augmented_prompt},
         )
-        try:
-            return str(body["response"])
-        except KeyError as exc:
-            raise EndpointError("completion response lacks a 'response' field") from exc
+        response = body.get("response")
+        if not isinstance(response, str):
+            raise EndpointError("completion response needs a string 'response' field")
+        return response
 
 
 def troubleshoot(

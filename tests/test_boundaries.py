@@ -10,17 +10,20 @@ error line and no traceback.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import copy
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faultcast
 from faultcast import cli
 from faultcast.classifier import StateVerdict, load_classifier, save_classifier
 from faultcast.config import config_from_json, config_to_json, default_config, load_config
@@ -117,7 +120,8 @@ def _model_bytes(path) -> bytes:
 README_FAULT = FaultSpec(onset=400, kind="offset", target=KpiId("load", "component-1"), magnitude=8.0)
 
 # artifact -> (its bytes, given a temporary file path; sha256 of the bytes the
-# hand-written encoders wrote before the dataclass codec replaced them)
+# hand-written encoders wrote before the dataclass codec replaced them, less
+# the config's "paths.model" line since that unused field was deleted)
 PINNED = {
     "spec": (
         lambda _path: spec_to_json(make_chain_spec()).encode(),
@@ -129,7 +133,7 @@ PINNED = {
     ),
     "config": (
         lambda _path: config_to_json(default_config()).encode(),
-        "cec8ff559a9d007928608302e64bec60d16c351d7bf974900e0e2ff7661ea5b2",
+        "fe5ed9879fe3d2adccb7343a0a971595c9e2056308a929bc009ef9d60603a2f9",
     ),
     "report": (
         lambda _path: report_to_json(_report()).encode(),
@@ -147,6 +151,36 @@ def test_the_codec_keeps_the_bytes_of_every_artifact(kind, tmp_path):
     """No trained weights are involved, so the bytes hold on any host."""
     write, expected = PINNED[kind]
     assert hashlib.sha256(write(tmp_path / "artifact.json")).hexdigest() == expected
+
+
+def _json_decoding_calls() -> set[tuple[str, str]]:
+    """(module, function) of every call in the package that decodes JSON text."""
+    sites = set()
+    for path in sorted(Path(faultcast.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                    continue
+                owner = node.func.value
+                decodes = node.func.attr == "json" or (
+                    node.func.attr in ("load", "loads", "JSONDecoder", "raw_decode")
+                    and isinstance(owner, ast.Name)
+                    and owner.id == "json"
+                )
+                if decodes:
+                    sites.add((path.stem, function.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                sites.add((path.stem, "from json import"))
+    return sites
+
+
+def test_outside_json_is_decoded_only_by_load_json_and_the_endpoint_client():
+    """Every JSON artifact goes through ``errors.load_json``; endpoint bodies through ``post_json``."""
+    assert _json_decoding_calls() == {("errors", "load_json"), ("endpoints", "post_json")}
 
 
 @pytest.fixture(scope="module")

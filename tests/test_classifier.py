@@ -347,6 +347,12 @@ def test_load_classifier_rejects_missing_key(tmp_path, small_classifier, key):
         (("baseline", "kpi_mu"), {"a": 1}),
         (("baseline", "kpi_std"), [1.0, None, 1.0, 1.0]),
         (("baseline", "kpi_std"), [1.0, 1e999, 1.0, 1.0]),
+        (("baseline", "kpi_mu"), 0.0),
+        (("baseline", "kpi_mu"), [[0.0, 0.0, 0.0, 0.0]]),
+        (("baseline", "kpi_mu"), [0.0, True, 0.0, 0.0]),
+        (("baseline", "state_mu"), float("nan")),
+        (("version",), 1.0),
+        (("comment",), "unknown key"),
         (("training",), 3),
         (("training", "epochs"), "80"),
         (("training", "epochs"), 0),

@@ -580,6 +580,14 @@ class TestKnowledgeBase:
         second = capsys.readouterr().out
         assert second == first
 
+    def test_a_manual_that_is_not_utf8_exits_two(self, tmp_path, monkeypatch, capsys) -> None:
+        monkeypatch.chdir(tmp_path)
+        manual = tmp_path / "pump.md"
+        manual.write_bytes(b"# Pump\n\nCheck the caf\xe9 valve.\n")
+        assert cli.main(["kb", "ingest", str(manual)]) == 2
+        assert capsys.readouterr().err == f"data error: {manual}: row 3 is not valid UTF-8\n"
+        assert not (tmp_path / "artifacts" / "knowledge.json").exists()
+
     def test_remote_embedder_against_a_dead_endpoint(
         self, manuals, tmp_path, monkeypatch, capsys
     ) -> None:

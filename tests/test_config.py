@@ -26,7 +26,6 @@ from faultcast.pagerank import PageRankConfig
 
 def test_defaults():
     config = default_config()
-    assert config.paths.model == "artifacts/model.json"
     assert config.paths.kb_store == "artifacts/knowledge.json"
     assert config.paths.report_dir == "reports"
     assert config.paths.descriptors is None
@@ -93,7 +92,7 @@ def test_config_to_json_layout():
 def test_json_round_trip_default_and_custom():
     assert config_from_json(config_to_json(default_config())) == default_config()
     custom = ToolConfig(
-        paths=PathsConfig(model="m.json", descriptors="d.csv"),
+        paths=PathsConfig(kb_store="kb.json", descriptors="d.csv"),
         sigma_grid=(1.0, 2.0, 4.0),
         embedder="remote",
         llm="http",
@@ -120,7 +119,7 @@ def test_partial_json_fills_defaults():
         ('{"count_central_only": 1}', "must be a boolean"),
         ('{"sigma_grid": 3}', "must be an array"),
         ('{"paths": 3}', "must be an object"),
-        ('{"paths": {"model": 4}}', "must be a string"),
+        ('{"paths": {"kb_store": 4}}', "must be a string"),
         ('{"classifier": {"sigma": -1}}', "invalid config value"),
         ('{"classifier": {"sigma": 1e400}}', "invalid config value"),
         ('{"pagerank": {"tolerance": NaN}}', "invalid config value"),
@@ -146,7 +145,7 @@ def test_load_config(tmp_path):
 def test_override_fields_lists_every_leaf():
     leaves = dict(override_fields())
     assert "classifier.sigma" in leaves
-    assert "paths.model" in leaves
+    assert "paths.kb_store" in leaves
     assert "training.batch_size" in leaves
     assert "endpoints.base_url" in leaves
     assert "embedder" in leaves

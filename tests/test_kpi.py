@@ -18,8 +18,10 @@ from faultcast.errors import (
 from faultcast.kpi import (
     KpiDescriptor,
     KpiId,
+    Matrix,
     NormalizationStats,
     TimeSeriesDataset,
+    Vector,
     fit_normalization,
     from_json,
     load_dataset,
@@ -325,3 +327,37 @@ def test_codec_refuses_what_its_type_hints_do_not_allow(edit, fragment):
 def test_codec_reports_a_malformed_kpi_id():
     with pytest.raises(MalformedKpiId):
         from_json({**SAMPLE_JSON, "weights": {"b": 0.5}}, _Sample, "sample")
+
+
+def test_codec_writes_arrays_and_lists_and_reads_them_back():
+    weights = [np.array([[1.0, -0.0], [2.5, 3.0]]), np.array([[0.5]])]
+    assert to_json(weights) == [[[1.0, -0.0], [2.5, 3.0]], [[0.5]]]
+    loaded = from_json(to_json(weights), list[Matrix], "sample")
+    assert type(loaded) is list
+    for read, written in zip(loaded, weights):
+        assert read.dtype == np.float64
+        assert read.tobytes() == written.tobytes()
+    assert from_json([1, 2], Vector, "sample").tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "hint, payload",
+    [
+        pytest.param(Vector, 0.5, id="Vector 0.5"),
+        pytest.param(Vector, [[0.5]], id="Vector [[0.5]]"),
+        pytest.param(Vector, [0.5, True], id="Vector [0.5, True]"),
+        pytest.param(Vector, ["0.5"], id='Vector ["0.5"]'),
+        pytest.param(Vector, [0.5, None], id="Vector [0.5, None]"),
+        pytest.param(Vector, [float("inf")], id='Vector [float("inf")]'),
+        pytest.param(Vector, [float("nan")], id='Vector [float("nan")]'),
+        pytest.param(Vector, [10**400], id="Vector [10**400]"),
+        pytest.param(Matrix, [0.5], id="Matrix [0.5]"),
+        pytest.param(Matrix, [], id="Matrix []"),
+        pytest.param(Matrix, [[0.5], [0.5, 0.5]], id="Matrix [[0.5], [0.5, 0.5]]"),
+        pytest.param(Matrix, [[0.5], 0.5], id="Matrix [[0.5], 0.5]"),
+        pytest.param(Matrix, [[[0.5]]], id="Matrix [[[0.5]]]"),
+    ],
+)
+def test_codec_reads_an_array_only_of_finite_numbers_in_its_dimensions(hint, payload):
+    with pytest.raises(SchemaError, match=r"sample field x must be a \d-D array of finite numbers"):
+        from_json(payload, hint, "sample", "x")

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import faultcast.endpoints as endpoints
+from faultcast import cli
+from faultcast.endpoints import EndpointsConfig
 from faultcast.errors import (
     DimensionMismatch,
     EmptyStore,
@@ -396,6 +398,10 @@ def recorded_sleeps(monkeypatch):
     return delays
 
 
+def _endpoint(server, **policy) -> EndpointsConfig:
+    return EndpointsConfig(base_url=server.url, completion_model="helper", embed_model="embed", **policy)
+
+
 class TestPostJson:
     def test_retries_until_success_with_doubling_backoff(self, endpoint_server, recorded_sleeps):
         def flaky(path, body):
@@ -404,9 +410,7 @@ class TestPostJson:
             return 200, json.dumps({"ok": True}).encode()
 
         endpoint_server.behavior = flaky
-        body = endpoints.post_json(
-            endpoint_server.url + "/x", {"a": 1}, retries=2, backoff=0.1
-        )
+        body = endpoints.post_json(_endpoint(endpoint_server, retries=2, backoff=0.1), "x", {"a": 1})
         assert body == {"ok": True}
         assert len(endpoint_server.requests) == 3
         assert recorded_sleeps == [0.1, 0.2]
@@ -414,27 +418,27 @@ class TestPostJson:
     def test_exhausted_retries_raise_endpoint_error(self, endpoint_server, recorded_sleeps):
         endpoint_server.behavior = lambda path, body: (500, b"{}")
         with pytest.raises(EndpointError):
-            endpoints.post_json(endpoint_server.url + "/x", {}, retries=2, backoff=0.1)
+            endpoints.post_json(_endpoint(endpoint_server, retries=2, backoff=0.1), "x", {})
         assert len(endpoint_server.requests) == 3
         assert recorded_sleeps == [0.1, 0.2]
 
     def test_zero_retries_fail_fast(self, endpoint_server, recorded_sleeps):
         endpoint_server.behavior = lambda path, body: (500, b"{}")
         with pytest.raises(EndpointError):
-            endpoints.post_json(endpoint_server.url + "/x", {}, retries=0)
+            endpoints.post_json(_endpoint(endpoint_server, retries=0), "x", {})
         assert len(endpoint_server.requests) == 1
         assert recorded_sleeps == []
 
     def test_invalid_json_body_is_retried(self, endpoint_server, recorded_sleeps):
         endpoint_server.behavior = lambda path, body: (200, b"not json")
         with pytest.raises(EndpointError):
-            endpoints.post_json(endpoint_server.url + "/x", {}, retries=1, backoff=0.1)
+            endpoints.post_json(_endpoint(endpoint_server, retries=1, backoff=0.1), "x", {})
         assert len(endpoint_server.requests) == 2
 
     def test_non_object_json_fails_without_retry(self, endpoint_server, recorded_sleeps):
         endpoint_server.behavior = lambda path, body: (200, b"[1, 2]")
         with pytest.raises(EndpointError, match="JSON object"):
-            endpoints.post_json(endpoint_server.url + "/x", {}, retries=2)
+            endpoints.post_json(_endpoint(endpoint_server, retries=2), "x", {})
         assert len(endpoint_server.requests) == 1
         assert recorded_sleeps == []
 
@@ -445,7 +449,7 @@ class TestPostJson:
 
         endpoint_server.behavior = slow
         with pytest.raises(Timeout):
-            endpoints.post_json(endpoint_server.url + "/x", {}, timeout=0.05, retries=0)
+            endpoints.post_json(_endpoint(endpoint_server, timeout=0.05, retries=0), "x", {})
 
 
 class TestHttpCompletionClient:
@@ -454,7 +458,8 @@ class TestHttpCompletionClient:
             200,
             json.dumps({"response": "drain the tank"}).encode(),
         )
-        client = HttpCompletionClient(endpoint_server.url + "/", model="helper")
+        endpoint = EndpointsConfig(base_url=endpoint_server.url + "/", completion_model="helper")
+        client = HttpCompletionClient(endpoint)
         assert client.complete("augmented text") == "drain the tank"
         path, body = endpoint_server.requests[0]
         assert path == "/complete"
@@ -462,8 +467,15 @@ class TestHttpCompletionClient:
 
     def test_missing_response_field(self, endpoint_server):
         endpoint_server.behavior = lambda path, body: (200, b"{}")
-        client = HttpCompletionClient(endpoint_server.url, model="helper", retries=0)
+        client = HttpCompletionClient(_endpoint(endpoint_server, retries=0))
         with pytest.raises(EndpointError, match="response"):
+            client.complete("x")
+
+    @pytest.mark.parametrize("response", [None, 5, ["drain"]], ids=repr)
+    def test_non_string_response_is_an_endpoint_error(self, endpoint_server, response):
+        endpoint_server.behavior = lambda path, body: (200, json.dumps({"response": response}).encode())
+        client = HttpCompletionClient(_endpoint(endpoint_server, retries=0))
+        with pytest.raises(EndpointError, match="string 'response'"):
             client.complete("x")
 
 
@@ -473,7 +485,7 @@ class TestRemoteEmbedder:
             200,
             json.dumps({"embeddings": [[0.1, 0.2]]}).encode(),
         )
-        embedder = RemoteEmbedder(endpoint_server.url, model="embed")
+        embedder = RemoteEmbedder(_endpoint(endpoint_server))
         vector = embedder.embed("tank pressure")
         np.testing.assert_allclose(vector, [0.1, 0.2])
         assert embedder.dimension == 2
@@ -489,7 +501,7 @@ class TestRemoteEmbedder:
             return 200, json.dumps(payload).encode()
 
         endpoint_server.behavior = shifting
-        embedder = RemoteEmbedder(endpoint_server.url, model="embed")
+        embedder = RemoteEmbedder(_endpoint(endpoint_server))
         embedder.embed("first")
         with pytest.raises(DimensionMismatch):
             embedder.embed("second")
@@ -499,18 +511,43 @@ class TestRemoteEmbedder:
             200,
             json.dumps({"embeddings": [[0.1, 0.2]]}).encode(),
         )
-        embedder = RemoteEmbedder(endpoint_server.url, model="embed", dimension=3)
+        embedder = RemoteEmbedder(_endpoint(endpoint_server), dimension=3)
         with pytest.raises(DimensionMismatch):
             embedder.embed("text")
 
     def test_malformed_payload(self, endpoint_server):
         endpoint_server.behavior = lambda path, body: (200, b'{"foo": 1}')
-        embedder = RemoteEmbedder(endpoint_server.url, model="embed", retries=0)
+        embedder = RemoteEmbedder(_endpoint(endpoint_server, retries=0))
         with pytest.raises(EndpointError, match="malformed"):
             embedder.embed("text")
 
+    @pytest.mark.parametrize(
+        "embeddings",
+        [[5], [["0.5", "0.25"]], [[0.5, True]], [[[0.5]]], [[0.5, None]], [], "ab"],
+        ids=repr,
+    )
+    def test_an_embedding_that_is_not_a_vector_of_numbers_is_malformed(
+        self, endpoint_server, embeddings
+    ):
+        endpoint_server.behavior = lambda path, body: (
+            200,
+            json.dumps({"embeddings": embeddings}).encode(),
+        )
+        embedder = RemoteEmbedder(_endpoint(endpoint_server, retries=0), dimension=2)
+        with pytest.raises(EndpointError, match="malformed"):
+            embedder.embed("text")
+
+    def test_kb_ingest_exits_three_on_a_malformed_embedding(
+        self, endpoint_server, manuals, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        endpoint_server.behavior = lambda path, body: (200, b'{"embeddings": [5]}')
+        argv = ["kb", "ingest", str(manuals[0]), "--embedder", "remote", "--endpoints.retries", "0"]
+        assert cli.main([*argv, "--endpoints.base_url", endpoint_server.url]) == 3
+        assert capsys.readouterr().err.startswith("endpoint error: malformed embedding response")
+
     def test_empty_text_never_reaches_the_network(self, endpoint_server):
-        embedder = RemoteEmbedder(endpoint_server.url, model="embed")
+        embedder = RemoteEmbedder(_endpoint(endpoint_server))
         with pytest.raises(ValueError):
             embedder.embed("")
         assert endpoint_server.requests == []
