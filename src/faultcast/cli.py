@@ -42,7 +42,6 @@ from .errors import DataError, EndpointError, FaultcastError
 from .kpi import (
     KpiDescriptor,
     KpiId,
-    TimeSeriesDataset,
     load_dataset,
     load_descriptors,
     write_dataset,
@@ -134,7 +133,7 @@ def build_parser() -> _Parser:
 
 
 def _resolve_config(args: argparse.Namespace) -> config_mod.ToolConfig:
-    config = config_mod.load_config(args.config) if args.config else config_mod.default_config()
+    config = config_mod.load_config(args.config) if args.config else config_mod.ToolConfig()
     given = {name: getattr(args, name, None) for name in _OVERRIDE_NAMES}
     overrides = {name: text for name, text in given.items() if text is not None}
     try:
@@ -196,10 +195,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-def _load_series(path: str, config: config_mod.ToolConfig) -> TimeSeriesDataset:
-    return load_dataset(path, missing_policy=config.missing_policy)
-
-
 def _descriptor_table(config: config_mod.ToolConfig) -> dict[KpiId, KpiDescriptor]:
     if config.paths.descriptors is None:
         return {}
@@ -207,7 +202,7 @@ def _descriptor_table(config: config_mod.ToolConfig) -> dict[KpiId, KpiDescripto
 
 
 def _cmd_train(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
-    dataset = _load_series(args.data, config)
+    dataset = load_dataset(args.data, config.missing_policy)
     classifier, curve = fit_classifier(dataset, config.training)
     _ensure_parent(args.out)
     save_classifier(classifier, args.out)
@@ -221,7 +216,7 @@ def _cmd_train(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
 def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else config.sigma_grid
     classifier = load_classifier(args.model)
-    scenarios = [Scenario(name=path, dataset=_load_series(path, config)) for path in args.data]
+    scenarios = [Scenario(name=path, dataset=load_dataset(path, config.missing_policy)) for path in args.data]
     table = evaluate_scenarios(classifier, scenarios, grid)
     curve, text = table.elbow_curve(), table.elbow_csv()
     print(text, end="")
@@ -238,7 +233,7 @@ def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
 
 def _cmd_detect(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     classifier = load_classifier(args.model)
-    dataset = _load_series(args.data, config)
+    dataset = load_dataset(args.data, config.missing_policy)
     check_schema(classifier, dataset.kpis)
     sigma = config.classifier.sigma if args.sigma is None else args.sigma
     if not 0 < sigma < math.inf:
@@ -262,7 +257,7 @@ def _cmd_detect(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
 
 def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     classifier = load_classifier(args.model)
-    dataset = _load_series(args.data, config)
+    dataset = load_dataset(args.data, config.missing_policy)
     check_schema(classifier, dataset.kpis)
     report = analyze(
         classifier,
@@ -292,7 +287,7 @@ def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
 
 def _make_embedder(config: config_mod.ToolConfig, store: VectorStore):
     if store.embedder_name == "remote":
-        return RemoteEmbedder(config.endpoints, dimension=store.dimension)
+        return RemoteEmbedder(config.endpoints, store.dimension)
     return OfflineEmbedder(store.dimension)
 
 
@@ -384,7 +379,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: config_mod.ToolConfig) -> in
     scenarios = []
     for path in scenario_files:
         name = os.path.splitext(os.path.basename(path))[0]
-        dataset = _load_series(path, config)
+        dataset = load_dataset(path, config.missing_policy)
         check_schema(classifier, dataset.kpis)
         fault_path = os.path.join(args.scenarios, f"{name}.fault.json")
         fault = load_fault(fault_path) if os.path.exists(fault_path) else None

@@ -87,14 +87,6 @@ def _build(partial: dict, base: ToolConfig = ToolConfig()) -> ToolConfig:
     return from_json(_overlay(to_json(base), partial), ToolConfig, "config")
 
 
-def default_config() -> ToolConfig:
-    return ToolConfig()
-
-
-def config_from_json(text: str) -> ToolConfig:
-    return load_json(_build, "config file", text=text)
-
-
 def config_to_json(config: ToolConfig) -> str:
     return json.dumps(to_json(config), indent=2, sort_keys=True) + "\n"
 

@@ -96,34 +96,37 @@ def load_json(
     build: Callable[[dict[str, Any]], T],
     what: str,
     *,
-    path: str | os.PathLike[str] | None = None,
-    text: str = "",
+    path: str | os.PathLike[str],
     version: int | None = None,
 ) -> T:
-    """Decode one JSON object from ``path`` (or else ``text``) and ``build`` a value from it.
+    """Decode the JSON object in the file at ``path`` and ``build`` a value from it.
 
-    An unreadable file raises :class:`IoError`.  Text that is not JSON, a
-    document that is not an object (or whose ``version`` differs, when one is
-    given), and a ``KeyError``, ``TypeError``, ``ValueError``,
-    ``AttributeError`` or ``OverflowError`` raised by ``build`` raise
-    :class:`SchemaError`; ``what`` names the document.  Every
-    :class:`DataError` from a file ends with the file's path.
+    An unreadable file raises :class:`IoError`.  Text that is not JSON or
+    holds the literal ``NaN`` (``Infinity`` is read as a float), a document
+    that is not an object (or whose ``version`` is not the given integer),
+    and a ``KeyError``, ``TypeError``, ``ValueError``, ``AttributeError`` or
+    ``OverflowError`` raised by ``build`` raise :class:`SchemaError`; ``what``
+    names the document.  Every :class:`DataError` ends with the file's path.
     """
-    where = "" if path is None else f" (in {path})"
+    where = f" (in {path})"
+
+    def constant(literal: str) -> float:
+        if literal == "NaN":
+            raise SchemaError(f"{what} holds the JSON literal NaN, which is not a number{where}")
+        return float(literal)
+
     try:
-        if path is None:
-            payload = json.loads(text)
-        else:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle, parse_constant=constant)
     except OSError as exc:
         raise IoError(f"cannot read {what}: {path}") from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise SchemaError(f"{what} is not valid JSON{where}") from exc
     if not isinstance(payload, dict):
         raise SchemaError(f"{what} must hold a JSON object{where}")
-    if version is not None and payload.get("version") != version:
-        raise SchemaError(f"unsupported {what} version {payload.get('version')!r}{where}")
+    found = payload.get("version")
+    if version is not None and (type(found) is not int or found != version):
+        raise SchemaError(f"unsupported {what} version {found!r}{where}")
     try:
         return build(payload)
     except KeyError as exc:
@@ -131,6 +134,4 @@ def load_json(
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SchemaError(f"malformed {what}: {exc}{where}") from exc
     except DataError as exc:
-        if path is None:
-            raise
         raise type(exc)(f"{exc}{where}") from exc

@@ -6,10 +6,10 @@ embedder (hashed bag of words, no network) or by a remote embedding endpoint.
 The store keeps every chunk with its vector in a single JSON file.
 
 In memory the store holds all embeddings in one read-only
-``(n_embedded, dimension)`` float64 matrix beside the norm of each row.  Each
-chunk's ``embedding`` is a view of its row, so no vector is stored twice;
-chunks without an embedding have no row.  Only ``add_document`` and ``load``
-change the matrix, and retrieval is one matrix-vector product.
+``(n_chunks, dimension)`` float64 matrix beside the norm of each row.  Each
+chunk's ``embedding`` is a view of its row, so no vector is stored twice.
+Only ``add_document`` and ``load`` change the matrix, and retrieval is one
+matrix-vector product.
 
 The offline embedder hashes each lowercase alphanumeric token with FNV-1a
 (64 bit), buckets the hash modulo the dimension, counts, and L2-normalizes.
@@ -125,9 +125,9 @@ class OfflineEmbedder:
 class RemoteEmbedder:
     """Embedding endpoint client: POST {base_url}/embed, one input per call."""
 
-    def __init__(self, endpoint: endpoints.EndpointsConfig, dimension: int | None = None):
+    def __init__(self, endpoint: endpoints.EndpointsConfig, dimension: int):
         self.endpoint = endpoint
-        self.dimension = dimension if dimension is not None else 0
+        self.dimension = dimension
 
     def embed(self, text: str) -> np.ndarray:
         if not text:
@@ -139,8 +139,6 @@ class RemoteEmbedder:
             vector = from_json(body["embeddings"][0], Vector, "embedding response", "embeddings[0]")
         except (KeyError, IndexError, TypeError, SchemaError) as exc:
             raise EndpointError(f"malformed embedding response: {exc}") from exc
-        if self.dimension == 0:
-            self.dimension = len(vector)
         if len(vector) != self.dimension:
             raise DimensionMismatch(
                 f"endpoint returned {len(vector)} dimensions, expected {self.dimension}"
@@ -236,9 +234,10 @@ class VectorStore:
     """All chunks of all ingested documents plus a document manifest.
 
     ``matrix`` row ``i`` is the embedding of ``rows[i]`` and ``norms[i]`` its
-    Euclidean norm.  ``rows`` lists the embedded chunks; chunks that share an
-    id keep their relative order from ``chunks``, which retrieval's tie-break
-    on chunk_id relies on.
+    Euclidean norm.  ``rows`` lists every chunk, in the order of their rows;
+    chunks that share an id keep their relative order from ``chunks``, which
+    retrieval's tie-break on chunk_id relies on.  Every chunk carries an
+    embedding: ``add_document`` and ``load`` refuse a chunk without one.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION, embedder_name: str = "offline"):
@@ -308,21 +307,19 @@ class VectorStore:
             "version": 1,
         }
         row_of = {id(chunk): row for row, chunk in enumerate(self.rows)}
-        rows = [row_of.get(id(chunk)) for chunk in self.chunks]
-        embedded = [row for row in rows if row is not None]
+        rows = [row_of[id(chunk)] for chunk in self.chunks]
         # A block of rows at a time, in write order: a dense store, whose
         # values are all distinct, never holds all their strings at once.
         step = max(1, _FORMAT_BLOCK // self.dimension)
         values = itertools.chain.from_iterable(
-            _row_values(self.matrix[embedded[i : i + step]]) for i in range(0, len(embedded), step)
+            _row_values(self.matrix[rows[i : i + step]]) for i in range(0, len(rows), step)
         )
         try:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write('{\n "chunks": [')
                 separator = "\n"
-                for chunk, row in zip(self.chunks, rows):
-                    embedding = None if row is None else ",\n    ".join(next(values).tolist())
-                    handle.write(separator + _chunk_json(chunk, embedding))
+                for chunk, row_values in zip(self.chunks, values):
+                    handle.write(separator + _chunk_json(chunk, ",\n    ".join(row_values.tolist())))
                     separator = ",\n"
                 handle.write("\n ],\n" if self.chunks else "],\n")
                 # The tail's keys sort after "chunks" and sit at the same depth.
@@ -347,12 +344,8 @@ class VectorStore:
         store.manifest = manifest
         entries = payload["chunks"]
         store.chunks = [_chunk_from_json(entry) for entry in entries]
-        vectors = [entry["embedding"] for entry in entries]
-        rows = [chunk for chunk, vector in zip(store.chunks, vectors) if vector is not None]
-        matrix = _embedding_matrix(
-            [vector for vector in vectors if vector is not None], store.dimension
-        )
-        store._set_rows(rows, matrix, _row_norms(matrix))
+        matrix = _embedding_matrix([entry["embedding"] for entry in entries], store.dimension)
+        store._set_rows(list(store.chunks), matrix, _row_norms(matrix))
         return store
 
 
@@ -392,20 +385,18 @@ def _row_values(matrix: np.ndarray) -> np.ndarray:
     return np.array(reprs, dtype=object)[codes]
 
 
-def _chunk_json(chunk: KnowledgeChunk, values: str | None) -> str:
+def _chunk_json(chunk: KnowledgeChunk, values: str) -> str:
     """One chunk as ``json.dumps(..., indent=1, sort_keys=True)`` prints it in a store.
 
-    ``values`` is its embedding's entries joined as they are written, or
-    ``None`` for a chunk without an embedding.
+    ``values`` is its embedding's entries joined as they are written.
     """
-    embedding = "null" if values is None else f"[\n    {values}\n   ]"
     return (
         "  {\n"
         f'   "char_end": {json.dumps(chunk.char_end)},\n'
         f'   "char_start": {json.dumps(chunk.char_start)},\n'
         f'   "chunk_id": {json.dumps(chunk.chunk_id)},\n'
         f'   "doc_id": {json.dumps(chunk.doc_id)},\n'
-        f'   "embedding": {embedding},\n'
+        f'   "embedding": [\n    {values}\n   ],\n'
         f'   "section": {json.dumps(chunk.section)},\n'
         f'   "text": {json.dumps(chunk.text)}\n'
         "  }"

@@ -119,9 +119,6 @@ class TimeSeriesDataset:
     def n_rows(self) -> int:
         return int(self.values.shape[0])
 
-    def column(self, kpi: KpiId) -> np.ndarray:
-        return self.values[:, self.kpis.index(kpi)]
-
 
 def _parse_timestamp(cell: str, row_no: int) -> int:
     text = cell.strip()
@@ -234,7 +231,7 @@ class NormalizationStats:
     """Per-column mean and population standard deviation.
 
     ``std`` is recorded exactly as measured; a zero entry means the column was
-    constant and an effective scale of 1.0 is used when (de)normalizing.
+    constant and an effective scale of 1.0 is used when normalizing.
     """
 
     mean: Vector
@@ -259,14 +256,6 @@ class NormalizationStats:
                 f"expected {self.mean.shape[0]} columns, got {values.shape[-1]}"
             )
         return (values - self.mean) / self.effective_std
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape[-1] != self.mean.shape[0]:
-            raise DimensionMismatch(
-                f"expected {self.mean.shape[0]} columns, got {values.shape[-1]}"
-            )
-        return values * self.effective_std + self.mean
 
 
 def fit_normalization(dataset: TimeSeriesDataset) -> NormalizationStats:

@@ -313,14 +313,6 @@ def report_to_json(report: AnomalyReport) -> str:
     return json.dumps(to_json(report), indent=2, sort_keys=True)
 
 
-def report_from_json(text: str) -> AnomalyReport:
-    """Inverse of :func:`report_to_json`."""
-    return load_json(_report_from_payload, "report", text=text)
-
-
 def load_report(path: str | os.PathLike[str]) -> AnomalyReport:
-    return load_json(_report_from_payload, "report", path=path)
-
-
-def _report_from_payload(payload: dict) -> AnomalyReport:
-    return from_json(payload, AnomalyReport, "report")
+    """Inverse of :func:`report_to_json`, read from a file."""
+    return load_json(lambda payload: from_json(payload, AnomalyReport, "report"), "report", path=path)

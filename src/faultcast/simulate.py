@@ -202,25 +202,17 @@ class EvalRow:
 
 @dataclass(frozen=True)
 class EvaluationTable:
-    """Cross product of scenarios and sigma values, plus per-sigma FP totals."""
+    """Cross product of scenarios and sigma values."""
 
     rows: tuple[EvalRow, ...]
-    totals: dict[float, int]
 
-    def scenario_names(self) -> list[str]:
-        names: list[str] = []
-        for row in self.rows:
-            if row.scenario not in names:
-                names.append(row.scenario)
-        return names
-
-    def elbow_curve(self, failure_free_only: bool = True) -> list[tuple[float, int]]:
+    def elbow_curve(self) -> list[tuple[float, int]]:
         """Per-sigma FP totals as (sigma, total_fp), the knee-selection input.
 
         Restricted to failure-free scenarios when any exist (their false
         positives are what threshold tuning minimizes); otherwise all rows.
         """
-        use_all = not failure_free_only or not any(r.failure_free for r in self.rows)
+        use_all = not any(r.failure_free for r in self.rows)
         curve: dict[float, int] = {}
         for row in self.rows:
             if use_all or row.failure_free:
@@ -239,12 +231,13 @@ class EvaluationTable:
 
     def to_text(self) -> str:
         """Aligned table: one row per sigma, one column per scenario (fp/pred)."""
-        names = self.scenario_names()
+        names = list(dict.fromkeys(row.scenario for row in self.rows))
         sigmas = sorted({row.sigma for row in self.rows})
         cells = {(row.scenario, row.sigma): f"{row.fp_count}/{row.prediction_count}" for row in self.rows}
+        totals = {sigma: sum(row.fp_count for row in self.rows if row.sigma == sigma) for sigma in sigmas}
         header = ["sigma", *names, "total_fp"]
         body = [
-            [f"{sigma:g}", *(cells.get((name, sigma), "-") for name in names), str(self.totals[sigma])]
+            [f"{sigma:g}", *(cells.get((name, sigma), "-") for name in names), str(totals[sigma])]
             for sigma in sigmas
         ]
         widths = [max(len(r[i]) for r in [header, *body]) for i in range(len(header))]
@@ -262,7 +255,6 @@ def evaluate_scenarios(
 ) -> EvaluationTable:
     """Sigma-sweep every scenario against one trained classifier."""
     rows: list[EvalRow] = []
-    totals: dict[float, int] = {float(s): 0 for s in grid}
     for scenario in scenarios:
         onset = scenario.fault.onset if scenario.fault is not None else None
         for point in sigma_sweep(classifier, scenario.dataset, grid, fault_onset=onset):
@@ -275,8 +267,7 @@ def evaluate_scenarios(
                     failure_free=scenario.fault is None,
                 )
             )
-            totals[point.sigma] += point.fp_count
-    return EvaluationTable(rows=tuple(rows), totals=totals)
+    return EvaluationTable(rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -358,22 +349,10 @@ def spec_to_json(spec: SimulationSpec) -> str:
     return json.dumps(to_json(spec), indent=2, sort_keys=True)
 
 
-def spec_from_json(text: str) -> SimulationSpec:
-    return load_json(_spec_from_payload, "simulation spec", text=text)
-
-
-def _spec_from_payload(payload: dict) -> SimulationSpec:
-    return from_json(payload, SimulationSpec, "simulation spec")
-
-
 def fault_to_json(fault: FaultSpec) -> str:
     payload = to_json(fault)
     payload["ground_truth_component"] = fault.ground_truth_component
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def fault_from_json(text: str) -> FaultSpec:
-    return load_json(_fault_from_payload, "fault spec", text=text)
 
 
 def _fault_from_payload(payload: dict) -> FaultSpec:
@@ -383,7 +362,7 @@ def _fault_from_payload(payload: dict) -> FaultSpec:
 
 
 def load_spec(path: str | os.PathLike[str]) -> SimulationSpec:
-    return load_json(_spec_from_payload, "simulation spec", path=path)
+    return load_json(lambda p: from_json(p, SimulationSpec, "simulation spec"), "simulation spec", path=path)
 
 
 def load_fault(path: str | os.PathLike[str]) -> FaultSpec:

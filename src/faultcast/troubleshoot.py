@@ -81,16 +81,6 @@ def build_prompt(
     return QUESTION_PREFIX + spec.separator.join(descriptions)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors; 0 if either is zero."""
-    if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
-    denominator = np.linalg.norm(a) * np.linalg.norm(b)
-    if denominator == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / denominator)
-
-
 def retrieve(
     store: VectorStore,
     query_embedding: np.ndarray,
@@ -98,10 +88,10 @@ def retrieve(
 ) -> list[tuple[KnowledgeChunk, float]]:
     """Most similar chunks, descending; ties broken by ascending chunk_id.
 
-    Scores every embedded chunk with one product of the store's matrix and
-    the query; chunks without an embedding are skipped.  A tie means equal
-    computed similarity, so vectors at the same true angle to the query may
-    rank by the last bits of their rounding instead of by chunk_id.
+    Scores every chunk with one product of the store's matrix and the
+    query.  A tie means equal computed similarity, so vectors at the same
+    true angle to the query may rank by the last bits of their rounding
+    instead of by chunk_id.
     """
     if len(store) == 0:
         raise EmptyStore("cannot retrieve from an empty store")

@@ -6,6 +6,7 @@ import numpy as np
 
 from faultcast.autoencoder import AutoencoderModel, TrainingConfig, bottleneck_layer_sizes, forward
 from faultcast.classifier import ErrorBaseline, TrainedClassifier
+from faultcast.errors import DimensionMismatch
 from faultcast.kpi import KpiId, NormalizationStats
 
 
@@ -54,3 +55,23 @@ def batch_loss(model: AutoencoderModel, batch: np.ndarray) -> float:
     """Reference MSE matching the training objective (mean over rows and KPIs)."""
     batch = np.asarray(batch, dtype=np.float64)
     return float(np.mean((batch - forward(model, batch)) ** 2))
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of the angle between two vectors; 0 if either is zero.
+
+    The brute-force reference that retrieval's one matrix product is checked against.
+    """
+    if len(a) != len(b):
+        raise DimensionMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
+    denominator = np.linalg.norm(a) * np.linalg.norm(b)
+    if denominator == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / denominator)
+
+
+def load_text(loader, text: str, directory):
+    """``loader`` applied to a file under ``directory`` that holds ``text``."""
+    path = directory / "artifact.json"
+    path.write_text(text, encoding="utf-8")
+    return loader(path)

@@ -3,9 +3,9 @@
 Each test starts from a valid model, store, report, config, simulation spec
 or fault spec, applies one mutation anywhere in it (drop a key or a list
 item, or put a string, ``null``, a list, a boolean or the literal ``1e400``
-in place of a value) and loads the result.  The loaders must return or raise
-a :class:`FaultcastError`; the command line must exit 0, or exit 2 with one
-error line and no traceback.
+in place of a value) and loads the result from a file.  The loaders must
+return or raise a :class:`FaultcastError`; the command line must exit 0, or
+exit 2 with one error line and no traceback.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ from __future__ import annotations
 import ast
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 import faultcast
 from faultcast import cli
 from faultcast.classifier import StateVerdict, load_classifier, save_classifier
-from faultcast.config import config_from_json, config_to_json, default_config, load_config
+from faultcast.config import ToolConfig, config_to_json, load_config
 from faultcast.errors import FaultcastError, SchemaError
 from faultcast.knowledge import OfflineEmbedder, VectorStore, ingest_files
 from faultcast.kpi import KpiId, TimeSeriesDataset, load_dataset, load_descriptors, write_dataset
@@ -38,21 +40,18 @@ from faultcast.ranker import (
     KpiAnomaly,
     RankedCause,
     load_report,
-    report_from_json,
     report_to_json,
 )
 from faultcast.simulate import (
     FaultSpec,
-    fault_from_json,
     fault_to_json,
     load_fault,
     load_spec,
     make_chain_spec,
-    spec_from_json,
     spec_to_json,
 )
 
-from helpers import make_classifier, unit_baseline, zero_model
+from helpers import load_text, make_classifier, unit_baseline, zero_model
 
 LOAD = KpiId("load", "pump")
 TEMP = KpiId("temp", "pump")
@@ -132,7 +131,7 @@ PINNED = {
         "c514e0e8f49e626eb33953e405373f90b1424de6c81e0ef52c4b901902644fad",
     ),
     "config": (
-        lambda _path: config_to_json(default_config()).encode(),
+        lambda _path: config_to_json(ToolConfig()).encode(),
         "fe5ed9879fe3d2adccb7343a0a971595c9e2056308a929bc009ef9d60603a2f9",
     ),
     "report": (
@@ -199,7 +198,7 @@ def valid(tmp_path_factory, manuals) -> dict[str, dict]:
         "model": json.loads((root / "model.json").read_text(encoding="utf-8")),
         "store": json.loads((root / "store.json").read_text(encoding="utf-8")),
         "report": json.loads(report_to_json(_report())),
-        "config": json.loads(config_to_json(default_config())),
+        "config": json.loads(config_to_json(ToolConfig())),
         "spec": json.loads(spec_to_json(spec)),
         "fault": json.loads(fault_to_json(fault)),
     }
@@ -210,22 +209,13 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated")
 
 
-def _load_file(loader):
-    def load(text, directory):
-        path = directory / "mutated.json"
-        path.write_text(text, encoding="utf-8")
-        return loader(path)
-
-    return load
-
-
 LOADERS = {
-    "model": _load_file(load_classifier),
-    "store": _load_file(VectorStore.load),
-    "report": lambda text, _directory: report_from_json(text),
-    "config": lambda text, _directory: config_from_json(text),
-    "spec": lambda text, _directory: spec_from_json(text),
-    "fault": lambda text, _directory: fault_from_json(text),
+    "model": load_classifier,
+    "store": VectorStore.load,
+    "report": load_report,
+    "config": load_config,
+    "spec": load_spec,
+    "fault": load_fault,
 }
 
 
@@ -235,14 +225,12 @@ LOADERS = {
 def test_mutated_payload_loads_or_raises_a_faultcast_error(kind, valid, scratch, data):
     text = _mutated(valid[kind], data)
     try:
-        LOADERS[kind](text, scratch)
+        load_text(LOADERS[kind], text, scratch)
     except FaultcastError:
         pass
 
 
-@pytest.mark.parametrize(
-    "loader", [load_classifier, VectorStore.load, load_report, load_config, load_spec, load_fault]
-)
+@pytest.mark.parametrize("loader", LOADERS.values())
 def test_a_file_that_is_not_utf8_is_a_schema_error_naming_it(loader, tmp_path):
     path = tmp_path / "binary.json"
     path.write_bytes(b'{"version": 1, "\xff": 0}')
@@ -337,3 +325,57 @@ def test_cli_exits_zero_or_two_with_one_error_line(case, valid, workspace, scrat
         # "error: " is a typed failure that is not a data problem, such as
         # an anomalous KPI without a description (MissingDescriptor).
         assert err.startswith(("data error: ", "error: ")), err
+
+
+# case -> (the input that is edited, the edit, the message of its refusal)
+REFUSED = {
+    "null embedding": (
+        "store",
+        lambda store: store["chunks"][0].update(embedding=None),
+        "embedding is not a list",
+    ),
+    "store version 1.0": ("store", lambda store: store.update(version=1.0), "unsupported store version 1.0"),
+    "store version true": ("store", lambda store: store.update(version=True), "unsupported store version True"),
+    "NaN anomaly score": (
+        "report",
+        lambda report: report["anomalous_kpis"][0].update(score=math.nan),
+        "report holds the JSON literal NaN, which is not a number",
+    ),
+}
+
+
+def _edited(valid, case, directory) -> tuple[str, Path]:
+    kind, edit, _ = REFUSED[case]
+    payload = copy.deepcopy(valid[kind])
+    edit(payload)
+    path = directory / f"{kind}.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return kind, path
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_troubleshoot_exits_two_with_one_line_naming_the_file(case, valid, workspace, tmp_path):
+    kind, bad = _edited(valid, case, tmp_path)
+    files = {name: workspace / f"{name}.json" for name in ("report", "store")}
+    files[kind] = bad
+    argv = ["troubleshoot", "--report", str(files["report"]), "--paths.kb_store", str(files["store"])]
+    code, err = _run([*argv, "--out", str(tmp_path / "answer.md")])
+    assert code == 2
+    assert err == f"data error: {REFUSED[case][2]} (in {bad})\n"
+
+
+def test_kb_ingest_exits_two_on_a_chunk_without_embedding(valid, manuals, tmp_path):
+    _, bad = _edited(valid, "null embedding", tmp_path)
+    code, err = _run(["kb", "ingest", str(manuals[0]), "--paths.kb_store", str(bad)])
+    assert code == 2
+    assert err == f"data error: embedding is not a list (in {bad})\n"
+
+
+def test_a_report_with_an_infinite_f_statistic_loads(tmp_path):
+    """An exact unrestricted Granger fit gives F = inf, written as the literal Infinity."""
+    report = _report()
+    edge = dataclasses.replace(report.graph.edges[0], f_stat=math.inf)
+    report = dataclasses.replace(report, graph=dataclasses.replace(report.graph, edges=(edge,)))
+    text = report_to_json(report)
+    assert '"f": Infinity' in text
+    assert load_text(load_report, text, tmp_path) == report

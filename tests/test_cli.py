@@ -33,7 +33,7 @@ from faultcast.classifier import (
     threshold,
 )
 from faultcast.kpi import KpiId, TimeSeriesDataset, load_dataset, write_dataset
-from faultcast.ranker import AnomalyReport, KpiAnomaly, report_from_json, report_to_json
+from faultcast.ranker import AnomalyReport, KpiAnomaly, load_report, report_to_json
 from faultcast.simulate import (
     FaultSpec,
     Scenario,
@@ -515,7 +515,7 @@ class TestRank:
         message = capsys.readouterr().out
         assert "is anomalous" in message
         assert f"report: {out}" in message
-        report = report_from_json(out.read_text(encoding="utf-8"))
+        report = load_report(out)
         assert report.verdict.anomalous
         assert report.verdict.timestamp == 259
         assert report.anomalous_kpis
@@ -542,7 +542,7 @@ class TestRank:
         )
         assert rc == 0
         assert "is normal" in capsys.readouterr().out
-        report = report_from_json(out.read_text(encoding="utf-8"))
+        report = load_report(out)
         assert not report.verdict.anomalous
         assert report.anomalous_kpis == ()
         assert report.root_cause_kpis == ()

@@ -13,9 +13,7 @@ from faultcast.config import (
     PathsConfig,
     ToolConfig,
     apply_overrides,
-    config_from_json,
     config_to_json,
-    default_config,
     load_config,
     override_fields,
     parse_override_value,
@@ -23,9 +21,11 @@ from faultcast.config import (
 from faultcast.errors import IoError, SchemaError
 from faultcast.pagerank import PageRankConfig
 
+from helpers import load_text
+
 
 def test_defaults():
-    config = default_config()
+    config = ToolConfig()
     assert config.paths.kb_store == "artifacts/knowledge.json"
     assert config.paths.report_dir == "reports"
     assert config.paths.descriptors is None
@@ -84,13 +84,13 @@ def test_non_finite_values_are_refused(build, value):
 
 
 def test_config_to_json_layout():
-    text = config_to_json(default_config())
+    text = config_to_json(ToolConfig())
     assert text.startswith('{\n  "classifier"')
     assert text.endswith("}\n")
 
 
-def test_json_round_trip_default_and_custom():
-    assert config_from_json(config_to_json(default_config())) == default_config()
+def test_json_round_trip_default_and_custom(tmp_path):
+    assert load_text(load_config, config_to_json(ToolConfig()), tmp_path) == ToolConfig()
     custom = ToolConfig(
         paths=PathsConfig(kb_store="kb.json", descriptors="d.csv"),
         sigma_grid=(1.0, 2.0, 4.0),
@@ -98,14 +98,14 @@ def test_json_round_trip_default_and_custom():
         llm="http",
         count_central_only=False,
     )
-    assert config_from_json(config_to_json(custom)) == custom
+    assert load_text(load_config, config_to_json(custom), tmp_path) == custom
 
 
-def test_partial_json_fills_defaults():
-    config = config_from_json('{"classifier": {"sigma": 6.0}}')
+def test_partial_json_fills_defaults(tmp_path):
+    config = load_text(load_config, '{"classifier": {"sigma": 6.0}}', tmp_path)
     assert config.classifier.sigma == 6.0
     assert config.classifier.sigma_kpi is None
-    assert config.training == default_config().training
+    assert config.training == ToolConfig().training
 
 
 @pytest.mark.parametrize(
@@ -122,22 +122,22 @@ def test_partial_json_fills_defaults():
         ('{"paths": {"kb_store": 4}}', "must be a string"),
         ('{"classifier": {"sigma": -1}}', "invalid config value"),
         ('{"classifier": {"sigma": 1e400}}', "invalid config value"),
-        ('{"pagerank": {"tolerance": NaN}}', "invalid config value"),
+        ('{"pagerank": {"tolerance": NaN}}', "literal NaN"),
         ('{"endpoints": {"timeout": Infinity}}', "invalid config value"),
         ('{"training": {"learning_rate": 1e400}}', "invalid config value"),
         ("[1, 2]", "JSON object"),
         ("{broken", "not valid JSON"),
     ],
 )
-def test_schema_errors_name_the_offending_path(payload, fragment):
+def test_schema_errors_name_the_offending_path(payload, fragment, tmp_path):
     with pytest.raises(SchemaError, match=fragment):
-        config_from_json(payload)
+        load_text(load_config, payload, tmp_path)
 
 
 def test_load_config(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(config_to_json(default_config()), encoding="utf-8")
-    assert load_config(path) == default_config()
+    path.write_text(config_to_json(ToolConfig()), encoding="utf-8")
+    assert load_config(path) == ToolConfig()
     with pytest.raises(IoError):
         load_config(tmp_path / "absent.json")
 
@@ -186,7 +186,7 @@ class TestParseOverrideValue:
 
 class TestApplyOverrides:
     def test_nested_leaf_override(self):
-        base = default_config()
+        base = ToolConfig()
         updated = apply_overrides(base, {"classifier.sigma": "6"})
         assert updated.classifier.sigma == 6.0
         assert base.classifier.sigma == 4.5
@@ -195,7 +195,7 @@ class TestApplyOverrides:
 
     def test_top_level_and_tuple_overrides(self):
         updated = apply_overrides(
-            default_config(),
+            ToolConfig(),
             {"embedder": "remote", "sigma_grid": "1,2,4", "count_central_only": "false"},
         )
         assert updated.embedder == "remote"
@@ -203,27 +203,27 @@ class TestApplyOverrides:
         assert updated.count_central_only is False
 
     def test_optional_leaf(self):
-        updated = apply_overrides(default_config(), {"training.batch_size": "16"})
+        updated = apply_overrides(ToolConfig(), {"training.batch_size": "16"})
         assert updated.training.batch_size == 16
         cleared = apply_overrides(updated, {"training.batch_size": "none"})
         assert cleared.training.batch_size is None
 
     def test_unknown_names_raise_value_error(self):
         with pytest.raises(ValueError, match="unknown config field"):
-            apply_overrides(default_config(), {"bogus.key": "1"})
+            apply_overrides(ToolConfig(), {"bogus.key": "1"})
         with pytest.raises(ValueError, match="unknown config field"):
-            apply_overrides(default_config(), {"classifier": "3"})
+            apply_overrides(ToolConfig(), {"classifier": "3"})
         with pytest.raises(ValueError, match="unknown config field"):
-            apply_overrides(default_config(), {"classifier.sigma.deep": "1"})
+            apply_overrides(ToolConfig(), {"classifier.sigma.deep": "1"})
 
     def test_invalid_values_raise_value_error(self):
         with pytest.raises(ValueError, match="bad value"):
-            apply_overrides(default_config(), {"classifier.sigma": "-1"})
+            apply_overrides(ToolConfig(), {"classifier.sigma": "-1"})
         with pytest.raises(ValueError, match="bad value"):
-            apply_overrides(default_config(), {"training.epochs": "abc"})
+            apply_overrides(ToolConfig(), {"training.epochs": "abc"})
 
     def test_empty_overrides_are_identity(self):
-        assert apply_overrides(default_config(), {}) == default_config()
+        assert apply_overrides(ToolConfig(), {}) == ToolConfig()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -232,13 +232,13 @@ class TestApplyOverrides:
             {"granger.window": "60", "granger.lag": "20"},
         ],
     )
-    def test_related_fields_are_checked_together_in_any_order(self, overrides):
-        from_file = config_from_json('{"granger": {"lag": 20, "window": 60}}')
-        assert apply_overrides(default_config(), overrides) == from_file
+    def test_related_fields_are_checked_together_in_any_order(self, overrides, tmp_path):
+        from_file = load_text(load_config, '{"granger": {"lag": 20, "window": 60}}', tmp_path)
+        assert apply_overrides(ToolConfig(), overrides) == from_file
 
     def test_an_invalid_pair_names_the_override(self):
         with pytest.raises(ValueError, match="bad value for --granger.lag"):
-            apply_overrides(default_config(), {"granger.lag": "30"})
+            apply_overrides(ToolConfig(), {"granger.lag": "30"})
 
 
 @pytest.mark.parametrize(

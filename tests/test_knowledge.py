@@ -332,7 +332,7 @@ def _store_payloads(draw, max_dimension=4, max_chunks=4, values=_VALUE, text=_TE
             "text": text,
             "char_start": st.integers(0, 10**6),
             "char_end": st.integers(0, 10**6),
-            "embedding": st.none() | st.lists(values, min_size=dimension, max_size=dimension),
+            "embedding": st.lists(values, min_size=dimension, max_size=dimension),
         }
     )
     entry = st.fixed_dictionaries({"title": text, "source": text})
@@ -367,7 +367,7 @@ _EDGE_CASE_STORE = {
             "text": "x",
             "char_start": 5,
             "char_end": 6,
-            "embedding": None,
+            "embedding": [0.0, 0.0, 0.0, 0.0],
         },
     ],
 }
@@ -404,7 +404,6 @@ def _with_embeddings(*embeddings):
 )
 @example(payload=_with_embeddings([0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.25, 0.0]))
 @example(payload=_with_embeddings([-0.0, -0.0, -0.0, -0.0], [0.0, 0.0, 0.0, 0.0]))
-@example(payload=_with_embeddings(None, None, None))
 def test_save_writes_the_bytes_of_json_dump_when_values_repeat(tmp_path_factory, payload):
     directory = tmp_path_factory.mktemp("store")
     source = directory / "source.json"
@@ -498,6 +497,7 @@ MALFORMED_STORES = {
     "short embedding": ((*FIRST_CHUNK, "embedding"), [0.5] * 3, DimensionMismatch),
     "long embedding": ((*FIRST_CHUNK, "embedding"), [0.5] * 5, DimensionMismatch),
     "embedding is not a list": ((*FIRST_CHUNK, "embedding"), 0.5, SchemaError),
+    "null embedding": ((*FIRST_CHUNK, "embedding"), None, SchemaError),
     "string value": (FIRST_VALUE, "0.5", SchemaError),
     "null value": (FIRST_VALUE, None, SchemaError),
     "nested value": (FIRST_VALUE, [0.5], SchemaError),

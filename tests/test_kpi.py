@@ -84,11 +84,10 @@ def test_dataset_validates_timestamps_and_values():
         TimeSeriesDataset(timestamps=[0], kpis=[], values=np.zeros((1, 0)))
 
 
-def test_dataset_column_lookup():
+def test_dataset_counts_rows_and_kpis():
     kpis = [parse_kpi_id("a@n"), parse_kpi_id("b@n")]
-    ds = TimeSeriesDataset(timestamps=[0, 1], kpis=kpis, values=[[1.0, 2.0], [3.0, 4.0]])
-    assert ds.n_rows == 2 and ds.n_kpis == 2
-    np.testing.assert_array_equal(ds.column(kpis[1]), [2.0, 4.0])
+    ds = TimeSeriesDataset(timestamps=[0, 1, 2], kpis=kpis, values=np.zeros((3, 2)))
+    assert ds.n_rows == 3 and ds.n_kpis == 2
 
 
 def test_load_dataset_happy_path(tmp_path):
@@ -182,13 +181,12 @@ def test_normalization_round_trip():
     raw = np.array([[3.0, -1.0], [1.0, -2.0]])
     normalized = stats.transform(raw)
     np.testing.assert_allclose(normalized, [[1.0, 2.0], [0.0, 0.0]])
-    np.testing.assert_allclose(stats.inverse(normalized), raw)
+    np.testing.assert_allclose(normalized * stats.effective_std + stats.mean, raw)
 
 
 def test_normalization_constant_column_uses_unit_scale():
     stats = NormalizationStats(mean=np.array([5.0]), std=np.array([0.0]))
     np.testing.assert_array_equal(stats.transform(np.array([[7.0]])), [[2.0]])
-    np.testing.assert_array_equal(stats.inverse(np.array([[2.0]])), [[7.0]])
     # the measured std is preserved, only the effective scale is substituted
     assert stats.std[0] == 0.0 and stats.effective_std[0] == 1.0
 
@@ -219,7 +217,7 @@ def test_normalization_transform_inverse_round_trip():
     stats = fit_normalization(ds)
     normalized = stats.transform(ds.values)
     np.testing.assert_allclose(normalized, [[-1.0], [1.0]])
-    np.testing.assert_allclose(stats.inverse(normalized), ds.values)
+    np.testing.assert_allclose(normalized * stats.effective_std + stats.mean, ds.values)
 
 
 def test_load_descriptors(tmp_path):

@@ -20,11 +20,11 @@ from faultcast.ranker import (
     attribute_components,
     build_causality_graph,
     detect_anomalous_kpis,
+    load_report,
     rank_root_causes,
-    report_from_json,
     report_to_json,
 )
-from helpers import make_classifier, zero_model
+from helpers import load_text, make_classifier, zero_model
 
 DRIVE = parse_kpi_id("drive@alpha")
 FOLLOW = parse_kpi_id("follow@beta")
@@ -409,13 +409,13 @@ def test_analyze_series_matches_analyze():
     assert reports[1].verdict.timestamp == 59
 
 
-def test_report_json_round_trip():
+def test_report_json_round_trip(tmp_path):
     classifier = _anomalous_classifier()
     history = _coupled_history()
     descriptors = {DRIVE: KpiDescriptor(kpi=DRIVE, description="drive level")}
     report = analyze(classifier, history[-1], history, 59, descriptors=descriptors)
     text = report_to_json(report)
-    assert report_from_json(text) == report
+    assert load_text(load_report, text, tmp_path) == report
     assert text.endswith("}")
     # normal reports survive the trip too
     baseline = ErrorBaseline(state_mu=1e9, state_std=0.0, kpi_mu=np.zeros(2), kpi_std=np.ones(2))
@@ -425,16 +425,16 @@ def test_report_json_round_trip():
         history,
         59,
     )
-    assert report_from_json(report_to_json(quiet)) == quiet
+    assert load_text(load_report, report_to_json(quiet), tmp_path) == quiet
 
 
-def test_report_from_json_rejects_bad_payloads():
+def test_report_from_json_rejects_bad_payloads(tmp_path):
     with pytest.raises(SchemaError):
-        report_from_json("{broken")
+        load_text(load_report, "{broken", tmp_path)
     with pytest.raises(SchemaError):
-        report_from_json("{}")
+        load_text(load_report, "{}", tmp_path)
     with pytest.raises(SchemaError):
-        report_from_json("[]")
+        load_text(load_report, "[]", tmp_path)
 
 
 # case -> (where in a full report, the value put there)
@@ -479,7 +479,7 @@ MALFORMED_REPORTS = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
-def test_report_from_json_rejects_malformed_fields(case):
+def test_report_from_json_rejects_malformed_fields(case, tmp_path):
     classifier = _anomalous_classifier()
     history = _coupled_history()
     report = analyze(classifier, history[-1], history, 59)
@@ -492,4 +492,4 @@ def test_report_from_json_rejects_malformed_fields(case):
         target = target[key]
     target[keys[-1]] = value
     with pytest.raises(SchemaError):
-        report_from_json(json.dumps(payload))
+        load_text(load_report, json.dumps(payload), tmp_path)

@@ -17,7 +17,6 @@ from faultcast.simulate import (
     Scenario,
     SimulationSpec,
     evaluate_scenarios,
-    fault_from_json,
     fault_to_json,
     generate_normal,
     inject_fault,
@@ -25,10 +24,9 @@ from faultcast.simulate import (
     load_spec,
     localization_score,
     make_chain_spec,
-    spec_from_json,
     spec_to_json,
 )
-from helpers import make_classifier, unit_baseline, zero_model
+from helpers import load_text, make_classifier, unit_baseline, zero_model
 
 A = parse_kpi_id("load@pump-1")
 B = parse_kpi_id("flow@pump-2")
@@ -317,8 +315,6 @@ class TestEvaluation:
             ("faulty", 1.5, 1, 1, False),
             ("faulty", 3.0, 1, 1, False),
         ]
-        assert sweep_table.totals == {1.5: 1, 3.0: 1}
-        assert sweep_table.scenario_names() == ["quiet", "faulty"]
 
     def test_to_csv_exact(self, sweep_table):
         assert sweep_table.to_csv() == (
@@ -331,12 +327,10 @@ class TestEvaluation:
 
     def test_elbow_curve_prefers_failure_free_rows(self, sweep_table):
         assert sweep_table.elbow_curve() == [(1.5, 0), (3.0, 0)]
-        assert sweep_table.elbow_curve(failure_free_only=False) == [(1.5, 1), (3.0, 1)]
 
     def test_elbow_curve_falls_back_to_all_rows(self, sweep_table):
         only_faulty = EvaluationTable(
-            rows=tuple(r for r in sweep_table.rows if not r.failure_free),
-            totals=sweep_table.totals,
+            rows=tuple(r for r in sweep_table.rows if not r.failure_free)
         )
         assert only_faulty.elbow_curve() == [(1.5, 1), (3.0, 1)]
 
@@ -359,13 +353,13 @@ class TestEvaluation:
 
 
 class TestSerialization:
-    def test_spec_round_trip(self):
+    def test_spec_round_trip(self, tmp_path):
         spec = make_chain_spec(components=2, kpis_per_component=2)
-        assert spec_from_json(spec_to_json(spec)) == spec
+        assert load_text(load_spec, spec_to_json(spec), tmp_path) == spec
 
-    def test_fault_round_trip(self):
+    def test_fault_round_trip(self, tmp_path):
         fault = FaultSpec(onset=120, kind="drift", target=A, magnitude=2.5)
-        assert fault_from_json(fault_to_json(fault)) == fault
+        assert load_text(load_fault, fault_to_json(fault), tmp_path) == fault
         payload = fault_to_json(fault)
         assert '"ground_truth_component": "pump-1"' in payload
 
@@ -385,11 +379,11 @@ class TestSerialization:
         with pytest.raises(IoError):
             load_fault(tmp_path / "absent.json")
         with pytest.raises(SchemaError):
-            spec_from_json("{broken")
+            load_text(load_spec, "{broken", tmp_path)
         with pytest.raises(SchemaError):
-            spec_from_json("{}")
+            load_text(load_spec, "{}", tmp_path)
         with pytest.raises(SchemaError):
-            fault_from_json('{"onset": 1}')
+            load_text(load_fault, '{"onset": 1}', tmp_path)
 
     @pytest.mark.parametrize(
         "edit",
@@ -407,19 +401,19 @@ class TestSerialization:
             {"comment": "unknown key"},
         ],
     )
-    def test_spec_with_a_bad_value_is_a_schema_error(self, edit):
+    def test_spec_with_a_bad_value_is_a_schema_error(self, edit, tmp_path):
         payload = json.loads(spec_to_json(_pair_spec(noise_std=0.3)))
         section = SPEC_SECTIONS.get(next(iter(edit)))
         (payload if section is None else payload[section][0]).update(edit)
         with pytest.raises(SchemaError):
-            spec_from_json(json.dumps(payload))
+            load_text(load_spec, json.dumps(payload), tmp_path)
 
-    def test_spec_kpi_must_carry_its_unit(self):
+    def test_spec_kpi_must_carry_its_unit(self, tmp_path):
         payload = json.loads(spec_to_json(_pair_spec(noise_std=0.3)))
         assert payload["kpis"][0]["unit"] is None
         del payload["kpis"][0]["unit"]
         with pytest.raises(SchemaError, match="missing key 'kpis\\[0\\].unit'"):
-            spec_from_json(json.dumps(payload))
+            load_text(load_spec, json.dumps(payload), tmp_path)
 
     @pytest.mark.parametrize(
         "edit",
@@ -433,14 +427,14 @@ class TestSerialization:
             {"comment": "unknown key"},
         ],
     )
-    def test_fault_with_a_bad_value_is_a_schema_error(self, edit):
+    def test_fault_with_a_bad_value_is_a_schema_error(self, edit, tmp_path):
         fault = FaultSpec(onset=2, kind="spike", target=B, magnitude=1.0)
         payload = {**json.loads(fault_to_json(fault)), **edit}
         with pytest.raises(SchemaError):
-            fault_from_json(json.dumps(payload))
+            load_text(load_fault, json.dumps(payload), tmp_path)
 
-    def test_fault_reads_without_its_derived_component(self):
+    def test_fault_reads_without_its_derived_component(self, tmp_path):
         fault = FaultSpec(onset=2, kind="spike", target=B, magnitude=1.0)
         payload = json.loads(fault_to_json(fault))
         del payload["ground_truth_component"]
-        assert fault_from_json(json.dumps(payload)) == fault
+        assert load_text(load_fault, json.dumps(payload), tmp_path) == fault

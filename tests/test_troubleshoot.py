@@ -36,10 +36,11 @@ from faultcast.troubleshoot import (
     RetrievalConfig,
     build_prompt,
     compose_augmented_prompt,
-    cosine_similarity,
     retrieve,
     troubleshoot,
 )
+
+from helpers import cosine_similarity
 
 PRESSURE = parse_kpi_id("pressure@tank-1")
 RECHARGE = parse_kpi_id("recharge-time@compressor-1")
@@ -187,12 +188,8 @@ class TestRetrieve:
 
 
 def _brute_force(store, query, config):
-    """The reference ranking: one cosine_similarity call per embedded chunk."""
-    scored = [
-        (chunk, cosine_similarity(query, chunk.embedding))
-        for chunk in store.chunks
-        if chunk.embedding is not None
-    ]
+    """The reference ranking: one cosine_similarity call per chunk."""
+    scored = [(chunk, cosine_similarity(query, chunk.embedding)) for chunk in store.chunks]
     scored.sort(key=lambda pair: (-pair[1], pair[0].chunk_id))
     return [pair for pair in scored if pair[1] >= config.min_similarity][: config.top_k]
 
@@ -259,19 +256,6 @@ class TestMatrixRetrieval:
             mine = [(c.chunk_id, s) for c, s in retrieve(multi_doc_store, query, config)]
             theirs = [(c.chunk_id, s) for c, s in retrieve(loaded, query, config)]
             assert theirs == mine
-
-    def test_chunks_without_embedding_are_skipped(self, axis_store, tmp_path):
-        path = tmp_path / "store.json"
-        axis_store.save(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["chunks"][0]["embedding"] = None
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        loaded = VectorStore.load(path)
-        assert len(loaded) == 3
-        assert loaded.chunks[0].embedding is None
-        config = RetrievalConfig(top_k=3, min_similarity=-1.0)
-        result = retrieve(loaded, np.array([1.0, 0.0, 0.0]), config)
-        assert [c.chunk_id for c, _ in result] == ["m#0001", "m#0002"]
 
 
 def test_compose_augmented_prompt_exact_layout(axis_store):
@@ -480,15 +464,14 @@ class TestHttpCompletionClient:
 
 
 class TestRemoteEmbedder:
-    def test_sends_input_and_infers_dimension(self, endpoint_server):
+    def test_sends_one_input_per_call(self, endpoint_server):
         endpoint_server.behavior = lambda path, body: (
             200,
             json.dumps({"embeddings": [[0.1, 0.2]]}).encode(),
         )
-        embedder = RemoteEmbedder(_endpoint(endpoint_server))
+        embedder = RemoteEmbedder(_endpoint(endpoint_server), 2)
         vector = embedder.embed("tank pressure")
         np.testing.assert_allclose(vector, [0.1, 0.2])
-        assert embedder.dimension == 2
         path, body = endpoint_server.requests[0]
         assert path == "/embed"
         assert body == {"model": "embed", "input": ["tank pressure"]}
@@ -501,7 +484,7 @@ class TestRemoteEmbedder:
             return 200, json.dumps(payload).encode()
 
         endpoint_server.behavior = shifting
-        embedder = RemoteEmbedder(_endpoint(endpoint_server))
+        embedder = RemoteEmbedder(_endpoint(endpoint_server), 2)
         embedder.embed("first")
         with pytest.raises(DimensionMismatch):
             embedder.embed("second")
@@ -517,7 +500,7 @@ class TestRemoteEmbedder:
 
     def test_malformed_payload(self, endpoint_server):
         endpoint_server.behavior = lambda path, body: (200, b'{"foo": 1}')
-        embedder = RemoteEmbedder(_endpoint(endpoint_server, retries=0))
+        embedder = RemoteEmbedder(_endpoint(endpoint_server, retries=0), 2)
         with pytest.raises(EndpointError, match="malformed"):
             embedder.embed("text")
 
@@ -547,7 +530,7 @@ class TestRemoteEmbedder:
         assert capsys.readouterr().err.startswith("endpoint error: malformed embedding response")
 
     def test_empty_text_never_reaches_the_network(self, endpoint_server):
-        embedder = RemoteEmbedder(_endpoint(endpoint_server))
+        embedder = RemoteEmbedder(_endpoint(endpoint_server), 2)
         with pytest.raises(ValueError):
             embedder.embed("")
         assert endpoint_server.requests == []
