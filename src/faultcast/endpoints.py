@@ -40,15 +40,19 @@ class EndpointsConfig:
 
 
 def post_json(endpoint: EndpointsConfig, route: str, payload: dict) -> dict:
-    """POST ``payload`` as JSON to ``route`` under the base URL; return the decoded JSON object."""
+    """POST ``payload`` as JSON to ``route`` under the base URL; return the decoded object (no NaN or Infinity)."""
     url = f"{endpoint.base_url.rstrip('/')}/{route}"
+
+    def constant(literal: str) -> float:
+        raise EndpointError(f"{url}: response holds the JSON literal {literal}, which is not a finite number")
+
     delay = endpoint.backoff
     failure: EndpointError | None = None
     for attempt in range(endpoint.retries + 1):
         try:
             response = requests.post(url, json=payload, timeout=endpoint.timeout)
             response.raise_for_status()
-            body = response.json()
+            body = response.json(parse_constant=constant)
             if not isinstance(body, dict):
                 raise EndpointError(f"{url}: expected a JSON object response")
             return body

@@ -24,6 +24,7 @@ import math
 import os
 import types
 import typing
+import warnings
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -106,7 +107,7 @@ class TimeSeriesDataset:
             )
         if self.timestamps.shape[0] != self.values.shape[0]:
             raise DimensionMismatch("one timestamp per row required")
-        if np.any(np.diff(self.timestamps) <= 0):
+        if np.any(self.timestamps[1:] <= self.timestamps[:-1]):  # np.diff could overflow
             raise SchemaError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise SchemaError("values must be finite")
@@ -120,14 +121,17 @@ class TimeSeriesDataset:
         return int(self.values.shape[0])
 
 
-def _parse_timestamp(cell: str, row_no: int) -> int:
+def _parse_timestamp(cell: str, path: str | os.PathLike[str], row_no: int) -> int:
     text = cell.strip()
     if not text:
-        raise MissingValue(f"row {row_no}: empty timestamp cell")
+        raise MissingValue(f"{path}: row {row_no}: empty timestamp cell")
     try:
-        return int(text)
+        value = int(text)
     except ValueError as exc:
-        raise SchemaError(f"row {row_no}: timestamp {text!r} is not an integer") from exc
+        raise SchemaError(f"{path}: row {row_no}: timestamp {text!r} is not an integer") from exc
+    if not -(2**63) <= value < 2**63:
+        raise SchemaError(f"{path}: row {row_no}: timestamp {text!r} does not fit in 64 bits")
+    return value
 
 
 def read_utf8(path: str | os.PathLike[str], what: str) -> str:
@@ -144,13 +148,37 @@ def read_utf8(path: str | os.PathLike[str], what: str) -> str:
         raise SchemaError(f"{path}: row {row_no} is not valid UTF-8") from exc
 
 
-def _csv_reader(path: str | os.PathLike[str], what: str) -> typing.Iterator[list[str]]:
-    """Rows of a UTF-8 CSV file; undecodable bytes and csv errors name their row."""
-    reader = csv.reader(io.StringIO(read_utf8(path, what), newline=""))
+def _csv_reader(text: str, path: str | os.PathLike[str]) -> typing.Iterator[list[str]]:
+    """Rows of the CSV ``text`` read from ``path``; a csv error names its row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         yield from reader
     except csv.Error as exc:
         raise SchemaError(f"{path}: row {reader.line_num}: {exc}") from exc
+
+
+def _fast_rows(text: str, n_kpis: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The timestamps and values under the header line, parsed by numpy's C reader in one call.
+
+    ``None`` leaves the rows to the per-cell loop of :func:`load_dataset`, which
+    words every error: text that is not ASCII (numpy misreads some non-ASCII
+    digits) or holds a quote or a carriage return, no rows, a cell numpy refuses,
+    a value that is not finite, or timestamps that do not strictly increase.
+    """
+    body = text.partition("\n")[2]
+    if not text.isascii() or '"' in text or "\r" in text or not body.strip():
+        return None
+    row = np.dtype([("timestamp", np.int64), ("values", np.float64, (n_kpis,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # some numpy releases read "12.0" as 12, with a warning
+            table = np.loadtxt(io.StringIO(body), dtype=row, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    timestamps, values = table["timestamp"].copy(), np.ascontiguousarray(table["values"])
+    if not np.isfinite(values).all() or not (timestamps[1:] > timestamps[:-1]).all():
+        return None
+    return timestamps, values
 
 
 def _kpi_cell(cell: str, path: str | os.PathLike[str], row_no: int) -> KpiId:
@@ -171,18 +199,22 @@ def load_dataset(path: str | os.PathLike[str], missing_policy: str = "forward_fi
     """
     if missing_policy not in ("forward_fill", "reject"):
         raise ValueError(f"unknown missing_policy: {missing_policy!r}")
-    reader = _csv_reader(path, "dataset")
+    content = read_utf8(path, "dataset")
+    reader = _csv_reader(content, path)
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"{path}: empty file") from None
     if not header or header[0].strip() != TIMESTAMP_COLUMN:
-        raise SchemaError(f"{path}: first header cell must be {TIMESTAMP_COLUMN!r}")
+        raise SchemaError(f"{path}: row 1: first header cell must be {TIMESTAMP_COLUMN!r}")
     kpis = [_kpi_cell(cell, path, 1) for cell in header[1:]]
     if not kpis:
-        raise SchemaError(f"{path}: no KPI columns")
+        raise SchemaError(f"{path}: row 1: no KPI columns")
     if len(set(kpis)) != len(kpis):
-        raise SchemaError(f"{path}: duplicate KPI columns")
+        raise SchemaError(f"{path}: row 1: duplicate KPI columns")
+    fast = _fast_rows(content, len(kpis))
+    if fast is not None:
+        return TimeSeriesDataset(timestamps=fast[0], kpis=kpis, values=fast[1])
 
     timestamps: list[int] = []
     rows: list[list[float]] = []
@@ -191,7 +223,10 @@ def load_dataset(path: str | os.PathLike[str], missing_policy: str = "forward_fi
             continue
         if len(row) != len(kpis) + 1:
             raise SchemaError(f"{path}: row {row_no} has {len(row)} cells, expected {len(kpis) + 1}")
-        timestamps.append(_parse_timestamp(row[0], row_no))
+        timestamp = _parse_timestamp(row[0], path, row_no)
+        if timestamps and timestamp <= timestamps[-1]:
+            raise SchemaError(f"{path}: row {row_no}: timestamp {timestamp} is not after {timestamps[-1]}")
+        timestamps.append(timestamp)
         parsed: list[float] = []
         for col, cell in enumerate(row[1:]):
             text = cell.strip()
@@ -270,7 +305,7 @@ def fit_normalization(dataset: TimeSeriesDataset) -> NormalizationStats:
 
 def load_descriptors(path: str | os.PathLike[str]) -> dict[KpiId, KpiDescriptor]:
     """Load a KPI descriptor table from CSV (``kpi,description[,unit]``)."""
-    reader = _csv_reader(path, "descriptor table")
+    reader = _csv_reader(read_utf8(path, "descriptor table"), path)
     try:
         header = [cell.strip() for cell in next(reader)]
     except StopIteration:

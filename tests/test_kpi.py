@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faultcast import cli
+from faultcast.classifier import save_classifier
 from faultcast.errors import (
     DataError,
     DimensionMismatch,
+    FaultcastError,
     IoError,
     MalformedKpiId,
     MissingValue,
@@ -22,6 +28,7 @@ from faultcast.kpi import (
     NormalizationStats,
     TimeSeriesDataset,
     Vector,
+    _fast_rows,
     fit_normalization,
     from_json,
     load_dataset,
@@ -30,6 +37,8 @@ from faultcast.kpi import (
     to_json,
     write_dataset,
 )
+
+from helpers import make_classifier, unit_baseline, zero_model
 
 ID_PART = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), whitelist_characters="-_."),
@@ -143,6 +152,166 @@ def test_load_dataset_schema_errors(tmp_path, body):
 def test_load_dataset_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         load_dataset(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ("0,1\n9223372036854775808,2", SchemaError, "row 3: timestamp '9223372036854775808' does not fit in 64 bits"),
+        ("-9223372036854775809,1", SchemaError, "row 2: timestamp '-9223372036854775809' does not fit in 64 bits"),
+        ("0,1\nzero,2", SchemaError, "row 3: timestamp 'zero' is not an integer"),
+        ("0,1\n ,2", MissingValue, "row 3: empty timestamp cell"),
+        ("0,1\n5,2\n5,3", SchemaError, "row 4: timestamp 5 is not after 5"),
+        ("0,1\n5,2\n\n4,3", SchemaError, "row 5: timestamp 4 is not after 5"),
+    ],
+)
+def test_timestamp_errors_name_the_file_and_row(rows, error, message, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"timestamp,a@n\n{rows}\n", encoding="utf-8")
+    with pytest.raises(error) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_timestamps_load_across_the_int64_range(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("timestamp,a@n\n-9223372036854775808,1\n9223372036854775807,2\n", encoding="utf-8")
+    np.testing.assert_array_equal(load_dataset(path).timestamps, [-(2**63), 2**63 - 1])
+
+
+# Differential fuzzer: a valid dataset, mutated, must load from numpy's C
+# reader exactly as from the per-cell loop alone (the fast reader switched
+# off), to the bit, or fail there with the same error class and message.
+
+HEADER = ["timestamp", "a@n", "b@n", "c@m"]
+VALUE_CELLS = ["abc", "nan", "inf", "-Infinity", "1e500", "", " ", "1_000", "\u0661\u0662"]
+VALUE_CELLS += [" 2.5\t", '"2.5"', "#", "2.5#x", "0x10", "+.5"]
+TIMESTAMP_CELLS = ["12.0", str(2**63), str(-(2**63) - 1), str(2**63 - 1), "1_0", "\u0661", " 7 ", '"7"', "", "x"]
+FLOAT_FORMATS = [repr, "{:.17g}".format, "{:.3e}".format, "{:f}".format]
+
+
+@st.composite
+def _rows(draw, min_rows: int = 2) -> list[list[str]]:
+    """Header and data rows of a valid dataset, as CSV cells."""
+    n_rows = draw(st.integers(min_rows, min_rows + 6))
+    start = draw(st.integers(-(2**62), 2**62))
+    steps = draw(st.lists(st.integers(1, 1000), min_size=n_rows, max_size=n_rows))
+    timestamps = [start + sum(steps[:i]) for i in range(n_rows)]
+    numbers = st.floats(min_value=-1e300, max_value=1e300, width=64)  # finite in every format
+    write = draw(st.sampled_from(FLOAT_FORMATS))
+    cells = draw(st.lists(numbers, min_size=3 * n_rows, max_size=3 * n_rows))
+    return [list(HEADER)] + [[str(t), *map(write, cells[3 * i : 3 * i + 3])] for i, t in enumerate(timestamps)]
+
+
+def _a_row(rows, draw) -> int:
+    return draw(st.integers(1, len(rows) - 1))
+
+
+def _edit_header(rows, draw) -> None:
+    column = draw(st.integers(0, len(rows[0]) - 1))
+    if draw(st.booleans()):
+        del rows[0][column]
+    else:
+        rows[0].insert(column, rows[0][column])
+
+
+def _edit_value(rows, draw) -> None:
+    row = rows[_a_row(rows, draw)]
+    if len(row) > 1:
+        row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(VALUE_CELLS))
+
+
+def _edit_timestamp(rows, draw) -> None:
+    rows[_a_row(rows, draw)][0] = draw(st.sampled_from(TIMESTAMP_CELLS))
+
+
+def _repeat_or_reverse_timestamp(rows, draw) -> None:
+    row = draw(st.integers(2, len(rows) - 1))
+    with contextlib.suppress(ValueError):
+        rows[row][0] = str(int(rows[row - 1][0]) - draw(st.integers(0, 2)))
+
+
+def _blank_line(rows, draw) -> None:
+    rows.insert(_a_row(rows, draw), [draw(st.sampled_from(["", " ", "\t"]))])
+
+
+def _trailing_comma(rows, draw) -> None:
+    rows[draw(st.integers(0, len(rows) - 1))].append("")
+
+
+MUTATIONS = [_edit_header, _edit_value, _edit_timestamp, _repeat_or_reverse_timestamp, _blank_line, _trailing_comma]
+
+
+@st.composite
+def _mutated_csv(draw, min_rows: int = 2) -> bytes:
+    rows = draw(_rows(min_rows))
+    for mutate in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        mutate(rows, draw)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    data = ending.join(",".join(row) for row in rows).encode("utf-8") + draw(st.sampled_from([b"", ending.encode()]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x00"])) + data[at:]
+    return data
+
+
+def _outcome(path, missing_policy: str) -> tuple:
+    try:
+        dataset = load_dataset(path, missing_policy)
+    except FaultcastError as exc:
+        return type(exc), str(exc)
+    timestamps, values = dataset.timestamps, dataset.values
+    layout = (timestamps.dtype, timestamps.flags.c_contiguous, values.dtype, values.shape, values.flags.c_contiguous)
+    return layout, timestamps.tobytes(), values.tobytes(), dataset.kpis
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv-fuzz")
+
+
+@settings(max_examples=400)
+@given(data=_mutated_csv(), missing_policy=st.sampled_from(["forward_fill", "reject"]))
+def test_load_dataset_equals_the_per_cell_loop(scratch, data, missing_policy):
+    path = scratch / "data.csv"
+    path.write_bytes(data)
+    fast = _outcome(path, missing_policy)
+    with mock.patch("faultcast.kpi._fast_rows", return_value=None):
+        assert fast == _outcome(path, missing_policy)
+
+
+@given(rows=_rows())
+def test_the_fast_reader_reads_a_plain_dataset(rows):
+    text = "\n".join(",".join(row) for row in rows) + "\n"
+    timestamps, values = _fast_rows(text, len(HEADER) - 1)
+    assert timestamps.tolist() == [int(row[0]) for row in rows[1:]]
+    assert values.tobytes() == np.array([[float(cell) for cell in row[1:]] for row in rows[1:]]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def cli_model(scratch):
+    kpis = [parse_kpi_id(cell) for cell in HEADER[1:]]
+    path = scratch / "model.json"
+    save_classifier(make_classifier(zero_model(len(kpis)), unit_baseline(len(kpis)), kpis), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "detect", "rank"])
+@settings(max_examples=40)
+@given(data=_mutated_csv(min_rows=40))
+def test_cli_reads_a_mutated_dataset_or_exits_two_with_one_line(command, scratch, cli_model, data):
+    path = scratch / "cli.csv"
+    path.write_bytes(data)
+    argv = [command, "--data", str(path), "--out", str(scratch / "out")]
+    argv += ["--training.epochs", "1"] if command == "train" else ["--model", str(cli_model)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2, err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 @given(

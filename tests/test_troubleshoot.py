@@ -426,6 +426,14 @@ class TestPostJson:
         assert len(endpoint_server.requests) == 1
         assert recorded_sleeps == []
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_finite_literal_fails_without_retry(self, endpoint_server, recorded_sleeps, literal):
+        endpoint_server.behavior = lambda path, body: (200, f'{{"embeddings": [[{literal}]]}}'.encode())
+        with pytest.raises(EndpointError, match=f"JSON literal {literal}, which is not a finite number"):
+            endpoints.post_json(_endpoint(endpoint_server, retries=2), "x", {})
+        assert len(endpoint_server.requests) == 1
+        assert recorded_sleeps == []
+
     def test_timeout_raises_the_timeout_subclass(self, endpoint_server):
         def slow(path, body):
             time.sleep(0.5)
