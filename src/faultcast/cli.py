@@ -259,6 +259,9 @@ def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     classifier = load_classifier(args.model)
     dataset = load_dataset(args.data, config.missing_policy)
     check_schema(classifier, dataset.kpis)
+    descriptors = _descriptor_table(config) or None
+    if dataset.n_rows < config.granger.window:
+        raise DataError(f"{args.data}: {dataset.n_rows} rows, fewer than granger.window = {config.granger.window}")
     report = analyze(
         classifier,
         dataset.values[-1],
@@ -267,7 +270,7 @@ def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
         classifier_config=config.classifier,
         granger_config=config.granger,
         pagerank_config=config.pagerank,
-        descriptors=_descriptor_table(config) or None,
+        descriptors=descriptors,
         count_central_only=config.count_central_only,
     )
     out = _out_path(args, config, "report", ".json")

@@ -1,20 +1,21 @@
 """HTTP plumbing shared by the embedding and completion clients.
 
 :class:`EndpointsConfig` holds the service address, the model names and the
-retry policy.  :func:`post_json` sends one JSON POST with bounded retries:
-after the first failure the call is retried ``retries`` times with
-exponentially growing pauses.  All failure modes end in
-:class:`EndpointError` (or its :class:`Timeout` subclass when the last
-attempt timed out).
+retry policy.  :func:`post_json` sends one JSON POST to an ``http`` or
+``https`` URL through :mod:`urllib.request`; after the first failure the
+call is retried ``retries`` times with exponentially growing pauses.  All
+failure modes end in :class:`EndpointError` (or its :class:`Timeout`
+subclass when the last attempt timed out).
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
 import time
+import urllib.request
 from dataclasses import dataclass
-
-import requests
 
 from .errors import EndpointError, Timeout
 
@@ -42,6 +43,8 @@ class EndpointsConfig:
 def post_json(endpoint: EndpointsConfig, route: str, payload: dict) -> dict:
     """POST ``payload`` as JSON to ``route`` under the base URL; return the decoded object (no NaN or Infinity)."""
     url = f"{endpoint.base_url.rstrip('/')}/{route}"
+    if not url.lower().startswith(("http://", "https://")):
+        raise EndpointError(f"{endpoint.base_url}: base URL must be an http:// or https:// URL")
 
     def constant(literal: str) -> float:
         raise EndpointError(f"{url}: response holds the JSON literal {literal}, which is not a finite number")
@@ -50,18 +53,20 @@ def post_json(endpoint: EndpointsConfig, route: str, payload: dict) -> dict:
     failure: EndpointError | None = None
     for attempt in range(endpoint.retries + 1):
         try:
-            response = requests.post(url, json=payload, timeout=endpoint.timeout)
-            response.raise_for_status()
-            body = response.json(parse_constant=constant)
+            data = json.dumps(payload, allow_nan=False).encode()
+            request = urllib.request.Request(url, data, {"Content-Type": "application/json"})
+            with urllib.request.urlopen(request, timeout=endpoint.timeout) as response:
+                body = json.loads(response.read(), parse_constant=constant)
             if not isinstance(body, dict):
                 raise EndpointError(f"{url}: expected a JSON object response")
             return body
-        except requests.Timeout as exc:
-            failure = Timeout(f"{url}: no answer within {endpoint.timeout}s")
-            failure.__cause__ = exc
-        except (requests.RequestException, ValueError) as exc:
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             failure = EndpointError(f"{url}: {exc}")
+            if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
+                failure = Timeout(f"{url}: no answer within {endpoint.timeout}s")
             failure.__cause__ = exc
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # free the error response's socket now, not when the chain is collected
         if attempt < endpoint.retries:
             time.sleep(delay)
             delay *= 2

@@ -320,6 +320,8 @@ def load_descriptors(path: str | os.PathLike[str]) -> dict[KpiId, KpiDescriptor]
         if len(row) < 2:
             raise SchemaError(f"{path}: row {row_no} has {len(row)} cell, expected at least 2")
         kpi = _kpi_cell(row[0], path, row_no)
+        if kpi in table:
+            raise SchemaError(f"{path}: row {row_no}: duplicate KPI {kpi}")
         unit = row[2].strip() or None if has_unit and len(row) > 2 else None
         table[kpi] = KpiDescriptor(kpi=kpi, description=row[1].strip(), unit=unit)
     return table

@@ -195,6 +195,18 @@ class TestParsing:
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage error: ")
 
+    def test_importing_the_cli_loads_no_third_party_http_client(self) -> None:
+        # Only what faultcast itself adds counts: site hooks and numpy/scipy may
+        # load some of these names on their own (numpy.f2py tries charset_normalizer).
+        code = (
+            "import sys, numpy, scipy.special; before = set(sys.modules); import faultcast.cli; "
+            "print(*{name.split('.')[0] for name in set(sys.modules) - before})"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
+        loaded = set(proc.stdout.split())
+        assert "faultcast" in loaded
+        assert not loaded & {"requests", "urllib3", "idna", "charset_normalizer", "certifi"}
+
 
 class TestTrain:
     def test_train_writes_a_loadable_model(self, ws, tmp_path, capsys) -> None:
@@ -552,6 +564,10 @@ class TestRank:
         [
             (b"kpi,description\nload@component-1\n", "row 2 has 1 cell, expected at least 2"),
             (b"kpi,description\nload@component-1,caf\xe9\n", "row 2 is not valid UTF-8"),
+            (
+                b"kpi,description\nload@component-1,first text\nload@component-1,second text\n",
+                "row 3: duplicate KPI load@component-1",
+            ),
         ],
     )
     def test_bad_descriptor_table_exits_two(self, ws, tmp_path, capsys, table, message) -> None:
@@ -561,6 +577,17 @@ class TestRank:
         assert cli.main([*argv, "--paths.descriptors", str(descriptors)]) == 2
         err = capsys.readouterr().err
         assert err == f"data error: {descriptors}: {message}\n"
+
+    @pytest.mark.parametrize("rows", [0, 19])
+    def test_too_few_rows_for_the_granger_window_exits_two(self, ws, tmp_path, capsys, rows) -> None:
+        lines = Path(ws.faulty).read_text(encoding="utf-8").splitlines(keepends=True)
+        data = tmp_path / "short.csv"
+        data.write_text("".join(lines[: rows + 1]), encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert cli.main(["rank", "--data", str(data), "--model", ws.model, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {data}: {rows} rows, fewer than granger.window = 40\n"
+        assert not out.exists()
 
 
 class TestKnowledgeBase:
@@ -802,6 +829,17 @@ class TestTroubleshoot:
         )
         assert rc == 3
         assert capsys.readouterr().err.startswith("endpoint error: ")
+
+    def test_http_llm_refuses_a_file_url(self, manuals, tmp_path, monkeypatch, capsys) -> None:
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["kb", "ingest", str(manuals[0])]) == 0
+        capsys.readouterr()
+        (tmp_path / "complete").write_text('{"response": "read from disk"}', encoding="utf-8")
+        report = _anomalous_report_file(tmp_path / "anomalous.json", with_description=True)
+        argv = ["troubleshoot", "--report", report, "--llm", "http", "--endpoints.base_url", tmp_path.as_uri()]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"endpoint error: {tmp_path.as_uri()}: base URL must be an http:// or https:// URL\n"
 
 
 class TestSimulate:

@@ -426,6 +426,14 @@ def test_load_descriptors_errors(tmp_path):
         load_descriptors(tmp_path / "absent.csv")
 
 
+def test_load_descriptors_refuses_a_kpi_named_twice(tmp_path):
+    path = tmp_path / "desc.csv"
+    path.write_text("kpi,description\na@n,first text\nb@n,other\n a@n ,second text\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_descriptors(path)
+    assert str(info.value) == f"{path}: row 4: duplicate KPI a@n"
+
+
 @pytest.mark.parametrize(
     "loader, text, where",
     [

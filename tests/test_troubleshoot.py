@@ -4,6 +4,7 @@ import http.server
 import json
 import threading
 import time
+import urllib.error
 
 import numpy as np
 import pytest
@@ -348,6 +349,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         except ValueError:
             body = None
         self.server.requests.append((self.path, body))
+        self.server.received.append((self.command, self.headers, raw))
         status, payload = self.server.behavior(self.path, body)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -366,6 +368,7 @@ def endpoint_server(monkeypatch):
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.daemon_threads = True
     server.requests = []
+    server.received = []
     server.behavior = lambda path, body: (200, b"{}")
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -443,6 +446,31 @@ class TestPostJson:
         with pytest.raises(Timeout):
             endpoints.post_json(_endpoint(endpoint_server, timeout=0.05, retries=0), "x", {})
 
+    @pytest.mark.parametrize(
+        "error", [TimeoutError("timed out"), urllib.error.URLError(TimeoutError("timed out"))], ids=["read", "connect"]
+    )
+    def test_a_read_or_connect_timeout_is_the_timeout_subclass(self, monkeypatch, recorded_sleeps, error):
+        def urlopen(request, timeout):
+            raise error
+
+        monkeypatch.setattr(endpoints.urllib.request, "urlopen", urlopen)
+        with pytest.raises(Timeout, match="no answer within 30.0s"):
+            endpoints.post_json(EndpointsConfig(retries=1, backoff=0.1), "x", {})
+        assert recorded_sleeps == [0.1]
+
+    @pytest.mark.parametrize("base_url", ["localhost:11434", "ftp://x", "data:,{}", "file"])
+    def test_a_base_url_that_is_not_http_fails_before_any_attempt(
+        self, endpoint_server, recorded_sleeps, tmp_path, base_url
+    ):
+        if base_url == "file":
+            (tmp_path / "x").write_text("{}", encoding="utf-8")
+            base_url = tmp_path.as_uri()
+        endpoint = EndpointsConfig(base_url=base_url, retries=2, backoff=0.1)
+        with pytest.raises(EndpointError, match="base URL must be an http:// or https:// URL"):
+            endpoints.post_json(endpoint, "x", {})
+        assert endpoint_server.requests == []
+        assert recorded_sleeps == []
+
 
 class TestHttpCompletionClient:
     def test_sends_model_and_prompt(self, endpoint_server):
@@ -456,6 +484,14 @@ class TestHttpCompletionClient:
         path, body = endpoint_server.requests[0]
         assert path == "/complete"
         assert body == {"model": "helper", "prompt": "augmented text"}
+
+    def test_posts_utf8_json_with_its_content_type(self, endpoint_server):
+        endpoint_server.behavior = lambda path, body: (200, json.dumps({"response": "ok"}).encode())
+        HttpCompletionClient(_endpoint(endpoint_server)).complete("é€😀 tank")
+        method, headers, raw = endpoint_server.received[0]
+        assert method == "POST"
+        assert headers["Content-Type"] == "application/json"
+        assert raw == json.dumps({"model": "helper", "prompt": "é€😀 tank"}).encode()
 
     def test_missing_response_field(self, endpoint_server):
         endpoint_server.behavior = lambda path, body: (200, b"{}")
@@ -483,6 +519,14 @@ class TestRemoteEmbedder:
         path, body = endpoint_server.requests[0]
         assert path == "/embed"
         assert body == {"model": "embed", "input": ["tank pressure"]}
+
+    def test_posts_utf8_json_with_its_content_type(self, endpoint_server):
+        endpoint_server.behavior = lambda path, body: (200, json.dumps({"embeddings": [[0.1, 0.2]]}).encode())
+        RemoteEmbedder(_endpoint(endpoint_server), 2).embed("é€😀 tank")
+        method, headers, raw = endpoint_server.received[0]
+        assert method == "POST"
+        assert headers["Content-Type"] == "application/json"
+        assert raw == json.dumps({"model": "embed", "input": ["é€😀 tank"]}).encode()
 
     def test_dimension_drift_is_rejected(self, endpoint_server):
         responses = [[[0.1, 0.2]], [[0.1, 0.2, 0.3]]]
