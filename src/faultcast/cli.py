@@ -8,7 +8,7 @@ and prints one concise status line per artifact.  Exit codes are stable:
 * 1 usage error (bad flags, unknown subcommand, malformed override)
 * 2 data or schema error (unreadable files, mismatched KPI columns)
 * 3 endpoint error (completion or embedding service unreachable)
-* 4 no anomaly (``troubleshoot`` invoked on a normal state)
+* 4 no anomaly (``troubleshoot`` on a normal state, or with no KPI over its own threshold)
 
 Only ``troubleshoot`` talks to the network, and only when the completion
 client is configured as ``http`` (``kb ingest`` additionally calls the
@@ -315,6 +315,9 @@ def _cmd_troubleshoot(args: argparse.Namespace, config: config_mod.ToolConfig) -
     report = load_report(args.report)
     if not report.verdict.anomalous:
         print("state is normal; nothing to troubleshoot")
+        return EXIT_NO_ANOMALY
+    if not report.anomalous_kpis:
+        print("state is anomalous but no KPI is over its own threshold; nothing to troubleshoot")
         return EXIT_NO_ANOMALY
     store = VectorStore.load(config.paths.kb_store)
     descriptors = _descriptor_table(config)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,9 @@ class GrangerResult:
 
 def f_test_p_value(f_stat: float | np.ndarray, df1: int, df2: int) -> np.ndarray:
     """Upper-tail F probability via the regularized incomplete beta function."""
+    # Imported here: scipy doubles every command's start-up, and only Granger tests need it.
+    from scipy import special
+
     return special.betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * np.asarray(f_stat)))
 
 

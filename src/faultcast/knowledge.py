@@ -5,11 +5,11 @@ no word is split.  Each chunk is embedded either by the deterministic offline
 embedder (hashed bag of words, no network) or by a remote embedding endpoint.
 The store keeps every chunk with its vector in a single JSON file.
 
-In memory the store holds all embeddings in one read-only
-``(n_chunks, dimension)`` float64 matrix beside the norm of each row.  Each
-chunk's ``embedding`` is a view of its row, so no vector is stored twice.
-Only ``add_document`` and ``load`` change the matrix, and retrieval is one
-matrix-vector product.
+In memory the store keeps its chunks in one order, by chunk_id, and row
+``i`` of its read-only ``(n_chunks, dimension)`` float64 matrix is the
+embedding of chunk ``i``, so no vector is stored twice.  Ingest is
+all-or-nothing: every file is read and embedded, then the matrix is rebuilt
+once.  Retrieval is one matrix-vector product.
 
 The offline embedder hashes each lowercase alphanumeric token with FNV-1a
 (64 bit), buckets the hash modulo the dimension, counts, and L2-normalizes.
@@ -233,11 +233,11 @@ def sections_for_chunks(text: str, chunks: Iterable[KnowledgeChunk]) -> None:
 class VectorStore:
     """All chunks of all ingested documents plus a document manifest.
 
-    ``matrix`` row ``i`` is the embedding of ``rows[i]`` and ``norms[i]`` its
-    Euclidean norm.  ``rows`` lists every chunk, in the order of their rows;
-    chunks that share an id keep their relative order from ``chunks``, which
-    retrieval's tie-break on chunk_id relies on.  Every chunk carries an
-    embedding: ``add_document`` and ``load`` refuse a chunk without one.
+    Row ``i`` of ``matrix`` is the embedding of ``chunks[i]`` and
+    ``norms[i]`` its Euclidean norm.  Each ``add_document`` or
+    :func:`ingest_files` call sorts the chunks by chunk_id and rebuilds the
+    matrix once, or fails and leaves the store as it was; ``load`` keeps the
+    file's order.  Every chunk carries an embedding.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION, embedder_name: str = "offline"):
@@ -245,28 +245,34 @@ class VectorStore:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self.embedder_name = embedder_name
-        self.chunks: list[KnowledgeChunk] = []
         self.manifest: dict[str, dict[str, str]] = {}
-        self._set_rows([], np.empty((0, dimension)), np.empty(0))
+        self._set_chunks([], np.empty((0, dimension)))
 
     def __len__(self) -> int:
         return len(self.chunks)
 
-    def _set_rows(self, rows: list[KnowledgeChunk], buffer: np.ndarray, norms: np.ndarray) -> None:
-        """Make the first ``len(rows)`` rows of ``buffer`` the embeddings of ``rows``."""
-        self._buffer = buffer
-        self.matrix = buffer[: len(rows)]
-        self.matrix.flags.writeable = False
-        for chunk, vector in zip(rows, self.matrix):
+    def _set_chunks(self, chunks: list[KnowledgeChunk], matrix: np.ndarray) -> None:
+        """Make row ``i`` of ``matrix`` the read-only embedding of ``chunks[i]``."""
+        matrix.flags.writeable = False
+        for chunk, vector in zip(chunks, matrix):
             chunk.embedding = vector
-        self.rows = rows
-        self.norms = norms
+        self.chunks = chunks
+        self.matrix = matrix
+        self.norms = _row_norms(matrix)
 
     def add_document(
         self, doc_id: str, title: str, source: str, chunks: Sequence[KnowledgeChunk]
     ) -> None:
         """Register a document, replacing any previous version of it."""
-        for chunk in chunks:
+        self._add_documents({doc_id: (title, source, chunks)})
+
+    def _add_documents(self, documents: dict[str, tuple[str, str, Sequence[KnowledgeChunk]]]) -> None:
+        """Register each doc_id's title, source and chunks, replacing any previous version."""
+        chunks = [c for c in self.chunks if c.doc_id not in documents]
+        chunks += [chunk for *_, new in documents.values() for chunk in new]
+        chunks.sort(key=lambda c: c.chunk_id)
+        matrix = np.empty((len(chunks), self.dimension))
+        for row, chunk in zip(matrix, chunks):
             if chunk.embedding is None:
                 raise ValueError(f"chunk {chunk.chunk_id} has no embedding")
             if len(chunk.embedding) != self.dimension:
@@ -274,26 +280,13 @@ class VectorStore:
                     f"chunk {chunk.chunk_id}: embedding has {len(chunk.embedding)} "
                     f"dimensions, store expects {self.dimension}"
                 )
-        vectors = np.array([c.embedding for c in chunks], dtype=np.float64).reshape(
-            len(chunks), self.dimension
-        )
-        finite = np.isfinite(vectors).all(axis=1)
+            row[:] = chunk.embedding
+        finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
-            bad = chunks[int(np.argmin(finite))].chunk_id
-            raise SchemaError(f"chunk {bad}: embedding values are not finite")
-        keep = [i for i, c in enumerate(self.rows) if c.doc_id != doc_id]
-        rows = [self.rows[i] for i in keep] + list(chunks)
-        buffer = self._buffer
-        if len(keep) < len(self.rows) or len(rows) > len(buffer):
-            # Rows to drop or no room left: copy the kept rows to a buffer with
-            # room for as many again, so that appending costs amortised O(rows).
-            buffer = np.empty((2 * len(rows), self.dimension))
-            buffer[: len(keep)] = self.matrix[keep]
-        buffer[len(keep) : len(rows)] = vectors
-        self._set_rows(rows, buffer, np.concatenate((self.norms[keep], _row_norms(vectors))))
-        self.chunks = [c for c in self.chunks if c.doc_id != doc_id] + list(chunks)
-        self.chunks.sort(key=lambda c: c.chunk_id)
-        self.manifest[doc_id] = {"title": title, "source": source}
+            raise SchemaError(f"chunk {chunks[int(np.argmin(finite))].chunk_id}: embedding values are not finite")
+        self._set_chunks(chunks, matrix)
+        for doc_id, (title, source, _) in documents.items():
+            self.manifest[doc_id] = {"title": title, "source": source}
 
     def save(self, path: str | os.PathLike[str]) -> None:
         """Write the store as ``json.dump(payload, indent=1, sort_keys=True)`` would.
@@ -306,13 +299,11 @@ class VectorStore:
             "manifest": self.manifest,
             "version": 1,
         }
-        row_of = {id(chunk): row for row, chunk in enumerate(self.rows)}
-        rows = [row_of[id(chunk)] for chunk in self.chunks]
-        # A block of rows at a time, in write order: a dense store, whose
-        # values are all distinct, never holds all their strings at once.
+        # A block of rows at a time: a dense store, whose values are all
+        # distinct, never holds all their strings at once.
         step = max(1, _FORMAT_BLOCK // self.dimension)
         values = itertools.chain.from_iterable(
-            _row_values(self.matrix[rows[i : i + step]]) for i in range(0, len(rows), step)
+            _row_values(self.matrix[i : i + step]) for i in range(0, len(self.chunks), step)
         )
         try:
             with open(path, "w", encoding="utf-8") as handle:
@@ -343,9 +334,8 @@ class VectorStore:
         store = cls(dimension=dimension, embedder_name=embedder)
         store.manifest = manifest
         entries = payload["chunks"]
-        store.chunks = [_chunk_from_json(entry) for entry in entries]
-        matrix = _embedding_matrix([entry["embedding"] for entry in entries], store.dimension)
-        store._set_rows(list(store.chunks), matrix, _row_norms(matrix))
+        chunks = [_chunk_from_json(entry) for entry in entries]
+        store._set_chunks(chunks, _embedding_matrix([entry["embedding"] for entry in entries], dimension))
         return store
 
 
@@ -456,9 +446,11 @@ def ingest_files(
 
     Markdown files get per-chunk section labels from their headings; plain
     text files get none.  Re-ingesting a document replaces its chunks, so
-    ingestion is idempotent for unchanged files.  A file that cannot be read,
-    or is not UTF-8, raises a :class:`DataError` naming it.
+    ingestion is idempotent for unchanged files; of two files with one stem
+    the later wins.  A file that cannot be read or is not UTF-8 (a
+    :class:`DataError` naming it) or an embedding failure changes nothing.
     """
+    documents = {}
     added = 0
     for raw_path in paths:
         path = Path(raw_path)
@@ -469,6 +461,7 @@ def ingest_files(
             sections_for_chunks(text, chunks)
         for chunk in chunks:
             chunk.embedding = embed_text(chunk.text, embedder)
-        store.add_document(doc_id, document_title(text, doc_id), str(path), chunks)
+        documents[doc_id] = (document_title(text, doc_id), str(path), chunks)
         added += len(chunks)
+    store._add_documents(documents)
     return added

@@ -112,8 +112,8 @@ def retrieve(
         # Keep every hit tied with the k-th best: chunk_id decides among them.
         kth = np.partition(similarities[hits], -config.top_k)[-config.top_k]
         hits = hits[similarities[hits] >= kth]
-    ranked = sorted(hits, key=lambda i: (-similarities[i], store.rows[i].chunk_id))
-    return [(store.rows[i], float(similarities[i])) for i in ranked[: config.top_k]]
+    ranked = sorted(hits, key=lambda i: (-similarities[i], store.chunks[i].chunk_id))
+    return [(store.chunks[i], float(similarities[i])) for i in ranked[: config.top_k]]
 
 
 def compose_augmented_prompt(

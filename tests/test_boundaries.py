@@ -29,7 +29,7 @@ import faultcast
 from faultcast import cli
 from faultcast.classifier import StateVerdict, load_classifier, save_classifier
 from faultcast.config import ToolConfig, config_to_json, load_config
-from faultcast.errors import FaultcastError, SchemaError
+from faultcast.errors import DataError, FaultcastError, SchemaError
 from faultcast.knowledge import OfflineEmbedder, VectorStore, ingest_files
 from faultcast.kpi import KpiId, TimeSeriesDataset, load_dataset, load_descriptors, write_dataset
 from faultcast.ranker import (
@@ -379,3 +379,93 @@ def test_a_report_with_an_infinite_f_statistic_loads(tmp_path):
     text = report_to_json(report)
     assert '"f": Infinity' in text
     assert load_text(load_report, text, tmp_path) == report
+
+
+DESCRIPTOR_TABLE = [b"kpi,description,unit", b"load@pump,pump load,kW", b"temp@pump,pump temperature,C"]
+
+
+def _short_row(lines, i):
+    lines[i] = lines[i].split(b",")[0]
+
+
+def _blank_row(lines, i):
+    lines.insert(i, b"")
+
+
+def _empty_kpi_cell(lines, i):
+    lines[i] = b"," + lines[i].partition(b",")[2]
+
+
+def _missing_header(lines, i):
+    del lines[0]
+
+
+def _reordered_header(lines, i):
+    lines[0] = b"description,kpi,unit"
+
+
+def _duplicate_kpi(lines, i):
+    lines.insert(i, lines[i])
+
+
+def _not_utf8(lines, i):
+    lines[i] += b"\xe9"
+
+
+# Each edits the table's lines in place; ``i`` indexes a data row.
+DESCRIPTOR_MUTATIONS = {
+    f.__name__[1:]: f
+    for f in (_short_row, _blank_row, _empty_kpi_cell, _missing_header, _reordered_header, _duplicate_kpi, _not_utf8)
+}
+
+
+@pytest.fixture(scope="module")
+def rank_workspace(tmp_path_factory):
+    """A model and a dataset long enough for ``rank``'s Granger window."""
+    root = tmp_path_factory.mktemp("rank-descriptors")
+    save_classifier(make_classifier(zero_model(2), unit_baseline(2), [LOAD, TEMP]), root / "model.json")
+    rows = np.random.default_rng(1).normal(size=(60, 2))
+    write_dataset(TimeSeriesDataset(timestamps=np.arange(60), kpis=[LOAD, TEMP], values=rows), str(root / "data.csv"))
+    return root
+
+
+def _rank_with_descriptors(workspace, directory, lines, crlf) -> tuple[int, str, Path]:
+    """Write the table and load it; then ``faultcast rank`` with it."""
+    table = directory / "descriptors.csv"
+    table.write_bytes((b"\r\n" if crlf else b"\n").join(lines) + b"\n")
+    try:
+        load_descriptors(table)
+    except DataError:
+        pass
+    argv = ["rank", "--data", str(workspace / "data.csv"), "--model", str(workspace / "model.json")]
+    code, err = _run([*argv, "--paths.descriptors", str(table), "--out", str(directory / "report.json")])
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2, err
+        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {table}: "), err
+    return code, err, table
+
+
+@pytest.mark.parametrize(
+    "name, crlf, code",
+    [(name, False, 0 if name == "blank_row" else 2) for name in sorted(DESCRIPTOR_MUTATIONS)] + [(None, True, 0)],
+)
+def test_each_descriptor_table_mutation_has_its_exit_code(rank_workspace, tmp_path, name, crlf, code):
+    lines = list(DESCRIPTOR_TABLE)
+    if name is not None:
+        DESCRIPTOR_MUTATIONS[name](lines, 2)
+    assert _rank_with_descriptors(rank_workspace, tmp_path, lines, crlf)[0] == code
+
+
+@settings(max_examples=40)
+@given(
+    edits=st.lists(st.tuples(st.sampled_from(sorted(DESCRIPTOR_MUTATIONS)), st.integers(1, 2)), max_size=3),
+    crlf=st.booleans(),
+)
+def test_a_mutated_descriptor_table_loads_or_fails_with_one_line(rank_workspace, scratch, edits, crlf):
+    lines = list(DESCRIPTOR_TABLE)
+    for name, i in edits:
+        if len(lines) > i:
+            DESCRIPTOR_MUTATIONS[name](lines, i)
+    _rank_with_descriptors(rank_workspace, scratch, lines, crlf)

@@ -100,6 +100,15 @@ def ws(tmp_path_factory) -> SimpleNamespace:
     )
 
 
+# A child interpreter finds this checkout's package whether or not it is installed.
+_SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
+
+
 def _normal_report_file(path, timestamp: int = 7) -> str:
     verdict = StateVerdict(
         timestamp=timestamp, state_error=0.01, threshold=0.5, anomalous=False
@@ -171,6 +180,7 @@ class TestParsing:
             capture_output=True,
             text=True,
             timeout=120,
+            env=_SUBPROCESS_ENV,
         )
         assert proc.returncode == 0
         for command in (
@@ -191,6 +201,7 @@ class TestParsing:
             capture_output=True,
             text=True,
             timeout=120,
+            env=_SUBPROCESS_ENV,
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage error: ")
@@ -202,10 +213,20 @@ class TestParsing:
             "import sys, numpy, scipy.special; before = set(sys.modules); import faultcast.cli; "
             "print(*{name.split('.')[0] for name in set(sys.modules) - before})"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=_SUBPROCESS_ENV
+        )
         loaded = set(proc.stdout.split())
         assert "faultcast" in loaded
         assert not loaded & {"requests", "urllib3", "idna", "charset_normalizer", "certifi"}
+
+    def test_importing_the_cli_loads_no_scipy(self) -> None:
+        # scipy roughly doubles start-up time and memory; only Granger tests need it.
+        code = "import sys, faultcast.cli; print(*sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=_SUBPROCESS_ENV
+        )
+        assert proc.stdout.split() == []
 
 
 class TestTrain:
@@ -660,6 +681,26 @@ class TestTroubleshoot:
         )
         assert rc == 4
         assert "state is normal; nothing to troubleshoot" in capsys.readouterr().out
+
+    def test_anomalous_report_without_kpis_exits_four(
+        self, manuals, tmp_path, monkeypatch, capsys
+    ) -> None:
+        """The state error is over its threshold but no KPI is over its own."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["kb", "ingest", *[str(m) for m in manuals]]) == 0
+        capsys.readouterr()
+        verdict = StateVerdict(timestamp=9, state_error=9.0, threshold=0.5, anomalous=True)
+        report = tmp_path / "report.json"
+        report.write_text(report_to_json(AnomalyReport(verdict=verdict)), encoding="utf-8")
+        assert json.loads(report.read_text(encoding="utf-8"))["anomalous_kpis"] == []
+        answer = tmp_path / "answer.md"
+        rc = cli.main(["troubleshoot", "--report", str(report), "--out", str(answer)])
+        assert rc == 4
+        assert capsys.readouterr() == (
+            "state is anomalous but no KPI is over its own threshold; nothing to troubleshoot\n",
+            "",
+        )
+        assert not answer.exists()
 
     def test_offline_pipeline_answers_from_the_manuals(
         self, ws, manuals, tmp_path, monkeypatch, capsys

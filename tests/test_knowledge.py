@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from faultcast import cli, knowledge
 
-from faultcast.errors import DimensionMismatch, EmptyDocument, IoError, SchemaError
+from faultcast.errors import DataError, DimensionMismatch, EmptyDocument, EndpointError, IoError, SchemaError
 from faultcast.knowledge import (
     DEFAULT_DIMENSION,
     EMBEDDER_MODES,
@@ -304,8 +304,8 @@ class TestVectorStore:
         store.add_document("b", "B", "b.txt", _embedded_chunks("b", "bravo tank " * 20, embedder))
         store.add_document("a", "A", "a.txt", _embedded_chunks("a", "alfa valve " * 20, embedder))
         assert store.matrix.shape == (len(store), 16)
-        for row, chunk in enumerate(store.rows):
-            assert np.shares_memory(chunk.embedding, store.matrix)
+        for row, chunk in enumerate(store.chunks):
+            assert np.shares_memory(chunk.embedding, store.matrix[row])
             np.testing.assert_array_equal(chunk.embedding, store.matrix[row])
             assert store.norms[row] == np.linalg.norm(embedder.embed(chunk.text))
         with pytest.raises(ValueError):
@@ -418,7 +418,7 @@ def test_save_writes_the_bytes_of_json_dump_when_values_repeat(tmp_path_factory,
 def test_save_writes_rows_in_chunk_order_across_format_blocks(tmp_path, monkeypatch, block):
     monkeypatch.setattr(knowledge, "_FORMAT_BLOCK", block)  # rows per block: 1, 2 and 3
     store = VectorStore(dimension=4)
-    # Document "b" first, so matrix rows run in another order than the sorted chunks.
+    # Document "b" first, so the store must sort the chunks it was given.
     documents = {"b": [[0.5, -0.0, 0.0, 0.25], [1.0] * 4], "a": [[0.25, 0.0, -0.0, 1.0]] * 3}
     for doc_id, rows in documents.items():
         chunks = chunk_document(doc_id, "word " * 5 * len(rows), max_chars=25, overlap_chars=0)
@@ -438,18 +438,40 @@ def test_save_writes_rows_in_chunk_order_across_format_blocks(tmp_path, monkeypa
     assert (tmp_path / "saved.json").read_bytes() == oracle.encode("utf-8")
 
 
+FIXTURE_STORE_SHA256 = "73e3091f0ff14d63a27412b108406e6f99e26694d7013545d94cbe2224e1189e"
+FIXTURE_FILES = [f"tests/fixtures/{name}.md" for name in ("electrical", "engine", "tank_pressure")]
+
+
+def _kb_ingest_sha256(fixtures_dir, tmp_path, monkeypatch, capsys, *runs) -> str:
+    """sha256 of the store left by one ``faultcast kb ingest`` per run, from the repository root."""
+    shutil.copytree(fixtures_dir, tmp_path / "tests" / "fixtures", dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    for files in runs:
+        assert cli.main(["kb", "ingest", *files]) == 0
+    capsys.readouterr()
+    return hashlib.sha256((tmp_path / "artifacts" / "knowledge.json").read_bytes()).hexdigest()
+
+
 def test_kb_ingest_of_the_fixtures_keeps_its_bytes(fixtures_dir, tmp_path, monkeypatch, capsys):
     """Store of ``faultcast kb ingest tests/fixtures/*.md`` run from the repository root."""
-    shutil.copytree(fixtures_dir, tmp_path / "tests" / "fixtures")
-    monkeypatch.chdir(tmp_path)
-    files = [f"tests/fixtures/{name}.md" for name in ("electrical", "engine", "tank_pressure")]
-    assert cli.main(["kb", "ingest", *files]) == 0
-    capsys.readouterr()
-    store = (tmp_path / "artifacts" / "knowledge.json").read_bytes()
-    assert (
-        hashlib.sha256(store).hexdigest()
-        == "73e3091f0ff14d63a27412b108406e6f99e26694d7013545d94cbe2224e1189e"
-    )
+    assert _kb_ingest_sha256(fixtures_dir, tmp_path, monkeypatch, capsys, FIXTURE_FILES) == FIXTURE_STORE_SHA256
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [FIXTURE_FILES[::-1]],
+        [FIXTURE_FILES[1:] + FIXTURE_FILES[:1]],
+        [FIXTURE_FILES, FIXTURE_FILES[1:2]],
+        [["tests/fixtures/old/engine.md", *FIXTURE_FILES]],
+    ],
+    ids=["reversed", "rotated", "then-one-again", "same-stem-last-wins"],
+)
+def test_store_bytes_do_not_depend_on_ingest_order_or_history(fixtures_dir, tmp_path, monkeypatch, capsys, runs):
+    old = tmp_path / "tests" / "fixtures" / "old" / "engine.md"
+    old.parent.mkdir(parents=True)
+    old.write_text("# Old Engine Manual\n\n" + "retired gearbox notes " * 80, encoding="utf-8")
+    assert _kb_ingest_sha256(fixtures_dir, tmp_path, monkeypatch, capsys, *runs) == FIXTURE_STORE_SHA256
 
 
 def _valid_store_payload(tmp_path):
@@ -607,13 +629,47 @@ class TestIngestFiles:
         ingest_files(store, [doc], embedder)
         new_count = sum(c.doc_id == "doc" for c in store.chunks)
         assert 0 < new_count < old_count
-        assert len(store.rows) == len(store) == len(store.matrix) == before - old_count + new_count
+        assert len(store.chunks) == len(store) == len(store.matrix) == before - old_count + new_count
         assert all("zorblat" not in c.text for c in store.chunks)
-        for row, chunk in enumerate(store.rows):
+        for row, chunk in enumerate(store.chunks):
             np.testing.assert_array_equal(store.matrix[row], embedder.embed(chunk.text))
             np.testing.assert_array_equal(chunk.embedding, embedder.embed(chunk.text))
         hits = retrieve(store, embedder.embed("zorblat quimble"), RetrievalConfig(top_k=100))
         assert all("zorblat" not in chunk.text for chunk, _ in hits)
+
+    def test_ingest_rebuilds_the_matrix_once_per_call(self, manuals, monkeypatch):
+        store = VectorStore(dimension=64)
+        rebuilds = []
+        set_chunks = VectorStore._set_chunks
+        monkeypatch.setattr(VectorStore, "_set_chunks", lambda *args: rebuilds.append(set_chunks(*args)))
+        ingest_files(store, manuals, OfflineEmbedder(64))
+        assert len(rebuilds) == 1 and len(store.manifest) == len(manuals)
+
+    @pytest.mark.parametrize("failure", ["missing", "not utf-8", "embedder"])
+    def test_a_failing_file_leaves_the_store_unchanged(self, manuals, tmp_path, failure):
+        embedder = OfflineEmbedder(64)
+        store = VectorStore(dimension=64)
+        ingest_files(store, manuals[:2], embedder)
+        size, manifest, matrix = len(store), dict(store.manifest), store.matrix
+        good = tmp_path / "pump.md"
+        good.write_text("# Pump\n" + "impeller seal " * 90, encoding="utf-8")
+        bad = tmp_path / "bad.md"
+        if failure == "not utf-8":
+            bad.write_bytes(b"# Bad\ncaf\xe9\n")
+        elif failure == "embedder":
+            bad.write_text("# Bad\nunreachable endpoint\n", encoding="utf-8")
+
+            class Failing(OfflineEmbedder):
+                def embed(self, text):
+                    if "unreachable" in text:
+                        raise EndpointError("embedding endpoint unreachable")
+                    return super().embed(text)
+
+            embedder = Failing(64)
+        with pytest.raises((DataError, EndpointError)):
+            ingest_files(store, [manuals[2], good, bad], embedder)
+        assert len(store) == size and store.manifest == manifest and store.matrix is matrix
+        assert all(chunk.embedding.base is matrix for chunk in store.chunks)
 
     def test_reingest_is_idempotent(self, manuals):
         store = VectorStore(dimension=64)
