@@ -9,7 +9,9 @@ In memory the store keeps its chunks in one order, by chunk_id, and row
 ``i`` of its read-only ``(n_chunks, dimension)`` float64 matrix is the
 embedding of chunk ``i``, so no vector is stored twice.  Ingest is
 all-or-nothing: every file is read and embedded, then the matrix is rebuilt
-once.  Retrieval is one matrix-vector product.
+once.  The matrix is column-major, so the column of one embedding bucket
+over all chunks is contiguous: retrieval reads only the columns where the
+query is nonzero, a few of many for an offline query.
 
 The offline embedder hashes each lowercase alphanumeric token with FNV-1a
 (64 bit), buckets the hash modulo the dimension, counts, and L2-normalizes.
@@ -234,10 +236,13 @@ class VectorStore:
     """All chunks of all ingested documents plus a document manifest.
 
     Row ``i`` of ``matrix`` is the embedding of ``chunks[i]`` and
-    ``norms[i]`` its Euclidean norm.  Each ``add_document`` or
-    :func:`ingest_files` call sorts the chunks by chunk_id and rebuilds the
-    matrix once, or fails and leaves the store as it was; ``load`` keeps the
-    file's order.  Every chunk carries an embedding.
+    ``norms[i]`` its Euclidean norm.  ``matrix`` is column-major
+    (``order="F"``): a chunk's embedding is a strided view of its row, and
+    each bucket's column is contiguous for retrieval.  Each
+    ``add_document`` or :func:`ingest_files` call sorts the chunks by
+    chunk_id and rebuilds the matrix once, or fails and leaves the store as
+    it was; ``load`` keeps the file's order.  Every chunk carries an
+    embedding.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION, embedder_name: str = "offline"):
@@ -246,7 +251,7 @@ class VectorStore:
         self.dimension = dimension
         self.embedder_name = embedder_name
         self.manifest: dict[str, dict[str, str]] = {}
-        self._set_chunks([], np.empty((0, dimension)))
+        self._set_chunks([], np.empty((0, dimension), order="F"))
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -271,8 +276,7 @@ class VectorStore:
         chunks = [c for c in self.chunks if c.doc_id not in documents]
         chunks += [chunk for *_, new in documents.values() for chunk in new]
         chunks.sort(key=lambda c: c.chunk_id)
-        matrix = np.empty((len(chunks), self.dimension))
-        for row, chunk in zip(matrix, chunks):
+        for chunk in chunks:
             if chunk.embedding is None:
                 raise ValueError(f"chunk {chunk.chunk_id} has no embedding")
             if len(chunk.embedding) != self.dimension:
@@ -280,7 +284,9 @@ class VectorStore:
                     f"chunk {chunk.chunk_id}: embedding has {len(chunk.embedding)} "
                     f"dimensions, store expects {self.dimension}"
                 )
-            row[:] = chunk.embedding
+        matrix = np.empty((0, self.dimension), order="F")
+        if chunks:
+            matrix = np.array([chunk.embedding for chunk in chunks], dtype=np.float64, order="F")
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
             raise SchemaError(f"chunk {chunks[int(np.argmin(finite))].chunk_id}: embedding values are not finite")
@@ -420,8 +426,8 @@ def _embedding_matrix(vectors: list, dimension: int) -> np.ndarray:
                 f"embedding has {len(vector)} dimensions, store expects {dimension}"
             )
     if not vectors:
-        return np.empty((0, dimension))
-    matrix = np.array(vectors)
+        return np.empty((0, dimension), order="F")
+    matrix = np.array(vectors, order="F")
     if matrix.dtype.kind not in "iuf" or matrix.shape != (len(vectors), dimension):
         raise SchemaError("embedding values are not numbers")
     if not np.isfinite(matrix).all():
@@ -442,7 +448,7 @@ def ingest_files(
     max_chars: int = DEFAULT_MAX_CHARS,
     overlap_chars: int = DEFAULT_OVERLAP_CHARS,
 ) -> int:
-    """Chunk, embed, and register documents; returns the new chunk count.
+    """Chunk, embed, and register documents; returns the count of chunks registered.
 
     Markdown files get per-chunk section labels from their headings; plain
     text files get none.  Re-ingesting a document replaces its chunks, so
@@ -451,7 +457,6 @@ def ingest_files(
     :class:`DataError` naming it) or an embedding failure changes nothing.
     """
     documents = {}
-    added = 0
     for raw_path in paths:
         path = Path(raw_path)
         text = read_utf8(path, "document")
@@ -462,6 +467,5 @@ def ingest_files(
         for chunk in chunks:
             chunk.embedding = embed_text(chunk.text, embedder)
         documents[doc_id] = (document_title(text, doc_id), str(path), chunks)
-        added += len(chunks)
     store._add_documents(documents)
-    return added
+    return sum(len(chunks) for *_, chunks in documents.values())

@@ -32,6 +32,7 @@ from faultcast.classifier import (
     sigma_sweep,
     threshold,
 )
+from faultcast.knowledge import VectorStore
 from faultcast.kpi import KpiId, TimeSeriesDataset, load_dataset, write_dataset
 from faultcast.ranker import AnomalyReport, KpiAnomaly, load_report, report_to_json
 from faultcast.simulate import (
@@ -401,7 +402,7 @@ class TestDetect:
         ids=["missing-baseline", "short-kpi-mu"],
     )
     def test_malformed_model_is_a_data_error(self, ws, tmp_path, capsys, edit) -> None:
-        payload = json.loads(open(ws.model, encoding="utf-8").read())
+        payload = json.loads(Path(ws.model).read_text(encoding="utf-8"))
         edit(payload)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload), encoding="utf-8")
@@ -627,6 +628,23 @@ class TestKnowledgeBase:
         assert cli.main(["kb", "ingest", *files]) == 0
         second = capsys.readouterr().out
         assert second == first
+
+    def test_a_replaced_file_adds_no_chunks_to_the_count(
+        self, manuals, tmp_path, monkeypatch, capsys
+    ) -> None:
+        monkeypatch.chdir(tmp_path)
+        decoy = tmp_path / "old" / "engine.md"
+        decoy.parent.mkdir()
+        decoy.write_text("# Old engine\n\n" + "worn gasket " * 200, encoding="utf-8")
+        engine = next(m for m in manuals if m.stem == "engine")
+        others = [str(m) for m in manuals if m != engine]
+        assert cli.main(["kb", "ingest", str(decoy), str(engine), *others]) == 0
+        total = len(VectorStore.load(tmp_path / "artifacts" / "knowledge.json"))
+        assert capsys.readouterr().out.startswith(
+            f"ingested 4 documents ({total} chunks, {total} total); "
+        )
+        assert cli.main(["kb", "ingest", *[str(m) for m in manuals]]) == 0
+        assert f"({total} chunks, {total} total)" in capsys.readouterr().out
 
     def test_a_manual_that_is_not_utf8_exits_two(self, tmp_path, monkeypatch, capsys) -> None:
         monkeypatch.chdir(tmp_path)
@@ -959,12 +977,8 @@ class TestEvaluate:
     def test_table_curve_and_stdout(self, ws, tmp_path, capsys) -> None:
         scenarios_dir = tmp_path / "scenarios"
         scenarios_dir.mkdir()
-        (scenarios_dir / "quiet.csv").write_bytes(
-            open(ws.quiet, "rb").read()
-        )
-        (scenarios_dir / "faulty.csv").write_bytes(
-            open(ws.faulty, "rb").read()
-        )
+        (scenarios_dir / "quiet.csv").write_bytes(Path(ws.quiet).read_bytes())
+        (scenarios_dir / "faulty.csv").write_bytes(Path(ws.faulty).read_bytes())
         (scenarios_dir / "faulty.fault.json").write_text(
             fault_to_json(ws.fault), encoding="utf-8"
         )

@@ -298,18 +298,27 @@ class TestVectorStore:
         with pytest.raises(ValueError):
             VectorStore(dimension=0)
 
-    def test_embeddings_are_read_only_rows_of_one_matrix(self):
+    def test_embeddings_are_read_only_rows_of_one_matrix(self, manuals, tmp_path):
         embedder = OfflineEmbedder(16)
-        store = VectorStore(dimension=16)
-        store.add_document("b", "B", "b.txt", _embedded_chunks("b", "bravo tank " * 20, embedder))
-        store.add_document("a", "A", "a.txt", _embedded_chunks("a", "alfa valve " * 20, embedder))
-        assert store.matrix.shape == (len(store), 16)
-        for row, chunk in enumerate(store.chunks):
-            assert np.shares_memory(chunk.embedding, store.matrix[row])
-            np.testing.assert_array_equal(chunk.embedding, store.matrix[row])
-            assert store.norms[row] == np.linalg.norm(embedder.embed(chunk.text))
+        added = VectorStore(dimension=16)
+        added.add_document("b", "B", "b.txt", _embedded_chunks("b", "bravo tank " * 20, embedder))
+        added.add_document("a", "A", "a.txt", _embedded_chunks("a", "alfa valve " * 20, embedder))
+        ingested = VectorStore(dimension=16)
+        ingest_files(ingested, manuals, embedder)
+        ingested.save(tmp_path / "store.json")
+        loaded = VectorStore.load(tmp_path / "store.json")
+        for store in (added, ingested, loaded, VectorStore(dimension=16)):
+            # Column-major: retrieval gathers the columns of a query's buckets.
+            assert store.matrix.flags.f_contiguous and not store.matrix.flags.writeable
+            assert store.matrix.shape == (len(store), 16)
+            for row, chunk in enumerate(store.chunks):
+                assert chunk.embedding.base is store.matrix
+                assert np.shares_memory(chunk.embedding, store.matrix[row])
+                np.testing.assert_array_equal(chunk.embedding, store.matrix[row])
+                np.testing.assert_array_equal(chunk.embedding, embedder.embed(chunk.text))
+                assert store.norms[row] == np.linalg.norm(embedder.embed(chunk.text))
         with pytest.raises(ValueError):
-            store.chunks[0].embedding[0] = 1.0
+            added.chunks[0].embedding[0] = 1.0
 
 
 _TEXT = st.text(

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import http.server
+import itertools
 import json
+import math
 import threading
 import time
+import tracemalloc
 import urllib.error
 
 import numpy as np
@@ -29,6 +32,7 @@ from faultcast.knowledge import (
 from faultcast.kpi import KpiDescriptor, parse_kpi_id
 from faultcast.ranker import KpiAnomaly
 from faultcast.troubleshoot import (
+    _SPARSE_SHARE,
     CONTEXT_HEADER,
     QUESTION_PREFIX,
     EchoClient,
@@ -163,15 +167,24 @@ class TestRetrieve:
         assert [c.chunk_id for c, _ in result] == ["m#0000"]
 
     def test_ties_break_on_chunk_id(self):
-        store = VectorStore(dimension=2, embedder_name="offline")
-        store.add_document(
-            "m",
-            "M",
-            "m.txt",
-            [_axis_chunk("m#0001", [2.0, 0.0]), _axis_chunk("m#0000", [1.0, 0.0])],
-        )
-        result = retrieve(store, np.array([1.0, 0.0]), RetrievalConfig(top_k=2))
-        assert [c.chunk_id for c, _ in result] == ["m#0000", "m#0001"]
+        # Parallel chunks, and chunks at the same angle to each query, through
+        # the gather and the full product; every product and sum here is
+        # exact, so equal true similarities compute equal.
+        def padded(values):
+            return np.pad(values, (0, 64 - len(values)))
+
+        pairs = [([1.0], [2.0]), ([1.0, 3.0, 2.0, 0.0], [3.0, 1.0, 0.0, 2.0])]
+        for (first, second), query in itertools.product(pairs, [[1.0, 1.0], [1.0] * 64]):
+            store = VectorStore(dimension=64, embedder_name="offline")
+            store.add_document(
+                "m",
+                "M",
+                "m.txt",
+                [_axis_chunk("m#0001", padded(second)), _axis_chunk("m#0000", padded(first))],
+            )
+            result = retrieve(store, padded(query), RetrievalConfig(top_k=2))
+            assert [c.chunk_id for c, _ in result] == ["m#0000", "m#0001"]
+            assert result[0][1] == result[1][1]
 
     def test_empty_store_raises(self):
         with pytest.raises(EmptyStore):
@@ -207,11 +220,22 @@ def multi_doc_store(manuals, tmp_path):
     return store
 
 
+def _sparse_query(dimension, nonzero, rng):
+    query = np.zeros(dimension)
+    query[rng.choice(dimension, nonzero, replace=False)] = rng.standard_normal(nonzero)
+    return query
+
+
 def _queries(dimension):
+    """Offline, one-hot, dense and all-zero queries, and both sides of the gather cutoff."""
     embedder = OfflineEmbedder(dimension)
     texts = ["tank pressure switch", "engine shaft torque", "battery current fuse", "zzz"]
     rng = np.random.default_rng(7)
+    cutoff = math.ceil(_SPARSE_SHARE * dimension)
     return [embedder.embed(t) for t in texts] + [
+        np.eye(dimension)[5],
+        _sparse_query(dimension, cutoff - 1, rng),
+        _sparse_query(dimension, cutoff, rng),
         rng.standard_normal(dimension),
         np.zeros(dimension),
     ]
@@ -247,6 +271,26 @@ class TestMatrixRetrieval:
         assert (first.doc_id, second.doc_id) == ("twin_a", "twin_b")
         assert first.text == second.text
         assert first_similarity == second_similarity
+
+    def test_an_offline_query_copies_no_large_share_of_the_matrix(self):
+        rng = np.random.default_rng(11)
+        words = ["tank", "pressure", "valve", "engine", "torque", "fuse", "battery", "seal", "pump"]
+        embedder = OfflineEmbedder(512)
+        chunks = [
+            _axis_chunk(f"m#{i:04d}", embedder.embed(" ".join(rng.choice(words, 40)) + f" part{i}"))
+            for i in range(1200)
+        ]
+        store = VectorStore(dimension=512)
+        store.add_document("m", "M", "m.txt", chunks)
+        query = embedder.embed("tank pressure valve")
+        retrieve(store, query)
+        tracemalloc.start()
+        try:
+            retrieve(store, query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < store.matrix.nbytes / 8
 
     def test_loaded_store_retrieves_like_the_in_memory_store(self, multi_doc_store, tmp_path):
         path = tmp_path / "store.json"
