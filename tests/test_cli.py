@@ -640,9 +640,7 @@ class TestKnowledgeBase:
         others = [str(m) for m in manuals if m != engine]
         assert cli.main(["kb", "ingest", str(decoy), str(engine), *others]) == 0
         total = len(VectorStore.load(tmp_path / "artifacts" / "knowledge.json"))
-        assert capsys.readouterr().out.startswith(
-            f"ingested 4 documents ({total} chunks, {total} total); "
-        )
+        assert f"({total} chunks, {total} total)" in capsys.readouterr().out
         assert cli.main(["kb", "ingest", *[str(m) for m in manuals]]) == 0
         assert f"({total} chunks, {total} total)" in capsys.readouterr().out
 
