@@ -283,7 +283,7 @@ def save_classifier(classifier: TrainedClassifier, path: str | os.PathLike[str])
     )
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(to_json(saved), handle, indent=2, sort_keys=True)
+            json.dump(to_json(saved), handle, indent=2, sort_keys=True, allow_nan=False)
             handle.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write model: {path}") from exc

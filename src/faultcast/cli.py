@@ -26,6 +26,7 @@ import os
 import sys
 import typing
 from collections.abc import Sequence
+from pathlib import Path
 
 from . import config as config_mod
 from .classifier import (
@@ -304,8 +305,9 @@ def _cmd_kb_ingest(args: argparse.Namespace, config: config_mod.ToolConfig) -> i
     added = ingest_files(store, args.files, embedder)
     _ensure_parent(store_path)
     store.save(store_path)
+    documents = len({Path(path).stem for path in args.files})
     print(
-        f"ingested {len(args.files)} documents ({added} chunks, "
+        f"ingested {documents} documents ({added} chunks, "
         f"{len(store)} total); store: {store_path}"
     )
     return EXIT_OK

@@ -403,13 +403,20 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, computed row by row.
 
     ``np.linalg.norm(matrix, axis=1)`` sums in another order, and its last
-    bits can reorder near-tied similarities.  A finite row whose squares
+    bits can reorder near-tied similarities.  Each norm is ``sqrt(row @ row)``,
+    which is how ``np.linalg.norm(row)`` computes it, over a contiguous row
+    of a C-ordered copy of a 128-row block: a column-major matrix is not
+    copied row by row, and the copy stays small.  A finite row whose squares
     overflow (values near 1e300) or a nonzero row whose squares underflow
     (values near 1e-200) is scaled by its largest magnitude first; every
     other norm keeps the bits of the plain computation.
     """
+    squares = np.empty(len(matrix))
     with np.errstate(over="ignore"):
-        norms = np.array([np.linalg.norm(row) for row in matrix], dtype=np.float64)
+        for start in range(0, len(matrix), 128):
+            block = np.ascontiguousarray(matrix[start : start + 128])
+            squares[start : start + len(block)] = [row.dot(row) for row in block]
+    norms = np.sqrt(squares)
     for i in np.flatnonzero(~np.isfinite(norms) | ((norms == 0.0) & matrix.any(axis=1))):
         scale = np.abs(matrix[i]).max()
         norms[i] = scale * np.linalg.norm(matrix[i] / scale)

@@ -294,13 +294,20 @@ class NormalizationStats:
 
 
 def fit_normalization(dataset: TimeSeriesDataset) -> NormalizationStats:
-    """Compute per-column mean and population std over all rows."""
+    """Compute per-column mean and population std over all rows.
+
+    A column whose std overflows float64 is a :class:`DataError` naming its
+    KPI: a model can neither hold nor normalize with an infinite std.
+    """
     if dataset.n_rows < 1:
         raise DataError("cannot fit normalization on an empty dataset")
-    return NormalizationStats(
-        mean=dataset.values.mean(axis=0),
-        std=dataset.values.std(axis=0),  # ddof=0: population std
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = dataset.values.mean(axis=0)
+        std = dataset.values.std(axis=0)  # ddof=0: population std
+    overflowed = np.flatnonzero(~np.isfinite(std))
+    if overflowed.size:
+        raise DataError(f"KPI {dataset.kpis[overflowed[0]]}: standard deviation overflows float64")
+    return NormalizationStats(mean=mean, std=std)
 
 
 def load_descriptors(path: str | os.PathLike[str]) -> dict[KpiId, KpiDescriptor]:

@@ -2,9 +2,9 @@
 
 Every test drives ``faultcast.cli.main`` in process with a temporary working
 directory, checking exit codes, printed status lines, and the files each
-subcommand writes.  Two smoke tests run the module through a subprocess to
-cover the ``--help`` and bare-invocation paths that argparse terminates
-itself.
+subcommand writes.  A few tests run the module through a subprocess: the
+``--help`` and bare-invocation paths that argparse terminates itself, the
+modules an import loads, and the exact stderr of a refused ``train``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from faultcast import cli, endpoints
@@ -259,6 +260,24 @@ class TestTrain:
             "load@component-2",
             "temperature@component-2",
         ]
+
+    def test_a_column_whose_std_overflows_is_refused_before_the_model_is_written(self, tmp_path) -> None:
+        values = np.random.default_rng(0).normal(size=(300, 3))
+        values[:, 2] *= 1e200
+        data = tmp_path / "huge.csv"
+        kpis = [KpiId("a", "n"), KpiId("b", "n"), KpiId("c", "n")]
+        write_dataset(TimeSeriesDataset(np.arange(300), kpis, values), str(data))
+        model = tmp_path / "model.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "faultcast.cli", "train", "--data", str(data), "--out", str(model)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=_SUBPROCESS_ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "data error: KPI c@n: standard deviation overflows float64\n"
+        assert not model.exists()
 
     def test_missing_data_file_is_a_data_error(self, tmp_path, capsys) -> None:
         rc = cli.main(
@@ -643,6 +662,20 @@ class TestKnowledgeBase:
         assert f"({total} chunks, {total} total)" in capsys.readouterr().out
         assert cli.main(["kb", "ingest", *[str(m) for m in manuals]]) == 0
         assert f"({total} chunks, {total} total)" in capsys.readouterr().out
+
+    def test_a_replaced_file_is_not_counted_as_a_document(
+        self, manuals, tmp_path, monkeypatch, capsys
+    ) -> None:
+        monkeypatch.chdir(tmp_path)
+        decoy = tmp_path / "old" / "engine.md"
+        decoy.parent.mkdir()
+        decoy.write_text("# Old engine\n\nworn gasket\n", encoding="utf-8")
+        by_stem = {m.stem: str(m) for m in manuals}
+        files = [str(decoy), by_stem["engine"], by_stem["electrical"], by_stem["tank_pressure"]]
+        assert cli.main(["kb", "ingest", *files]) == 0
+        assert capsys.readouterr().out.startswith("ingested 3 documents (")
+        store = VectorStore.load(tmp_path / "artifacts" / "knowledge.json")
+        assert sorted(store.manifest) == ["electrical", "engine", "tank_pressure"]
 
     def test_a_manual_that_is_not_utf8_exits_two(self, tmp_path, monkeypatch, capsys) -> None:
         monkeypatch.chdir(tmp_path)

@@ -613,6 +613,8 @@ def test_row_norms_keep_the_bits_of_the_plain_norm():
     rows = np.random.default_rng(3).normal(size=(20, 7)) * np.logspace(-150, 150, 20)[:, None]
     expected = [np.linalg.norm(row) for row in rows]
     assert _row_norms(rows).tolist() == expected
+    assert _row_norms(np.asfortranarray(rows)).tolist() == expected
+    assert _row_norms(np.asfortranarray(np.tile(rows, (15, 1)))).tolist() == expected * 15
 
 
 class TestIngestFiles:

@@ -380,6 +380,22 @@ def test_fit_normalization_uses_population_std():
     assert stats.std[0] == pytest.approx(np.std([1.0, 2.0, 3.0, 4.0], ddof=0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.linspace(-1e200, 1e200, 300),  # the squared deviations overflow
+        np.repeat([1.7e308, -1.7e308], 150),  # the sum overflows both ways: inf - inf
+    ],
+)
+def test_fit_normalization_names_a_column_whose_std_overflows(column):
+    kpis = [parse_kpi_id("a@n"), parse_kpi_id("b@n")]
+    values = np.column_stack([np.ones(300), column])
+    ds = TimeSeriesDataset(timestamps=np.arange(300), kpis=kpis, values=values)
+    with pytest.raises(DataError, match=r"^KPI b@n: standard deviation overflows float64$"):
+        fit_normalization(ds)
+
+
 def test_normalization_transform_inverse_round_trip():
     kpis = [parse_kpi_id("a@n")]
     ds = TimeSeriesDataset(timestamps=[0, 1], kpis=kpis, values=[[2.0], [4.0]])
