@@ -9,6 +9,14 @@ therefore the trained weights.
 
 Gradients are computed analytically (backpropagation) so they can be checked
 against finite differences.
+
+Training copies the weights and biases into one float64 parameter vector,
+trains per-layer views of it and writes gradients into views of a matching
+one, so a step updates every parameter with one ``params -= learning_rate *
+grads``: at these sizes a step costs numpy calls, not arithmetic.  Each element
+sees the same operations on the same operands in the same order as a per-array
+update, so the weights, the loss curve and the epoch of :class:`NonFiniteLoss`
+keep their bits.
 """
 
 from __future__ import annotations
@@ -76,13 +84,6 @@ class AutoencoderModel:
     def n_inputs(self) -> int:
         return self.layer_sizes[0]
 
-    def clone(self) -> AutoencoderModel:
-        return AutoencoderModel(
-            layer_sizes=list(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
 
 def bottleneck_layer_sizes(n: int) -> list[int]:
     """Layer widths for n input KPIs: [n, ceil(n/2), max(2, ceil(n/4)), ceil(n/2), n].
@@ -135,6 +136,30 @@ def forward(model: AutoencoderModel, states: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
+def _views_of(model: AutoencoderModel, flat: np.ndarray) -> AutoencoderModel:
+    """``model``'s shapes as views of consecutive slices of ``flat``: weights, then biases."""
+    arrays = model.weights + model.biases
+    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
+    n = len(model.weights)
+    return AutoencoderModel(list(model.layer_sizes), views[:n], views[n:])
+
+
+def _backprop(
+    model: AutoencoderModel, batch: np.ndarray, grads_w: list[np.ndarray], grads_b: list[np.ndarray]
+) -> np.ndarray:
+    """Write the loss gradients of ``batch`` into ``grads_w``/``grads_b``; returns output - batch."""
+    activations = _forward_cached(model, batch)
+    diff = activations[-1] - batch
+    delta = 2.0 * diff / diff.size  # output layer is linear
+    for i in range(len(model.weights) - 1, -1, -1):
+        np.matmul(activations[i].T, delta, out=grads_w[i])
+        np.add.reduce(delta, 0, out=grads_b[i])
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (1.0 - activations[i] ** 2)
+    return diff
+
+
 def loss_and_gradients(
     model: AutoencoderModel, batch: np.ndarray
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
@@ -146,21 +171,10 @@ def loss_and_gradients(
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.n_inputs:
         raise DimensionMismatch(f"batch must be 2-D with {model.n_inputs} columns")
-    activations = _forward_cached(model, batch)
-    output = activations[-1]
-    diff = output - batch
-    loss = float(np.mean(diff**2))
-
-    n_layers = len(model.weights)
-    grads_w: list[np.ndarray] = [np.empty(0)] * n_layers
-    grads_b: list[np.ndarray] = [np.empty(0)] * n_layers
-    delta = 2.0 * diff / diff.size  # output layer is linear
-    for i in range(n_layers - 1, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * (1.0 - activations[i] ** 2)
-    return loss, grads_w, grads_b
+    grads_w = [np.empty_like(w) for w in model.weights]
+    grads_b = [np.empty_like(b) for b in model.biases]
+    diff = _backprop(model, batch, grads_w, grads_b)
+    return float(np.mean(diff**2)), grads_w, grads_b
 
 
 def train(
@@ -177,21 +191,22 @@ def train(
     if data.shape[1] != model.n_inputs:
         raise DimensionMismatch(f"expected {model.n_inputs} columns, got {data.shape[1]}")
 
-    model = model.clone()
+    params = np.concatenate([a.ravel() for a in model.weights + model.biases], dtype=np.float64)
+    grads = np.empty_like(params)
+    trained, gradient = _views_of(model, params), _views_of(model, grads)
     rng = np.random.default_rng(config.seed)
     n_rows = data.shape[0]
     batch_size = config.resolve_batch_size(n_rows)
     curve: list[float] = []
     for epoch in range(config.epochs):
-        order = rng.permutation(n_rows)
+        shuffled = data[rng.permutation(n_rows)]
         for start in range(0, n_rows, batch_size):
-            batch = data[order[start : start + batch_size]]
-            _, grads_w, grads_b = loss_and_gradients(model, batch)
-            for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
-                w -= config.learning_rate * gw
-                b -= config.learning_rate * gb
-        epoch_loss = float(np.mean((data - forward(model, data)) ** 2))
+            _backprop(trained, shuffled[start : start + batch_size], gradient.weights, gradient.biases)
+            params -= config.learning_rate * grads
+        epoch_loss = float(np.mean((data - forward(trained, data)) ** 2))
         if not math.isfinite(epoch_loss):
             raise NonFiniteLoss(f"loss became non-finite at epoch {epoch + 1}")
         curve.append(epoch_loss)
-    return model, curve
+    weights = [w.copy() for w in trained.weights]
+    biases = [b.copy() for b in trained.biases]
+    return AutoencoderModel(list(model.layer_sizes), weights, biases), curve

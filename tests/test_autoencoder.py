@@ -18,7 +18,14 @@ from faultcast.autoencoder import (
     train,
 )
 from faultcast.errors import DimensionMismatch, NonFiniteLoss
-from helpers import batch_loss, linear_model, zero_model
+from helpers import (
+    batch_loss,
+    copy_model,
+    linear_model,
+    reference_loss_and_gradients,
+    reference_train,
+    zero_model,
+)
 
 
 @pytest.mark.parametrize(
@@ -153,7 +160,7 @@ def finite_difference_gradients(model, batch, h=1e-5):
     grad_b = [np.zeros_like(b) for b in model.biases]
     for layer, weight in enumerate(model.weights):
         for idx in np.ndindex(weight.shape):
-            probe = model.clone()
+            probe = copy_model(model)
             probe.weights[layer][idx] += h
             up = batch_loss(probe, batch)
             probe.weights[layer][idx] -= 2 * h
@@ -161,7 +168,7 @@ def finite_difference_gradients(model, batch, h=1e-5):
             grad_w[layer][idx] = (up - down) / (2 * h)
     for layer, bias in enumerate(model.biases):
         for idx in np.ndindex(bias.shape):
-            probe = model.clone()
+            probe = copy_model(model)
             probe.biases[layer][idx] += h
             up = batch_loss(probe, batch)
             probe.biases[layer][idx] -= 2 * h
@@ -211,6 +218,52 @@ def test_train_raises_on_divergence():
     model = init_autoencoder(3, seed=2)
     with pytest.raises(NonFiniteLoss):
         train(model, data, TrainingConfig(epochs=50, learning_rate=1e6, seed=0))
+
+
+def _parameter_bytes(model):
+    return [a.tobytes() for a in model.weights + model.biases]
+
+
+@pytest.mark.parametrize("batch_size", [None, 1, 7, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 50])
+def test_train_keeps_the_bits_of_per_array_updates(n, batch_size):
+    """Rows that do not divide the batch, and fewer rows than 32, over several seeds."""
+    for rows in (5, 31, 45, 100):
+        for seed in (0, 1, 2):
+            data = np.random.default_rng(seed).normal(size=(rows, n))
+            model = init_autoencoder(n, seed=seed)
+            config = TrainingConfig(epochs=3, learning_rate=0.05, batch_size=batch_size, seed=seed)
+            trained, curve = train(model, data, config)
+            expected, expected_curve = reference_train(model, data, config)
+            assert curve == expected_curve
+            assert _parameter_bytes(trained) == _parameter_bytes(expected)
+            loss, grads_w, grads_b = loss_and_gradients(trained, data)
+            expected_loss, expected_w, expected_b = reference_loss_and_gradients(trained, data)
+            assert loss == expected_loss
+            assert [g.tobytes() for g in grads_w + grads_b] == [g.tobytes() for g in expected_w + expected_b]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("learning_rate", [30.0, 100.0, 1e6])
+def test_divergence_is_raised_at_the_epoch_of_per_array_updates(learning_rate):
+    data = np.random.default_rng(4).normal(scale=3.0, size=(40, 3))
+    model = init_autoencoder(3, seed=2)
+    config = TrainingConfig(epochs=60, learning_rate=learning_rate, seed=0)
+    with pytest.raises(NonFiniteLoss) as expected:
+        reference_train(model, data, config)
+    with pytest.raises(NonFiniteLoss, match=f"^{expected.value}$"):
+        train(model, data, config)
+
+
+def test_train_leaves_its_input_alone_and_returns_arrays_of_their_own():
+    model = init_autoencoder(12, seed=3)
+    before = _parameter_bytes(model)
+    trained, _ = train(model, np.random.default_rng(5).normal(size=(70, 12)), TrainingConfig(epochs=2))
+    assert _parameter_bytes(model) == before
+    for array in trained.weights + trained.biases:
+        assert array.base is None and array.flags.owndata
+        assert array.flags.c_contiguous and array.flags.writeable
+        assert array.dtype == np.float64
 
 
 def test_training_config_validation_and_batch_resolution():

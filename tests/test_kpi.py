@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultcast import cli
-from faultcast.classifier import save_classifier
+from faultcast.classifier import load_classifier, save_classifier
 from faultcast.errors import (
     DataError,
     DimensionMismatch,
@@ -296,14 +296,7 @@ def cli_model(scratch):
     return path
 
 
-@pytest.mark.parametrize("command", ["train", "detect", "rank"])
-@settings(max_examples=40)
-@given(data=_mutated_csv(min_rows=40))
-def test_cli_reads_a_mutated_dataset_or_exits_two_with_one_line(command, scratch, cli_model, data):
-    path = scratch / "cli.csv"
-    path.write_bytes(data)
-    argv = [command, "--data", str(path), "--out", str(scratch / "out")]
-    argv += ["--training.epochs", "1"] if command == "train" else ["--model", str(cli_model)]
+def _run_cli(argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -312,6 +305,22 @@ def test_cli_reads_a_mutated_dataset_or_exits_two_with_one_line(command, scratch
     else:
         assert code == 2, err.getvalue()
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    return code
+
+
+@pytest.mark.parametrize("command", ["train", "detect", "rank"])
+@settings(max_examples=40)
+@given(data=_mutated_csv(min_rows=40))
+def test_cli_reads_a_mutated_dataset_or_exits_two_with_one_line(command, scratch, cli_model, data):
+    """A model that ``train`` writes loads back, and ``detect`` reads the same CSV with it."""
+    path = scratch / "cli.csv"
+    path.write_bytes(data)
+    argv = [command, "--data", str(path), "--out", str(scratch / "out")]
+    argv += ["--training.epochs", "1"] if command == "train" else ["--model", str(cli_model)]
+    if _run_cli(argv) == 0 and command == "train":
+        trained = str(scratch / "out")
+        load_classifier(trained)
+        _run_cli(["detect", "--data", str(path), "--model", trained, "--out", str(scratch / "report")])
 
 
 @given(
