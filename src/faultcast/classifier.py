@@ -107,12 +107,13 @@ def score(classifier: TrainedClassifier, raw_values: np.ndarray) -> tuple[np.nda
     in one forward pass.  Returns ``(state_errors, kpi_residuals)``: the
     squared per-KPI residuals, shaped like the input, and their mean over each
     state (a 0-D array for a 1-D input).  Raises :class:`DataError` on a NaN or
-    infinite value, which would otherwise score as a normal state.
+    infinite value, raw or after normalization, which would otherwise score as
+    a normal state.  A finite normalized state whose error overflows scores
+    ``inf``, which is anomalous at any threshold.
     """
-    values = np.asarray(raw_values, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise DataError("raw KPI values must be finite")
-    normalized = classifier.normalization.transform(values)
+    normalized = classifier.normalization.transform(raw_values)
+    if not np.isfinite(normalized).all():
+        raise DataError("KPI values must be finite and stay finite when normalized")
     residuals = (normalized - forward(classifier.model, normalized)) ** 2
     return residuals.mean(axis=-1), residuals
 

@@ -21,17 +21,17 @@ from __future__ import annotations
 import argparse
 import datetime
 import glob
-import math
 import os
 import sys
 import typing
 from collections.abc import Sequence
 from pathlib import Path
 
+import numpy as np
+
 from . import config as config_mod
 from .classifier import (
     check_schema,
-    check_sigma_grid,
     fit_classifier,
     load_classifier,
     save_classifier,
@@ -64,6 +64,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        # Flags match only in full, or an unknown flag could pass as a prefix of another.
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 
@@ -97,12 +101,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tune", parents=[common], help="sweep sigma over failure-free data and pick the elbow")
     p.add_argument("--data", required=True, nargs="+", metavar="CSV", help="failure-free series")
     p.add_argument("--model", required=True, metavar="MODEL")
-    p.add_argument("--grid", default=None, metavar="S,...", help="sigma grid (default: config sigma_grid)")
 
     p = sub.add_parser("detect", parents=[common], help="classify every state of a series")
     p.add_argument("--data", required=True, metavar="CSV")
     p.add_argument("--model", required=True, metavar="MODEL")
-    p.add_argument("--sigma", default=None, type=float, metavar="S", help="threshold multiplier (default: config)")
     p.add_argument("--out", default=None, metavar="CSV", help="verdict file (default: timestamped report)")
 
     p = sub.add_parser("rank", parents=[common], help="rank root-cause KPIs for the latest state")
@@ -182,20 +184,6 @@ def _out_path(args: argparse.Namespace, config: config_mod.ToolConfig, stem: str
     return args.out
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        grid = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad --grid value: {exc}") from exc
-    if not grid:
-        raise UsageError("--grid must list at least one sigma")
-    try:
-        check_sigma_grid(grid)
-    except ValueError as exc:
-        raise UsageError(f"bad --grid value: {exc}") from exc
-    return grid
-
-
 def _descriptor_table(config: config_mod.ToolConfig) -> dict[KpiId, KpiDescriptor]:
     if config.paths.descriptors is None:
         return {}
@@ -215,10 +203,9 @@ def _cmd_train(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
-    grid = _parse_grid(args.grid) if args.grid is not None else config.sigma_grid
     classifier = load_classifier(args.model)
     scenarios = [Scenario(name=path, dataset=load_dataset(path, config.missing_policy)) for path in args.data]
-    table = evaluate_scenarios(classifier, scenarios, grid)
+    table = evaluate_scenarios(classifier, scenarios, config.sigma_grid)
     curve, text = table.elbow_curve(), table.elbow_csv()
     print(text, end="")
     if len(curve) >= 3:
@@ -236,10 +223,7 @@ def _cmd_detect(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     classifier = load_classifier(args.model)
     dataset = load_dataset(args.data, config.missing_policy)
     check_schema(classifier, dataset.kpis)
-    sigma = config.classifier.sigma if args.sigma is None else args.sigma
-    if not 0 < sigma < math.inf:
-        raise UsageError("--sigma must be positive and finite")
-    limit = threshold(classifier.baseline, sigma)
+    limit = threshold(classifier.baseline, config.classifier.sigma)
     errors, _ = score(classifier, dataset.values)
     anomalous = errors > limit
     out = _out_path(args, config, "detect", ".csv")
@@ -250,7 +234,7 @@ def _cmd_detect(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
             handle.write(f"{timestamp},{error:.17g},{limit:.17g},{str(flag).lower()}\n")
     flagged = int(anomalous.sum())
     print(
-        f"{flagged} of {dataset.n_rows} states anomalous at sigma={sigma:g} "
+        f"{flagged} of {dataset.n_rows} states anomalous at sigma={config.classifier.sigma:g} "
         f"(threshold {limit:.6g}); verdicts: {out}"
     )
     return EXIT_OK
@@ -272,7 +256,6 @@ def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
         granger_config=config.granger,
         pagerank_config=config.pagerank,
         descriptors=descriptors,
-        count_central_only=config.count_central_only,
     )
     out = _out_path(args, config, "report", ".json")
     with open(out, "w", encoding="utf-8") as handle:
@@ -431,7 +414,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args)
-        return _dispatch(args, config)
+        # A reconstruction error that overflows to inf is a verdict (anomalous), not a fault.
+        with np.errstate(over="ignore"):
+            return _dispatch(args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,13 +24,12 @@ from .classifier import SIGMA_GRID, ClassifierConfig, check_sigma_grid
 from .endpoints import EndpointsConfig
 from .errors import SchemaError, load_json
 from .granger import GrangerConfig
-from .knowledge import EMBEDDER_MODES
-from .kpi import _optional_inner, from_json, to_json
+from .knowledge import DEFAULT_DIMENSION, EMBEDDER_MODES
+from .kpi import MISSING_POLICIES, _optional_inner, from_json, to_json
 from .pagerank import PageRankConfig
 from .troubleshoot import PromptSpec, RetrievalConfig
 
 LLM_MODES = ("echo", "http")
-MISSING_POLICIES = ("forward_fill", "reject")
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,8 @@ class ToolConfig:
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     endpoints: EndpointsConfig = field(default_factory=EndpointsConfig)
     embedder: str = "offline"
-    embedding_dimension: int = 512
+    embedding_dimension: int = DEFAULT_DIMENSION
     llm: str = "echo"
-    count_central_only: bool = True
     missing_policy: str = "forward_fill"
     sigma_grid: tuple[float, ...] = SIGMA_GRID
 

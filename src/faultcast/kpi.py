@@ -39,6 +39,7 @@ from .errors import (
 )
 
 TIMESTAMP_COLUMN = "timestamp"
+MISSING_POLICIES = ("forward_fill", "reject")
 
 # float64 arrays, read by :func:`from_json` with exactly this many dimensions.
 Vector = typing.Annotated[np.ndarray, 1]
@@ -197,7 +198,7 @@ def load_dataset(path: str | os.PathLike[str], missing_policy: str = "forward_fi
     previous row's value for that column (an empty cell in the first row is
     unrecoverable), ``reject`` refuses any empty cell.
     """
-    if missing_policy not in ("forward_fill", "reject"):
+    if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"unknown missing_policy: {missing_policy!r}")
     content = read_utf8(path, "dataset")
     reader = _csv_reader(content, path)

@@ -154,26 +154,19 @@ def rank_root_causes(
     ]
 
 
-def attribute_components(
-    ranked: list[RankedCause], count_central_only: bool = True
-) -> list[ComponentAttribution]:
+def attribute_components(ranked: list[RankedCause]) -> list[ComponentAttribution]:
     """Top 3 components by number of hosted central KPIs.
 
     A KPI is central when its centrality is at least the mean centrality of
     all ranked KPIs.  Ties break on summed centrality, then component name.
-    With ``count_central_only=False`` every ranked KPI is counted instead.
     """
     if not ranked:
         return []
     mean_centrality = sum(r.centrality for r in ranked) / len(ranked)
-    counted = (
-        [r for r in ranked if r.centrality >= mean_centrality]
-        if count_central_only
-        else list(ranked)
-    )
+    central = [r for r in ranked if r.centrality >= mean_centrality]
     counts: dict[str, int] = {}
     weight: dict[str, float] = {}
-    for r in counted:
+    for r in central:
         counts[r.kpi.node] = counts.get(r.kpi.node, 0) + 1
         weight[r.kpi.node] = weight.get(r.kpi.node, 0.0) + r.centrality
     ordered = sorted(counts, key=lambda node: (-counts[node], -weight[node], node))
@@ -223,7 +216,6 @@ def analyze(
     granger_config: GrangerConfig = GrangerConfig(),
     pagerank_config: PageRankConfig = PageRankConfig(),
     descriptors: dict[KpiId, KpiDescriptor] | None = None,
-    count_central_only: bool = True,
 ) -> AnomalyReport:
     """Classify one raw state and localize root causes if it is anomalous.
 
@@ -233,7 +225,7 @@ def analyze(
     window; only its last ``granger_config.window`` rows are read.  For a
     normal verdict every downstream field stays empty.  A non-finite value in
     the state, or in the window of an anomalous state, raises
-    :class:`DataError`.
+    :class:`DataError`, as does a finite one that overflows when normalized.
     """
     if isinstance(history, RollingHistory):
         history = history.window(granger_config.window)
@@ -267,14 +259,13 @@ def analyze(
     if not anomalies:
         return AnomalyReport(verdict=verdict, descriptions=descriptions)
 
-    window = history[-granger_config.window :]
-    if not np.isfinite(window).all():
-        raise DataError("history window must hold finite KPI values")
-    normalized_history = classifier.normalization.transform(window)
+    normalized_history = classifier.normalization.transform(history[-granger_config.window :])
+    if not np.isfinite(normalized_history).all():
+        raise DataError("history window must hold KPI values that stay finite when normalized")
     graph = build_causality_graph(normalized_history, classifier.kpis, anomalies, granger_config)
     centrality = pagerank(graph.nodes, [(e.cause, e.effect) for e in graph.edges], pagerank_config)
     ranked = rank_root_causes(graph, centrality, anomalies)
-    components = attribute_components(ranked, count_central_only)
+    components = attribute_components(ranked)
     return AnomalyReport(
         verdict=verdict,
         anomalous_kpis=tuple(anomalies),

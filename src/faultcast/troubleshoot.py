@@ -31,10 +31,9 @@ _SPARSE_SHARE = 0.25
 
 @dataclass(frozen=True)
 class PromptSpec:
-    """How many KPI descriptions go into the question, and the join text."""
+    """How many KPI descriptions go into the question."""
 
     kpi_count: int = 3
-    separator: str = ", "
 
     def __post_init__(self) -> None:
         if not 2 <= self.kpi_count <= 4:
@@ -71,7 +70,7 @@ def build_prompt(
 
     Selects up to ``spec.kpi_count`` anomalies by descending score (name as
     tiebreak), deduplicates identical descriptions preserving order, and
-    joins them after the fixed question prefix.
+    joins them with ``", "`` after the fixed question prefix.
     """
     if not anomalies:
         raise ValueError("anomalies must be non-empty")
@@ -83,7 +82,7 @@ def build_prompt(
             raise MissingDescriptor(f"no description for KPI {anomaly.kpi}")
         if descriptor.description not in descriptions:
             descriptions.append(descriptor.description)
-    return QUESTION_PREFIX + spec.separator.join(descriptions)
+    return QUESTION_PREFIX + ", ".join(descriptions)
 
 
 def retrieve(

@@ -132,7 +132,7 @@ PINNED = {
     ),
     "config": (
         lambda _path: config_to_json(ToolConfig()).encode(),
-        "fe5ed9879fe3d2adccb7343a0a971595c9e2056308a929bc009ef9d60603a2f9",
+        "8fade868fd9d1c4c079e6dae5363b15e1934d220b386dc136453e8af8e7167ba",
     ),
     "report": (
         lambda _path: report_to_json(_report()).encode(),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -116,6 +117,14 @@ def test_score_rejects_non_finite_values(bad):
         score(classifier, np.array([1.0, bad]))
     with pytest.raises(DataError, match="finite"):
         score(classifier, np.array([[1.0, 1.0], [bad, 0.0]]))
+
+
+def test_an_error_that_overflows_scores_inf_and_is_anomalous():
+    classifier = _zero_classifier(2)
+    with np.errstate(over="ignore"):
+        errors, _ = score(classifier, np.array([[1e200, 0.0], [0.0, 0.0]]))
+    assert errors.tolist() == [math.inf, 0.0]
+    assert errors[0] > threshold(classifier.baseline, 1e300)
 
 
 def test_score_rejects_wrong_width():

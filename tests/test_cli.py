@@ -4,11 +4,13 @@ Every test drives ``faultcast.cli.main`` in process with a temporary working
 directory, checking exit codes, printed status lines, and the files each
 subcommand writes.  A few tests run the module through a subprocess: the
 ``--help`` and bare-invocation paths that argparse terminates itself, the
-modules an import loads, and the exact stderr of a refused ``train``.
+modules an import loads, the exact stderr of a refused ``train``, and a
+``detect`` whose errors overflow, run under ``-W error::RuntimeWarning``.
 """
 
 from __future__ import annotations
 
+import argparse
 import datetime
 import json
 import os
@@ -33,6 +35,7 @@ from faultcast.classifier import (
     sigma_sweep,
     threshold,
 )
+from faultcast.config import override_fields
 from faultcast.knowledge import VectorStore
 from faultcast.kpi import KpiId, TimeSeriesDataset, load_dataset, write_dataset
 from faultcast.ranker import AnomalyReport, KpiAnomaly, load_report, report_to_json
@@ -176,6 +179,61 @@ class TestParsing:
         assert rc == 1
         assert "bad value for --classifier.sigma" in capsys.readouterr().err
 
+    def test_each_subcommand_has_exactly_its_own_flags(self) -> None:
+        """Besides --config and one flag per config field, each subcommand has these and no more."""
+        shared = {"-h", "--help", "--config", *(f"--{name}" for name, _ in override_fields())}
+
+        def subcommands(parser, prefix=""):
+            nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not nested:
+                own = {flag for a in parser._actions for flag in a.option_strings or [a.dest]}
+                yield prefix.strip(), sorted(own - shared)
+            for action in nested:
+                for name, child in action.choices.items():
+                    yield from subcommands(child, f"{prefix}{name} ")
+
+        assert dict(subcommands(cli.build_parser())) == {
+            "train": ["--data", "--out"],
+            "tune": ["--data", "--model"],
+            "detect": ["--data", "--model", "--out"],
+            "rank": ["--data", "--model", "--out"],
+            "kb ingest": ["files"],
+            "troubleshoot": ["--out", "--report"],
+            "simulate": ["--fault", "--out", "--seed", "--spec"],
+            "evaluate": ["--model", "--out-dir", "--scenarios"],
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--model", "MODEL", "--sigma", "6"],
+            ["tune", "--model", "MODEL", "--grid", "1,2,3"],
+            ["train", "--out", "OUT", "--training.epoch", "3"],
+            ["detect", "--model", "MODEL", "--classifier.sig", "6"],
+        ],
+        ids=["removed-sigma", "removed-grid", "abbreviated-field", "abbreviated-prefix"],
+    )
+    def test_a_removed_or_abbreviated_flag_is_a_usage_error(self, ws, tmp_path, argv, capsys) -> None:
+        command, *rest = argv
+        rest = [{"MODEL": ws.model, "OUT": str(tmp_path / "model.json")}.get(arg, arg) for arg in rest]
+        rc = cli.main([command, "--data", ws.quiet, *rest])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: unrecognized arguments: ")
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "payload", ['{"count_central_only": true}', '{"prompt": {"separator": "; "}}']
+    )
+    def test_a_config_file_naming_a_removed_field_is_a_data_error(self, ws, tmp_path, payload, capsys) -> None:
+        config = tmp_path / "config.json"
+        config.write_text(payload, encoding="utf-8")
+        rc = cli.main(["detect", "--config", str(config), "--data", ws.quiet, "--model", ws.model])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: unknown config field: ")
+        assert len(err.splitlines()) == 1
+
     def test_help_lists_every_command(self) -> None:
         proc = subprocess.run(
             [sys.executable, "-m", "faultcast.cli", "--help"],
@@ -317,16 +375,16 @@ class TestDetect:
 
     def test_sigma_must_be_positive(self, ws, capsys) -> None:
         rc = cli.main(
-            ["detect", "--data", ws.quiet, "--model", ws.model, "--sigma", "0"]
+            ["detect", "--data", ws.quiet, "--model", ws.model, "--classifier.sigma", "0"]
         )
         assert rc == 1
-        assert "--sigma must be positive" in capsys.readouterr().err
+        assert "sigma must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--sigma", "nan"],
-            ["--sigma", "inf"],
+            ["--classifier.sigma=-inf"],
+            ["--classifier.sigma_kpi", "nan"],
             ["--classifier.sigma", "inf"],
             ["--classifier.sigma", "nan"],
             ["--classifier.sigma_kpi", "inf"],
@@ -358,7 +416,7 @@ class TestDetect:
                 ws.faulty,
                 "--model",
                 ws.model,
-                "--sigma",
+                "--classifier.sigma",
                 "1e6",
                 "--out",
                 str(out),
@@ -367,6 +425,24 @@ class TestDetect:
         assert rc == 0
         assert capsys.readouterr().out.startswith("0 of 260 states anomalous")
         assert ",false" in out.read_text(encoding="utf-8")
+
+    def test_an_error_that_overflows_is_anomalous_and_warns_nothing(self, ws, tmp_path) -> None:
+        header = Path(ws.quiet).read_text(encoding="utf-8").splitlines()[0]
+        huge = ",".join(["1e200"] * header.count(","))
+        data = tmp_path / "huge.csv"
+        data.write_text(f"{header}\n0,{huge}\n1,{huge}\n", encoding="utf-8")
+        out = tmp_path / "verdicts.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "faultcast.cli", "detect",
+             "--data", str(data), "--model", ws.model, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=_SUBPROCESS_ENV,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [(row[1], row[3]) for row in rows] == [("inf", "true"), ("inf", "true")]
 
     def test_default_sigma_flags_the_fault(self, ws, tmp_path, capsys) -> None:
         out = tmp_path / "faulty.csv"
@@ -467,7 +543,7 @@ class TestTune:
     def test_curve_elbow_and_file(self, ws, tmp_path, monkeypatch, capsys) -> None:
         monkeypatch.chdir(tmp_path)
         rc = cli.main(
-            ["tune", "--data", ws.quiet, "--model", ws.model, "--grid", "1.5,3,4.5"]
+            ["tune", "--data", ws.quiet, "--model", ws.model, "--sigma_grid", "1.5,3,4.5"]
         )
         assert rc == 0
         totals = self._expected_totals(ws, [ws.quiet])
@@ -493,7 +569,7 @@ class TestTune:
     ) -> None:
         monkeypatch.chdir(tmp_path)
         rc = cli.main(
-            ["tune", "--data", ws.quiet, "--model", ws.model, "--grid", "1.5,3"]
+            ["tune", "--data", ws.quiet, "--model", ws.model, "--sigma_grid", "1.5,3"]
         )
         assert rc == 0
         assert "elbow: needs at least 3 grid points" in capsys.readouterr().out
@@ -510,7 +586,7 @@ class TestTune:
                 ws.quiet,
                 "--model",
                 ws.model,
-                "--grid",
+                "--sigma_grid",
                 "1.5,3,4.5",
             ]
         )
@@ -522,28 +598,33 @@ class TestTune:
 
     def test_bad_grid_values(self, ws, capsys) -> None:
         rc = cli.main(
-            ["tune", "--data", ws.quiet, "--model", ws.model, "--grid", "abc"]
+            ["tune", "--data", ws.quiet, "--model", ws.model, "--sigma_grid", "abc"]
         )
         assert rc == 1
-        assert "bad --grid value" in capsys.readouterr().err
+        assert "bad value for --sigma_grid" in capsys.readouterr().err
 
     def test_empty_grid(self, ws, capsys) -> None:
-        rc = cli.main(["tune", "--data", ws.quiet, "--model", ws.model, "--grid", ","])
+        rc = cli.main(["tune", "--data", ws.quiet, "--model", ws.model, "--sigma_grid", ","])
         assert rc == 1
-        assert "--grid must list at least one sigma" in capsys.readouterr().err
+        assert "sigma grid must be non-empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["3,1.5", "0,1", "-1,2", "1,nan"])
     def test_grid_must_be_positive_and_ascending(self, ws, grid, capsys) -> None:
-        rc = cli.main(["tune", "--data", ws.quiet, "--model", ws.model, f"--grid={grid}"])
+        rc = cli.main(["tune", "--data", ws.quiet, "--model", ws.model, f"--sigma_grid={grid}"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error: bad --grid value: sigma grid ")
+        assert err.startswith("usage error: bad value for --sigma_grid: ")
+        assert "sigma grid " in err
         assert len(err.splitlines()) == 1
 
-    def test_config_grid_must_be_positive(self, ws, capsys) -> None:
-        rc = cli.main(["tune", "--data", ws.quiet, "--model", ws.model, "--sigma_grid", "0,1"])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("usage error: ")
+    def test_config_grid_must_be_positive(self, ws, tmp_path, capsys) -> None:
+        config = tmp_path / "config.json"
+        config.write_text('{"sigma_grid": [0, 1]}', encoding="utf-8")
+        rc = cli.main(["tune", "--config", str(config), "--data", ws.quiet, "--model", ws.model])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sigma grid " in err
+        assert len(err.splitlines()) == 1
 
 
 class TestRank:

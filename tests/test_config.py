@@ -19,6 +19,7 @@ from faultcast.config import (
     parse_override_value,
 )
 from faultcast.errors import IoError, SchemaError
+from faultcast.knowledge import DEFAULT_DIMENSION
 from faultcast.pagerank import PageRankConfig
 
 from helpers import load_text
@@ -32,8 +33,7 @@ def test_defaults():
     assert config.embedder == "offline"
     assert config.llm == "echo"
     assert config.missing_policy == "forward_fill"
-    assert config.embedding_dimension == 512
-    assert config.count_central_only is True
+    assert config.embedding_dimension == DEFAULT_DIMENSION == 512
     assert config.sigma_grid == SIGMA_GRID
     assert config.endpoints.base_url == "http://localhost:11434"
     assert config.endpoints.retries == 2
@@ -96,7 +96,7 @@ def test_json_round_trip_default_and_custom(tmp_path):
         sigma_grid=(1.0, 2.0, 4.0),
         embedder="remote",
         llm="http",
-        count_central_only=False,
+        pagerank=PageRankConfig(reverse_edges=False),
     )
     assert load_text(load_config, config_to_json(custom), tmp_path) == custom
 
@@ -116,7 +116,7 @@ def test_partial_json_fills_defaults(tmp_path):
         ('{"classifier": {"sigma": "high"}}', "must be a number"),
         ('{"training": {"epochs": 2.5}}', "must be an integer"),
         ('{"training": {"epochs": true}}', "must be an integer"),
-        ('{"count_central_only": 1}', "must be a boolean"),
+        ('{"pagerank": {"reverse_edges": 1}}', "must be a boolean"),
         ('{"sigma_grid": 3}', "must be an array"),
         ('{"paths": 3}', "must be an object"),
         ('{"paths": {"kb_store": 4}}', "must be a string"),
@@ -196,11 +196,11 @@ class TestApplyOverrides:
     def test_top_level_and_tuple_overrides(self):
         updated = apply_overrides(
             ToolConfig(),
-            {"embedder": "remote", "sigma_grid": "1,2,4", "count_central_only": "false"},
+            {"embedder": "remote", "sigma_grid": "1,2,4", "pagerank.reverse_edges": "false"},
         )
         assert updated.embedder == "remote"
         assert updated.sigma_grid == (1.0, 2.0, 4.0)
-        assert updated.count_central_only is False
+        assert updated.pagerank.reverse_edges is False
 
     def test_optional_leaf(self):
         updated = apply_overrides(ToolConfig(), {"training.batch_size": "16"})

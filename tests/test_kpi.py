@@ -308,6 +308,7 @@ def _run_cli(argv):
     return code
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["train", "detect", "rank"])
 @settings(max_examples=40)
 @given(data=_mutated_csv(min_rows=40))

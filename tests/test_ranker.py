@@ -24,7 +24,7 @@ from faultcast.ranker import (
     rank_root_causes,
     report_to_json,
 )
-from helpers import load_text, make_classifier, zero_model
+from helpers import linear_model, load_text, make_classifier, unit_baseline, zero_model
 
 DRIVE = parse_kpi_id("drive@alpha")
 FOLLOW = parse_kpi_id("follow@beta")
@@ -138,13 +138,6 @@ def test_attribute_components_counts_central_kpis():
     ]
     # mean centrality 0.25: only the two c1 KPIs qualify
     assert [(c.node, c.central_kpi_count) for c in attribute_components(ranked)] == [("c1", 2)]
-    # counting everything brings the minor components back
-    everything = attribute_components(ranked, count_central_only=False)
-    assert [(c.node, c.central_kpi_count) for c in everything] == [
-        ("c1", 2),
-        ("c2", 1),
-        ("c3", 1),
-    ]
 
 
 def test_attribute_components_ties_and_cap():
@@ -153,10 +146,10 @@ def test_attribute_components_ties_and_cap():
     top = attribute_components(ranked)
     assert [c.node for c in top] == ["a", "b", "c"]
 
-    # equal counts break on summed centrality
-    ranked = [_cause("a", "low", 0.4), _cause("a", "high", 0.6)]
-    top = attribute_components(ranked, count_central_only=False)
-    assert [c.node for c in top] == ["high", "low"]
+    # equal counts of central KPIs break on summed centrality, not name; c is below the mean 0.3
+    ranked = [_cause("a", "a", 0.3), _cause("a", "b", 0.5), _cause("a", "c", 0.1)]
+    top = attribute_components(ranked)
+    assert [(c.node, c.central_kpi_count) for c in top] == [("b", 1), ("a", 1)]
 
     assert attribute_components([]) == []
 
@@ -317,6 +310,27 @@ def test_analyze_rejects_non_finite_granger_window():
     history = _coupled_history()
     history[0, 0] = np.nan
     assert analyze(classifier, history[-1], history, 59).verdict.anomalous
+
+
+def _overflowing_classifier():
+    """A std of 1e-300 turns finite raw values of 1e10 into inf when normalized."""
+    return make_classifier(
+        linear_model(np.ones((2, 2)), np.zeros(2)), unit_baseline(2), [DRIVE, FOLLOW], std=[1e-300, 1e-300]
+    )
+
+
+def test_analyze_rejects_a_state_that_overflows_when_normalized():
+    """Its error would be NaN, and NaN > threshold would call the state normal."""
+    with np.errstate(over="ignore"), pytest.raises(DataError, match="normalized"):
+        analyze(_overflowing_classifier(), np.array([1e10, -1e10]), np.zeros((40, 2)), 0)
+
+
+def test_analyze_rejects_a_window_that_overflows_when_normalized():
+    history = np.zeros((40, 2))
+    history[-2] = [1e10, -1e10]
+    history[-1] = [1e-290, -1e-290]  # normalized to [1e10, -1e10]: finite, and anomalous
+    with np.errstate(over="ignore"), pytest.raises(DataError, match="window"):
+        analyze(_overflowing_classifier(), history[-1], history, 0)
 
 
 def test_analyze_full_prefix_equals_last_window():
