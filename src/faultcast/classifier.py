@@ -242,14 +242,9 @@ def chord_drops(curve: Sequence[tuple[float, float]]) -> list[tuple[float, float
 def select_elbow(curve: Sequence[tuple[float, float]]) -> float:
     """Sigma of the interior point with the largest drop below the chord.
 
-    Ties resolve to the smaller sigma.
+    Ties resolve to the smaller sigma: ``max`` keeps the first maximum.
     """
-    best_sigma, best_drop = None, -np.inf
-    for sigma, drop in chord_drops(curve):
-        if drop > best_drop:
-            best_sigma, best_drop = sigma, drop
-    assert best_sigma is not None
-    return best_sigma
+    return max(chord_drops(curve), key=lambda point: point[1])[0]
 
 
 MODEL_FORMAT_VERSION = 1

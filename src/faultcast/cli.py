@@ -202,16 +202,21 @@ def _cmd_train(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
-    classifier = load_classifier(args.model)
-    scenarios = [Scenario(name=path, dataset=load_dataset(path, config.missing_policy)) for path in args.data]
-    table = evaluate_scenarios(classifier, scenarios, config.sigma_grid)
-    curve, text = table.elbow_curve(), table.elbow_csv()
-    print(text, end="")
+def _print_elbow(curve: list[tuple[float, int]]) -> None:
+    """The elbow line that ``tune`` and ``evaluate`` print after their curve."""
     if len(curve) >= 3:
         print(f"elbow: sigma={select_elbow(curve):g}")
     else:
         print("elbow: needs at least 3 grid points")
+
+
+def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
+    classifier = load_classifier(args.model)
+    scenarios = [Scenario(name=path, dataset=load_dataset(path, config.missing_policy)) for path in args.data]
+    table = evaluate_scenarios(classifier, scenarios, config.sigma_grid)
+    text = table.elbow_csv()
+    print(text, end="")
+    _print_elbow(table.elbow_curve())
     out = _timestamped_path(config.paths.report_dir, "tune", ".csv")
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -383,13 +388,11 @@ def _cmd_evaluate(args: argparse.Namespace, config: config_mod.ToolConfig) -> in
     table_path = os.path.join(out_dir, "evaluation.csv")
     with open(table_path, "w", encoding="utf-8") as handle:
         handle.write(table.to_csv())
-    curve = table.elbow_curve()
     curve_path = os.path.join(out_dir, "elbow.csv")
     with open(curve_path, "w", encoding="utf-8") as handle:
         handle.write(table.elbow_csv())
     print(table.to_text(), end="")
-    if len(curve) >= 3:
-        print(f"elbow: sigma={select_elbow(curve):g}")
+    _print_elbow(table.elbow_curve())
     print(f"table: {table_path}")
     print(f"curve: {curve_path}")
     return EXIT_OK

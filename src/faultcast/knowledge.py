@@ -25,7 +25,7 @@ of a text are bucketed in one unsigned 64-bit numpy modulo.
 ``json.dump`` with an indent runs pure Python for every embedding float.  The
 bytes are exactly those of ``json.dump(payload, indent=1, sort_keys=True)``
 followed by a newline; floats are written with ``float.__repr__`` as
-``json`` does, and ``add_document`` refuses non-finite embeddings, which
+``json`` does, and the store refuses non-finite embeddings, which
 ``json`` would write as the non-standard ``NaN``/``Infinity``.  An offline
 row is mostly ``0.0`` and a few counts over one norm, so a block of rows
 holds few distinct values: each is formatted once, keyed by its bits so that
@@ -251,13 +251,34 @@ class VectorStore:
         self.dimension = dimension
         self.embedder_name = embedder_name
         self.manifest: dict[str, dict[str, str]] = {}
-        self._set_chunks([], np.empty((0, dimension), order="F"))
+        self._set_chunks([], [])
 
     def __len__(self) -> int:
         return len(self.chunks)
 
-    def _set_chunks(self, chunks: list[KnowledgeChunk], matrix: np.ndarray) -> None:
-        """Make row ``i`` of ``matrix`` the read-only embedding of ``chunks[i]``."""
+    def _set_chunks(self, chunks: list[KnowledgeChunk], vectors: Sequence) -> None:
+        """Make ``vectors[i]`` the read-only embedding of ``chunks[i]``, in row ``i`` of ``matrix``.
+
+        The first vector that is not a list or array of ``dimension`` finite
+        numbers raises a :class:`DataError` naming its chunk; the store is left as it was.
+        """
+        for chunk, vector in zip(chunks, vectors):
+            if not isinstance(vector, (list, np.ndarray)):
+                raise SchemaError(f"chunk {chunk.chunk_id}: embedding is not a list or array")
+            if len(vector) != self.dimension:
+                raise DimensionMismatch(
+                    f"chunk {chunk.chunk_id}: embedding has {len(vector)} "
+                    f"dimensions, store expects {self.dimension}"
+                )
+        # An empty list would make a 1-D array.
+        matrix = _numbers(vectors or np.empty((0, self.dimension)), (len(chunks), self.dimension))
+        if matrix is None:
+            bad = next(chunk for chunk, vector in zip(chunks, vectors) if _numbers(vector, (self.dimension,)) is None)
+            raise SchemaError(f"chunk {bad.chunk_id}: embedding values are not numbers")
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            raise SchemaError(f"chunk {chunks[int(np.argmin(finite))].chunk_id}: embedding values are not finite")
+        matrix = matrix.astype(np.float64, copy=False)
         matrix.flags.writeable = False
         for chunk, vector in zip(chunks, matrix):
             chunk.embedding = vector
@@ -276,21 +297,7 @@ class VectorStore:
         chunks = [c for c in self.chunks if c.doc_id not in documents]
         chunks += [chunk for *_, new in documents.values() for chunk in new]
         chunks.sort(key=lambda c: c.chunk_id)
-        for chunk in chunks:
-            if chunk.embedding is None:
-                raise ValueError(f"chunk {chunk.chunk_id} has no embedding")
-            if len(chunk.embedding) != self.dimension:
-                raise DimensionMismatch(
-                    f"chunk {chunk.chunk_id}: embedding has {len(chunk.embedding)} "
-                    f"dimensions, store expects {self.dimension}"
-                )
-        matrix = np.empty((0, self.dimension), order="F")
-        if chunks:
-            matrix = np.array([chunk.embedding for chunk in chunks], dtype=np.float64, order="F")
-        finite = np.isfinite(matrix).all(axis=1)
-        if not finite.all():
-            raise SchemaError(f"chunk {chunks[int(np.argmin(finite))].chunk_id}: embedding values are not finite")
-        self._set_chunks(chunks, matrix)
+        self._set_chunks(chunks, [chunk.embedding for chunk in chunks])
         for doc_id, (title, source, _) in documents.items():
             self.manifest[doc_id] = {"title": title, "source": source}
 
@@ -340,8 +347,7 @@ class VectorStore:
         store = cls(dimension=dimension, embedder_name=embedder)
         store.manifest = manifest
         entries = payload["chunks"]
-        chunks = [_chunk_from_json(entry) for entry in entries]
-        store._set_chunks(chunks, _embedding_matrix([entry["embedding"] for entry in entries], dimension))
+        store._set_chunks([_chunk_from_json(entry) for entry in entries], [entry["embedding"] for entry in entries])
         return store
 
 
@@ -423,23 +429,13 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _embedding_matrix(vectors: list, dimension: int) -> np.ndarray:
-    """Stack parsed embedding lists into a finite ``(len, dimension)`` matrix."""
-    for vector in vectors:
-        if not isinstance(vector, list):
-            raise SchemaError("embedding is not a list")
-        if len(vector) != dimension:
-            raise DimensionMismatch(
-                f"embedding has {len(vector)} dimensions, store expects {dimension}"
-            )
-    if not vectors:
-        return np.empty((0, dimension), order="F")
-    matrix = np.array(vectors, order="F")
-    if matrix.dtype.kind not in "iuf" or matrix.shape != (len(vectors), dimension):
-        raise SchemaError("embedding values are not numbers")
-    if not np.isfinite(matrix).all():
-        raise SchemaError("embedding values are not finite")
-    return matrix.astype(np.float64, copy=False)
+def _numbers(values: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``values`` as a column-major array of numbers of ``shape``, or None if they are not that."""
+    try:
+        array = np.array(values, order="F")
+    except ValueError:  # a nested value makes rows of unequal depth
+        return None
+    return array if array.dtype.kind in "iuf" and array.shape == shape else None
 
 
 def document_title(text: str, fallback: str) -> str:

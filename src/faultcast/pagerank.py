@@ -6,7 +6,10 @@ That reversal is the default and can be disabled for comparison.
 
 The transition matrix is column-stochastic; nodes without outgoing edges
 (dangling) spread their rank uniformly.  Iteration stops when the L1 change
-drops below the tolerance or after ``max_iters`` sweeps.
+between sweeps drops below 1e-9.  That change is at most 2 and each sweep
+multiplies it by at most the damping ``d`` (Langville & Meyer, "Deeper Inside
+PageRank", 2004), so the loop ends within ``ceil(log(5e-10) / log(d)) + 1``
+sweeps: 2,132 at 0.99, the largest damping allowed.
 """
 
 from __future__ import annotations
@@ -21,21 +24,17 @@ from .errors import NoNodes
 
 Node = TypeVar("Node", bound=Hashable)
 
+_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class PageRankConfig:
     damping: float = 0.85
-    tolerance: float = 1e-9
-    max_iters: int = 1000
     reverse_edges: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 < self.damping < 1:
-            raise ValueError("damping must lie in (0, 1)")
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not 0 < self.damping <= 0.99:
+            raise ValueError("damping must lie in (0, 0.99]")
 
 
 def pagerank(
@@ -71,10 +70,10 @@ def pagerank(
 
     damping = config.damping
     rank = np.full(n, 1.0 / n)
-    for _ in range(config.max_iters):
+    for _ in range(math.ceil(math.log(_TOLERANCE / 2) / math.log(damping)) + 1):
         dangling_mass = rank[dangling].sum()
         updated = damping * (transition @ rank + dangling_mass / n) + (1.0 - damping) / n
-        if np.abs(updated - rank).sum() < config.tolerance:
+        if np.abs(updated - rank).sum() < _TOLERANCE:
             rank = updated
             break
         rank = updated

@@ -122,6 +122,42 @@ def reference_train(
     return model, curve
 
 
+def reference_pagerank(
+    nodes: list, edges: list, damping: float, reverse_edges: bool, tolerance: float = 1e-9, max_iters: int = 1000
+) -> dict:
+    """Power iteration with a settable stop: the sweep and stop test ``pagerank`` must keep.
+
+    It stops when the L1 change between sweeps drops below ``tolerance`` or
+    after ``max_iters`` sweeps, whichever comes first.
+    """
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+
+    unique_edges = set()
+    for source, target in edges:
+        if reverse_edges:
+            source, target = target, source
+        unique_edges.add((index[source], index[target]))
+
+    out_degree = np.zeros(n)
+    for source, _ in unique_edges:
+        out_degree[source] += 1
+    transition = np.zeros((n, n))
+    for source, target in unique_edges:
+        transition[target, source] = 1.0 / out_degree[source]
+    dangling = out_degree == 0
+
+    rank = np.full(n, 1.0 / n)
+    for _ in range(max_iters):
+        dangling_mass = rank[dangling].sum()
+        updated = damping * (transition @ rank + dangling_mass / n) + (1.0 - damping) / n
+        if np.abs(updated - rank).sum() < tolerance:
+            rank = updated
+            break
+        rank = updated
+    return {node: float(rank[i]) for node, i in index.items()}
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the angle between two vectors; 0 if either is zero.
 

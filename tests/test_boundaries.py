@@ -120,7 +120,8 @@ README_FAULT = FaultSpec(onset=400, kind="offset", target=KpiId("load", "compone
 
 # artifact -> (its bytes, given a temporary file path; sha256 of the bytes the
 # hand-written encoders wrote before the dataclass codec replaced them, less
-# the config's "paths.model" line since that unused field was deleted)
+# the config lines of the deleted fields "paths.model", "pagerank.max_iters"
+# and "pagerank.tolerance")
 PINNED = {
     "spec": (
         lambda _path: spec_to_json(make_chain_spec()).encode(),
@@ -132,7 +133,7 @@ PINNED = {
     ),
     "config": (
         lambda _path: config_to_json(ToolConfig()).encode(),
-        "8fade868fd9d1c4c079e6dae5363b15e1934d220b386dc136453e8af8e7167ba",
+        "70694731ed2b99b5291b2fc974e8184b0cab632eeda14116f1772fdb25133e09",
     ),
     "report": (
         lambda _path: report_to_json(_report()).encode(),
@@ -332,7 +333,7 @@ REFUSED = {
     "null embedding": (
         "store",
         lambda store: store["chunks"][0].update(embedding=None),
-        "embedding is not a list",
+        "chunk tank_pressure#0000: embedding is not a list or array",
     ),
     "store version 1.0": ("store", lambda store: store.update(version=1.0), "unsupported store version 1.0"),
     "store version true": ("store", lambda store: store.update(version=True), "unsupported store version True"),
@@ -368,7 +369,7 @@ def test_kb_ingest_exits_two_on_a_chunk_without_embedding(valid, manuals, tmp_pa
     _, bad = _edited(valid, "null embedding", tmp_path)
     code, err = _run(["kb", "ingest", str(manuals[0]), "--paths.kb_store", str(bad)])
     assert code == 2
-    assert err == f"data error: embedding is not a list (in {bad})\n"
+    assert err == f"data error: chunk tank_pressure#0000: embedding is not a list or array (in {bad})\n"
 
 
 def test_a_report_with_an_infinite_f_statistic_loads(tmp_path):

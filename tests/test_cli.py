@@ -223,7 +223,13 @@ class TestParsing:
         assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize(
-        "payload", ['{"count_central_only": true}', '{"prompt": {"separator": "; "}}']
+        "payload",
+        [
+            '{"count_central_only": true}',
+            '{"prompt": {"separator": "; "}}',
+            '{"pagerank": {"tolerance": 1e-09}}',
+            '{"pagerank": {"max_iters": 1000}}',
+        ],
     )
     def test_a_config_file_naming_a_removed_field_is_a_data_error(self, ws, tmp_path, payload, capsys) -> None:
         config = tmp_path / "config.json"
@@ -233,6 +239,19 @@ class TestParsing:
         assert rc == 2
         assert err.startswith("data error: unknown config field: ")
         assert len(err.splitlines()) == 1
+
+    def test_damping_above_0_99_is_refused(self, ws, tmp_path, capsys) -> None:
+        """In a config file it is a data error; as a flag, a usage error."""
+        config = tmp_path / "config.json"
+        config.write_text('{"pagerank": {"damping": 0.995}}', encoding="utf-8")
+        argv = ["detect", "--data", ws.quiet, "--model", ws.model]
+        assert cli.main([*argv, "--config", str(config)]) == 2
+        assert cli.main([*argv, "--pagerank.damping", "0.995"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: invalid config value under pagerank: damping must lie in (0, 0.99] (in {config})",
+            "usage error: bad value for --pagerank.damping: invalid config value under pagerank: "
+            "damping must lie in (0, 0.99]",
+        ]
 
     def test_help_lists_every_command(self) -> None:
         proc = subprocess.run(
@@ -1137,6 +1156,20 @@ class TestEvaluate:
             + f"curve: {os.path.join(str(out_dir), 'elbow.csv')}\n"
         )
         assert capsys.readouterr().out == expected_stdout
+
+    def test_two_point_grid_reports_no_elbow(self, ws, tmp_path, capsys) -> None:
+        """The line ``tune`` prints for the same grid."""
+        scenarios_dir = tmp_path / "scenarios"
+        scenarios_dir.mkdir()
+        (scenarios_dir / "quiet.csv").write_bytes(Path(ws.quiet).read_bytes())
+        out_dir = tmp_path / "eval"
+        argv = ["evaluate", "--scenarios", str(scenarios_dir), "--model", ws.model, "--out-dir", str(out_dir)]
+        assert cli.main([*argv, "--sigma_grid", "1.5,3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "elbow: needs at least 3 grid points",
+            f"table: {out_dir / 'evaluation.csv'}",
+            f"curve: {out_dir / 'elbow.csv'}",
+        ]
 
     def test_empty_scenario_directory(self, ws, tmp_path, capsys) -> None:
         empty = tmp_path / "none"

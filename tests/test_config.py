@@ -70,13 +70,12 @@ def test_tool_config_validation():
     [
         lambda v: ClassifierConfig(sigma=v),
         lambda v: ClassifierConfig(sigma_kpi=v),
-        lambda v: PageRankConfig(tolerance=v),
         lambda v: EndpointsConfig(timeout=v),
         lambda v: EndpointsConfig(backoff=v),
         lambda v: TrainingConfig(learning_rate=v),
         lambda v: threshold(ErrorBaseline(0.0, 1.0, np.zeros(1), np.ones(1)), v),
     ],
-    ids=["sigma", "sigma_kpi", "tolerance", "timeout", "backoff", "learning_rate", "threshold"],
+    ids=["sigma", "sigma_kpi", "timeout", "backoff", "learning_rate", "threshold"],
 )
 def test_non_finite_values_are_refused(build, value):
     with pytest.raises(ValueError, match="finite"):
@@ -122,7 +121,7 @@ def test_partial_json_fills_defaults(tmp_path):
         ('{"paths": {"kb_store": 4}}', "must be a string"),
         ('{"classifier": {"sigma": -1}}', "invalid config value"),
         ('{"classifier": {"sigma": 1e400}}', "invalid config value"),
-        ('{"pagerank": {"tolerance": NaN}}', "literal NaN"),
+        ('{"pagerank": {"damping": NaN}}', "literal NaN"),
         ('{"endpoints": {"timeout": Infinity}}', "invalid config value"),
         ('{"training": {"learning_rate": 1e400}}', "invalid config value"),
         ("[1, 2]", "JSON object"),
@@ -143,16 +142,37 @@ def test_load_config(tmp_path):
 
 
 def test_override_fields_lists_every_leaf():
-    leaves = dict(override_fields())
-    assert "classifier.sigma" in leaves
-    assert "paths.kb_store" in leaves
-    assert "training.batch_size" in leaves
-    assert "endpoints.base_url" in leaves
-    assert "embedder" in leaves
-    assert "sigma_grid" in leaves
-    # dataclass nodes are not leaves
-    assert "classifier" not in leaves
-    assert "paths" not in leaves
+    """Every settable value, so adding or removing one is a one-line change here."""
+    assert [name for name, _ in override_fields()] == [
+        "paths.kb_store",
+        "paths.report_dir",
+        "paths.descriptors",
+        "training.epochs",
+        "training.learning_rate",
+        "training.batch_size",
+        "training.seed",
+        "classifier.sigma",
+        "classifier.sigma_kpi",
+        "granger.lag",
+        "granger.alpha",
+        "granger.window",
+        "pagerank.damping",
+        "pagerank.reverse_edges",
+        "prompt.kpi_count",
+        "retrieval.top_k",
+        "retrieval.min_similarity",
+        "endpoints.base_url",
+        "endpoints.completion_model",
+        "endpoints.embed_model",
+        "endpoints.timeout",
+        "endpoints.retries",
+        "endpoints.backoff",
+        "embedder",
+        "embedding_dimension",
+        "llm",
+        "missing_policy",
+        "sigma_grid",
+    ]
 
 
 class TestParseOverrideValue:

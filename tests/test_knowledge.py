@@ -221,7 +221,7 @@ class TestVectorStore:
     def test_add_document_requires_embeddings(self):
         store = VectorStore(dimension=16)
         bare = chunk_document("doc", "some text")
-        with pytest.raises(ValueError, match="no embedding"):
+        with pytest.raises(SchemaError, match=r"^chunk doc#0000: embedding is not a list or array$"):
             store.add_document("doc", "Doc", "doc.txt", bare)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -552,6 +552,35 @@ def test_load_rejects_malformed_store(tmp_path, case):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(error):
         VectorStore.load(path)
+
+
+# case -> (the embedding of the first chunk, the error and message that refuse it)
+BAD_EMBEDDINGS = {
+    "null": (None, SchemaError, "embedding is not a list or array"),
+    "string": ("0.5 0.5 0.5 0.5", SchemaError, "embedding is not a list or array"),
+    "wrong length": ([0.5] * 3, DimensionMismatch, "embedding has 3 dimensions, store expects 4"),
+    "numeric strings": (["0.5"] * 4, SchemaError, "embedding values are not numbers"),
+    "infinite value": ([0.5, 0.5, math.inf, 0.5], SchemaError, "embedding values are not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EMBEDDINGS))
+def test_add_and_load_refuse_a_bad_embedding_alike(tmp_path, case):
+    """The same check refuses an embedding handed to ``add_document`` and one read from a file."""
+    embedding, error, message = BAD_EMBEDDINGS[case]
+    path, payload = _valid_store_payload(tmp_path)
+    entry = payload["chunks"][0]
+    entry["embedding"] = embedding
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    fields = {key: value for key, value in entry.items() if key != "embedding"}
+    chunk = KnowledgeChunk(**fields, embedding=embedding)
+    with pytest.raises(error) as added:
+        VectorStore(dimension=4).add_document("doc", "Doc", "doc.md", [chunk])
+    with pytest.raises(error) as loaded:
+        VectorStore.load(path)
+    assert type(added.value) is type(loaded.value) is error
+    assert str(added.value) == f"chunk {entry['chunk_id']}: {message}"
+    assert str(loaded.value) == f"{added.value} (in {path})"
 
 
 def test_load_accepts_integer_embedding_values(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import shutil
 from dataclasses import dataclass, field
 from unittest import mock
 
@@ -296,32 +297,55 @@ def cli_model(scratch):
     return path
 
 
-def _run_cli(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+def _run_cli(argv) -> tuple[int, list[str]]:
+    """The exit code and the stdout lines of one run; stderr must be empty or one line."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         code = cli.main(argv)
     if code == 0:
         assert err.getvalue() == ""
     else:
         assert code == 2, err.getvalue()
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
-    return code
+    return code, out.getvalue().splitlines()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command", ["train", "detect", "rank"])
+@pytest.mark.parametrize("command", ["train", "detect", "rank", "tune", "evaluate"])
 @settings(max_examples=40)
 @given(data=_mutated_csv(min_rows=40))
 def test_cli_reads_a_mutated_dataset_or_exits_two_with_one_line(command, scratch, cli_model, data):
-    """A model that ``train`` writes loads back, and ``detect`` reads the same CSV with it."""
+    """A model that ``train`` writes loads back, and ``detect`` reads the same CSV with it.
+
+    ``tune`` and ``evaluate`` that succeed write their curve file and print the
+    elbow line just before the paths of the files they wrote.
+    """
     path = scratch / "cli.csv"
     path.write_bytes(data)
-    argv = [command, "--data", str(path), "--out", str(scratch / "out")]
-    argv += ["--training.epochs", "1"] if command == "train" else ["--model", str(cli_model)]
-    if _run_cli(argv) == 0 and command == "train":
+    reports, scenarios = scratch / "reports", scratch / "scenarios"
+    shutil.rmtree(reports, ignore_errors=True)
+    shutil.rmtree(scenarios, ignore_errors=True)
+    scenarios.mkdir()
+    shutil.copy(path, scenarios / "cli.csv")
+    model = ["--model", str(cli_model)]
+    argv = {
+        "train": ["--data", str(path), "--out", str(scratch / "out"), "--training.epochs", "1"],
+        "detect": ["--data", str(path), "--out", str(scratch / "out"), *model],
+        "rank": ["--data", str(path), "--out", str(scratch / "out"), *model],
+        "tune": ["--data", str(path), "--paths.report_dir", str(reports), *model],
+        "evaluate": ["--scenarios", str(scenarios), "--out-dir", str(reports), *model],
+    }[command]
+    code, out = _run_cli([command, *argv])
+    if code == 0 and command == "train":
         trained = str(scratch / "out")
         load_classifier(trained)
         _run_cli(["detect", "--data", str(path), "--model", trained, "--out", str(scratch / "report")])
+    if code == 0 and command in ("tune", "evaluate"):
+        written = 1 if command == "tune" else 2
+        assert out[-1 - written].startswith("elbow: sigma="), out
+        assert out[-1].startswith("curve: "), out
+        with open(out[-1].removeprefix("curve: "), encoding="utf-8") as curve:
+            assert curve.readline() == "sigma,total_fp\n"
 
 
 @given(

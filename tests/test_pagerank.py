@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultcast.errors import NoNodes
 from faultcast.pagerank import PageRankConfig, pagerank
+
+from helpers import reference_pagerank
 
 
 def _eig_reference(nodes, edges, damping=0.85, reverse=True):
@@ -46,9 +48,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PageRankConfig(damping=1.0)
     with pytest.raises(ValueError):
-        PageRankConfig(tolerance=0.0)
+        PageRankConfig(damping=0.995)
     with pytest.raises(ValueError):
-        PageRankConfig(max_iters=0)
+        PageRankConfig(damping=float("nan"))
+    assert PageRankConfig(damping=0.99).damping == 0.99
 
 
 def test_two_node_chain_ranks_the_cause():
@@ -106,11 +109,15 @@ def test_input_validation():
         pagerank(["a", "b"], [("a", "a")])
 
 
-def test_max_iters_caps_the_power_iteration():
-    capped = pagerank(["a", "b"], [("a", "b")], PageRankConfig(max_iters=1))
-    assert sum(capped.values()) == pytest.approx(1.0, abs=1e-12)
-    assert capped["a"] == pytest.approx(0.7125, abs=1e-12)
-    assert capped["a"] != pytest.approx(37 / 57, abs=1e-6)
+def test_converges_where_a_1000_sweep_cap_stopped_early():
+    """At damping 0.99 this graph needs more than 1000 sweeps to settle within 1e-9."""
+    nodes = [0, 1, 2, 3]
+    edges = [(2, 3), (3, 0), (3, 1), (3, 2)]
+    reference = _eig_reference(nodes, edges, damping=0.99)
+    capped = reference_pagerank(nodes, edges, 0.99, reverse_edges=True)
+    assert max(abs(capped[node] - reference[node]) for node in nodes) > 1e-6
+    scores = pagerank(nodes, edges, PageRankConfig(damping=0.99))
+    assert max(abs(scores[node] - reference[node]) for node in nodes) <= 1e-9
 
 
 @st.composite
@@ -146,3 +153,16 @@ def test_relabeling_nodes_permutes_the_scores(graph, rand):
     shuffled = pagerank(relabeled_nodes, relabeled_edges)
     for node in nodes:
         assert shuffled[mapping[node]] == pytest.approx(base[node], abs=1e-9)
+
+
+@settings(max_examples=200)
+@given(
+    _graphs(),
+    st.floats(min_value=0.0, max_value=0.95, exclude_min=True),
+    st.booleans(),
+)
+def test_equals_the_reference_loop_bit_for_bit(graph, damping, reverse):
+    """Up to damping 0.95 the sweep bound (419) is below the reference's 1000-sweep cap."""
+    nodes, edges = graph
+    expected = reference_pagerank(nodes, edges, damping, reverse_edges=reverse)
+    assert pagerank(nodes, edges, PageRankConfig(damping=damping, reverse_edges=reverse)) == expected
