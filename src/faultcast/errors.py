@@ -98,6 +98,7 @@ def load_json(
     *,
     path: str | os.PathLike[str],
     version: int | None = None,
+    object_hook: Callable[[dict[str, Any]], Any] | None = None,
 ) -> T:
     """Decode the JSON object in the file at ``path`` and ``build`` a value from it.
 
@@ -107,6 +108,11 @@ def load_json(
     and a ``KeyError``, ``TypeError``, ``ValueError``, ``AttributeError`` or
     ``OverflowError`` raised by ``build`` raise :class:`SchemaError`; ``what``
     names the document.  Every :class:`DataError` ends with the file's path.
+
+    ``object_hook``, if given, is ``json.load``'s: it is called with each
+    JSON object as the parser closes it, innermost first, and its result
+    takes the object's place.  It must not raise, since an error inside the
+    parser reads as text that is not JSON.
     """
     where = f" (in {path})"
 
@@ -117,7 +123,7 @@ def load_json(
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle, parse_constant=constant)
+            payload = json.load(handle, parse_constant=constant, object_hook=object_hook)
     except OSError as exc:
         raise IoError(f"cannot read {what}: {path}") from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8

