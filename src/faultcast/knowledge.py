@@ -373,7 +373,7 @@ _CHUNK_FIELDS = {
 
 
 def _embedding_row(entry: dict) -> dict:
-    """``json.load``'s object hook for a store: an embedding of numbers becomes its float64 row.
+    """``json.load``'s object hook for a store: an embedding numpy reads as float64 becomes that row.
 
     Any other embedding, a list of ints included, stays the list the parser
     made, for :meth:`VectorStore._set_chunks` to convert or refuse.  This
