@@ -132,8 +132,12 @@ def forward(model: AutoencoderModel, states: np.ndarray) -> np.ndarray:
     batch = states[None, :] if single else states
     if batch.shape[1] != model.n_inputs:
         raise DimensionMismatch(f"expected {model.n_inputs} inputs, got {batch.shape[1]}")
-    out = _forward_cached(model, batch)[-1]
-    return out[0] if single else out
+    # _forward_cached's arithmetic, without keeping the activations that only backprop reads.
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = batch @ w + b
+        batch = z if i == last else np.tanh(z)
+    return batch[0] if single else batch
 
 
 def _views_of(model: AutoencoderModel, flat: np.ndarray) -> AutoencoderModel:

@@ -109,13 +109,24 @@ def score(classifier: TrainedClassifier, raw_values: np.ndarray) -> tuple[np.nda
     state (a 0-D array for a 1-D input).  Raises :class:`DataError` on a NaN or
     infinite value, raw or after normalization, which would otherwise score as
     a normal state.  A finite normalized state whose error overflows scores
-    ``inf``, which is anomalous at any threshold.
+    ``inf``, which is anomalous at any threshold.  So does one whose forward
+    pass overflows into ``inf - inf``: each NaN residual becomes ``+inf``, so
+    no error is ever NaN, which ``error > limit`` would read as normal.  That
+    pass also sets numpy's ``invalid`` flag; ``faultcast`` commands ignore it
+    together with ``over``.
     """
     normalized = classifier.normalization.transform(raw_values)
     if not np.isfinite(normalized).all():
         raise DataError("KPI values must be finite and stay finite when normalized")
     residuals = (normalized - forward(classifier.model, normalized)) ** 2
-    return residuals.mean(axis=-1), residuals
+    n = residuals.shape[-1]
+    errors = residuals.sum(-1) / n  # np.mean's own arithmetic, without its Python-level wrapper
+    # A squared residual is never negative, so an error is NaN only where one of its residuals is.
+    # One state's error is a numpy scalar, which math.isnan reads far faster than np.isnan does.
+    if math.isnan(errors) if errors.ndim == 0 else np.isnan(errors).any():
+        residuals[np.isnan(residuals)] = np.inf
+        errors = residuals.sum(-1) / n
+    return errors, residuals
 
 
 def threshold(baseline: ErrorBaseline, sigma: float) -> float:

@@ -417,8 +417,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args)
-        # A reconstruction error that overflows to inf is a verdict (anomalous), not a fault.
-        with np.errstate(over="ignore"):
+        # A reconstruction error that overflows to inf is a verdict (anomalous), not a fault;
+        # so is one whose forward pass meets inf - inf, which score turns into inf.
+        with np.errstate(over="ignore", invalid="ignore"):
             return _dispatch(args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

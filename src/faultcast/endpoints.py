@@ -10,11 +10,9 @@ subclass when the last attempt timed out).
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import time
-import urllib.request
 from dataclasses import dataclass
 
 from .errors import EndpointError, Timeout
@@ -42,6 +40,10 @@ class EndpointsConfig:
 
 def post_json(endpoint: EndpointsConfig, route: str, payload: dict) -> dict:
     """POST ``payload`` as JSON to ``route`` under the base URL; return the decoded object (no NaN or Infinity)."""
+    # Imported here: they pull in ssl and email, and only the remote clients ever post.
+    import http.client
+    import urllib.request
+
     url = f"{endpoint.base_url.rstrip('/')}/{route}"
     if not url.lower().startswith(("http://", "https://")):
         raise EndpointError(f"{endpoint.base_url}: base URL must be an http:// or https:// URL")

@@ -262,28 +262,30 @@ def write_dataset(dataset: TimeSeriesDataset, path: str | os.PathLike[str]) -> N
             writer.writerow([int(ts), *(f"{v:.17g}" for v in row)])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class NormalizationStats:
     """Per-column mean and population standard deviation.
 
     ``std`` is recorded exactly as measured; a zero entry means the column was
-    constant and an effective scale of 1.0 is used when normalizing.
+    constant and an effective scale of 1.0 is used when normalizing.  That
+    scale, ``effective_std``, is worked out once here, not on every
+    :meth:`transform`; it is no field, so the codec writes ``mean`` and
+    ``std`` only.  The instance is frozen and its arrays are read-only
+    copies, so the scale cannot go stale.
     """
 
     mean: Vector
     std: Vector
 
     def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.std = np.asarray(self.std, dtype=np.float64)
-        if self.mean.shape != self.std.shape or self.mean.ndim != 1:
+        mean, std = np.array(self.mean, dtype=np.float64), np.array(self.std, dtype=np.float64)
+        if mean.shape != std.shape or mean.ndim != 1:
             raise DimensionMismatch("mean and std must be 1-D and the same length")
-        if np.any(self.std < 0):
+        if np.any(std < 0):
             raise DataError("std entries must be non-negative")
-
-    @property
-    def effective_std(self) -> np.ndarray:
-        return np.where(self.std == 0.0, 1.0, self.std)
+        for name, array in (("mean", mean), ("std", std), ("effective_std", np.where(std == 0.0, 1.0, std))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)

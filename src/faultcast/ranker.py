@@ -226,14 +226,18 @@ def analyze(
     normal verdict every downstream field stays empty.  A non-finite value in
     the state, or in the window of an anomalous state, raises
     :class:`DataError`, as does a finite one that overflows when normalized.
+
+    A too-short history raises :class:`InsufficientHistory` before the state
+    is scored, but the window is read (and copied out of a
+    :class:`RollingHistory`) only when there are anomalous KPIs to localize.
     """
     if isinstance(history, RollingHistory):
-        history = history.window(granger_config.window)
-    history = np.asarray(history, dtype=np.float64)
-    if history.ndim != 2 or history.shape[0] < granger_config.window:
-        raise InsufficientHistory(
-            f"analysis needs {granger_config.window} history rows, have {history.shape[0]}"
-        )
+        rows = len(history)
+    else:
+        history = np.asarray(history, dtype=np.float64)
+        rows = len(history) if history.ndim == 2 else 0
+    if rows < granger_config.window:
+        raise InsufficientHistory(f"analysis needs {granger_config.window} history rows, have {rows}")
 
     state_errors, residuals = score(classifier, state)
     error = float(state_errors)
@@ -259,6 +263,8 @@ def analyze(
     if not anomalies:
         return AnomalyReport(verdict=verdict, descriptions=descriptions)
 
+    if isinstance(history, RollingHistory):
+        history = history.window(granger_config.window)
     normalized_history = classifier.normalization.transform(history[-granger_config.window :])
     if not np.isfinite(normalized_history).all():
         raise DataError("history window must hold KPI values that stay finite when normalized")

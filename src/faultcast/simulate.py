@@ -111,21 +111,25 @@ def _propagate(
     Row t is ``innovations[t]`` plus the AR(1) self-term and the lagged
     parent contributions; earlier rows stay zero.  ``pinned = (column,
     values)`` overrides that column with ``values[t]`` as each row is built.
+
+    The recursion runs on Python floats: a row is a dozen values, so numpy
+    calls would cost more than the arithmetic.  Python rounds each product and
+    sum as numpy does, so the result keeps its bits.
     """
     index = {kpi: i for i, kpi in enumerate(spec.kpi_ids)}
     edges = [(index[e.source], index[e.target], e.coefficient, e.lag) for e in spec.causal_edges]
-    values = np.zeros_like(innovations)
-    for t in range(start, len(innovations)):
-        row = innovations[t].copy()
-        if t > 0:
-            row += SELF_COEFFICIENT * values[t - 1]
+    rows = innovations.tolist()
+    values = np.zeros_like(innovations).tolist()
+    pin = None if pinned is None else (pinned[0], pinned[1].tolist())
+    for t in range(start, len(rows)):
+        row = rows[t] if t == 0 else [x + SELF_COEFFICIENT * p for x, p in zip(rows[t], values[t - 1])]
         for src, tgt, coeff, lag in edges:
             if t - lag >= 0:
-                row[tgt] += coeff * values[t - lag, src]
-        if pinned is not None:
-            row[pinned[0]] = pinned[1][t]
+                row[tgt] += coeff * values[t - lag][src]
+        if pin is not None:
+            row[pin[0]] = pin[1][t]
         values[t] = row
-    return values
+    return np.array(values)
 
 
 def generate_normal(spec: SimulationSpec, seed: int | None = None) -> TimeSeriesDataset:

@@ -10,6 +10,7 @@ from faultcast.autoencoder import AutoencoderModel, TrainingConfig, bottleneck_l
 from faultcast.classifier import ErrorBaseline, TrainedClassifier
 from faultcast.errors import DimensionMismatch, NonFiniteLoss
 from faultcast.kpi import KpiId, NormalizationStats
+from faultcast.simulate import SELF_COEFFICIENT, SimulationSpec
 
 
 def zero_model(n: int) -> AutoencoderModel:
@@ -156,6 +157,26 @@ def reference_pagerank(
             break
         rank = updated
     return {node: float(rank[i]) for node, i in index.items()}
+
+
+def reference_propagate(
+    spec: SimulationSpec, innovations: np.ndarray, start: int, pinned: tuple[int, np.ndarray] | None = None
+) -> np.ndarray:
+    """The generator recursion on numpy rows, one numpy call per term: the bits ``_propagate`` must keep."""
+    index = {kpi: i for i, kpi in enumerate(spec.kpi_ids)}
+    edges = [(index[e.source], index[e.target], e.coefficient, e.lag) for e in spec.causal_edges]
+    values = np.zeros_like(innovations)
+    for t in range(start, len(innovations)):
+        row = innovations[t].copy()
+        if t > 0:
+            row += SELF_COEFFICIENT * values[t - 1]
+        for src, tgt, coeff, lag in edges:
+            if t - lag >= 0:
+                row[tgt] += coeff * values[t - lag, src]
+        if pinned is not None:
+            row[pinned[0]] = pinned[1][t]
+        values[t] = row
+    return values
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

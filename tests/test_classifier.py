@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from faultcast.classifier import (
@@ -24,7 +24,7 @@ from faultcast.classifier import (
     sigma_sweep,
     threshold,
 )
-from faultcast.autoencoder import TrainingConfig
+from faultcast.autoencoder import TrainingConfig, init_autoencoder
 from faultcast.errors import (
     DataError,
     DimensionMismatch,
@@ -34,6 +34,7 @@ from faultcast.errors import (
     TooFewPoints,
 )
 from faultcast.kpi import TimeSeriesDataset, parse_kpi_id
+from faultcast.ranker import analyze
 from helpers import make_classifier, unit_baseline, zero_model
 
 ELBOW_CURVE = [(1.5, 1000), (3.0, 300), (4.5, 120), (6.0, 90), (7.5, 80), (9.0, 75), (10.5, 72)]
@@ -125,6 +126,32 @@ def test_an_error_that_overflows_scores_inf_and_is_anomalous():
         errors, _ = score(classifier, np.array([[1e200, 0.0], [0.0, 0.0]]))
     assert errors.tolist() == [math.inf, 0.0]
     assert errors[0] > threshold(classifier.baseline, 1e300)
+
+
+def test_score_errors_are_the_mean_of_the_residuals_bit_for_bit(small_classifier, faulty_dataset_small):
+    for raw in (faulty_dataset_small.values, faulty_dataset_small.values[7]):
+        errors, residuals = score(small_classifier, raw)
+        assert np.asarray(errors).tobytes() == residuals.mean(axis=-1).tobytes()
+
+
+_NEAR_MAX = st.one_of(st.floats(1e308, 1.7976931348623157e308), st.floats(-1.7976931348623157e308, -1e308))
+
+
+@given(seed=st.integers(0, 19), rows=st.lists(st.lists(_NEAR_MAX, min_size=4, max_size=4), min_size=1, max_size=6))
+@example(seed=0, rows=[[1.7e308] * 4])  # its forward pass meets inf - inf, so its residuals were NaN
+def test_a_state_whose_forward_pass_overflows_is_never_nan_and_never_normal(seed, rows):
+    """A NaN error would read as normal: ``NaN > limit`` is false."""
+    classifier = make_classifier(
+        init_autoencoder(4, seed), unit_baseline(4), [parse_kpi_id(f"k{i}@n") for i in range(4)]
+    )
+    states = np.array(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors, residuals = score(classifier, states)
+        assert not np.isnan(errors).any() and not np.isnan(residuals).any()
+        for state in states:
+            error, residual = score(classifier, state)
+            assert not math.isnan(error) and not np.isnan(residual).any()
+            assert analyze(classifier, state, np.zeros((40, 4)), 0).verdict.anomalous
 
 
 def test_score_rejects_wrong_width():

@@ -38,7 +38,8 @@ from faultcast.classifier import (
 from faultcast.config import override_fields
 from faultcast.knowledge import VectorStore
 from faultcast.kpi import KpiId, TimeSeriesDataset, load_dataset, write_dataset
-from faultcast.ranker import AnomalyReport, KpiAnomaly, load_report, report_to_json
+from faultcast.granger import GrangerConfig
+from faultcast.ranker import AnomalyReport, KpiAnomaly, RollingHistory, analyze, load_report, report_to_json
 from faultcast.simulate import (
     FaultSpec,
     Scenario,
@@ -299,6 +300,14 @@ class TestParsing:
         assert "faultcast" in loaded
         assert not loaded & {"requests", "urllib3", "idna", "charset_normalizer", "certifi"}
 
+    def test_importing_the_cli_loads_no_http_stack(self) -> None:
+        # Only post_json needs them, and it imports them when called: together they cost ~40 ms.
+        code = "import sys, faultcast.cli; print(*sorted({'http.client', 'ssl', 'email'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=_SUBPROCESS_ENV
+        )
+        assert proc.stdout.split() == []
+
     def test_importing_the_cli_loads_no_scipy(self) -> None:
         # scipy roughly doubles start-up time and memory; only Granger tests need it.
         code = "import sys, faultcast.cli; print(*sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
@@ -385,6 +394,21 @@ class TestDetect:
         message = capsys.readouterr().out
         assert " of 260 states anomalous at sigma=4.5 " in message
         assert f"verdicts: {out}" in message
+
+    def test_streamed_verdicts_equal_the_verdict_csv(self, ws, tmp_path) -> None:
+        out = tmp_path / "verdicts.csv"
+        assert cli.main(["detect", "--data", ws.faulty, "--model", ws.model, "--out", str(out)]) == 0
+        flags = [line.endswith(",true") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        classifier, dataset = load_classifier(ws.model), load_dataset(ws.faulty)
+        window = GrangerConfig().window
+        ring = RollingHistory(dataset.n_kpis, window)
+        streamed = []
+        for row, values in enumerate(dataset.values):
+            ring.push(values)
+            if row >= window - 1:
+                streamed.append(analyze(classifier, values, ring, int(dataset.timestamps[row])).verdict.anomalous)
+        assert streamed == flags[window - 1 :]
+        assert any(streamed) and not all(streamed)
 
     def test_data_that_is_not_utf8_exits_two(self, ws, tmp_path, capsys) -> None:
         data = tmp_path / "data.csv"

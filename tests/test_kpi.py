@@ -3,7 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -391,6 +391,19 @@ def test_normalization_constant_column_uses_unit_scale():
     np.testing.assert_array_equal(stats.transform(np.array([[7.0]])), [[2.0]])
     # the measured std is preserved, only the effective scale is substituted
     assert stats.std[0] == 0.0 and stats.effective_std[0] == 1.0
+
+
+def test_normalization_stats_cannot_change_under_their_cached_scale():
+    stats = NormalizationStats(mean=np.zeros(2), std=np.array([0.0, 2.0]))
+    with pytest.raises(FrozenInstanceError):
+        stats.std = np.ones(2)
+    for array in (stats.mean, stats.std, stats.effective_std):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5.0
+    std = np.array([0.0, 2.0])
+    NormalizationStats(mean=np.zeros(2), std=std)
+    std[0] = 3.0  # the caller's array stays writable: the stats hold a copy
+    np.testing.assert_array_equal(stats.transform(np.array([1.0, 1.0])), [1.0, 0.5])
 
 
 def test_normalization_validation():

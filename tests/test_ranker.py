@@ -272,6 +272,36 @@ def test_analyze_requires_history_even_for_normal_states():
         analyze(classifier, np.array([0.0, 0.0]), np.zeros((5, 2)), 4)
 
 
+def _filled_ring(rows: np.ndarray) -> RollingHistory:
+    ring = RollingHistory(n_kpis=rows.shape[1], capacity=len(rows))
+    for row in rows:
+        ring.push(row)
+    return ring
+
+
+def test_analyze_copies_the_window_only_to_localize(monkeypatch):
+    history = _coupled_history()
+    ring = _filled_ring(history[-40:])
+    lengths = []
+    window = RollingHistory.window
+    monkeypatch.setattr(RollingHistory, "window", lambda self, length: lengths.append(length) or window(self, length))
+    normal = ErrorBaseline(state_mu=1e9, state_std=0.0, kpi_mu=np.zeros(2), kpi_std=np.ones(2))
+    assert not analyze(make_classifier(zero_model(2), normal, [DRIVE, FOLLOW]), history[-1], ring, 59).verdict.anomalous
+    no_kpi_over = ErrorBaseline(state_mu=-1.0, state_std=0.0, kpi_mu=np.full(2, 1e9), kpi_std=np.ones(2))
+    report = analyze(make_classifier(zero_model(2), no_kpi_over, [DRIVE, FOLLOW]), history[-1], ring, 59)
+    assert report.verdict.anomalous and report.anomalous_kpis == ()
+    assert lengths == []
+    assert analyze(_anomalous_classifier(), history[-1], ring, 59).graph.nodes == (DRIVE, FOLLOW)
+    assert lengths == [40]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_short_rolling_history_is_insufficient_before_the_state_is_scored(bad):
+    ring = _filled_ring(_coupled_history()[:39])
+    with pytest.raises(InsufficientHistory, match="needs 40 history rows, have 39"):
+        analyze(_anomalous_classifier(), np.array([bad, 0.0]), ring, 39)
+
+
 def test_analyze_strict_boundary():
     """A state error exactly on the threshold is still normal."""
     def verdict(state_mu: float):

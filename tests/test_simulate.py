@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from faultcast.classifier import SIGMA_GRID, StateVerdict
 from faultcast.errors import IoError, NoAnomalousReport, OnsetOutOfRange, SchemaError
@@ -26,7 +28,8 @@ from faultcast.simulate import (
     make_chain_spec,
     spec_to_json,
 )
-from helpers import load_text, make_classifier, unit_baseline, zero_model
+from faultcast.simulate import _propagate
+from helpers import load_text, make_classifier, reference_propagate, unit_baseline, zero_model
 
 A = parse_kpi_id("load@pump-1")
 B = parse_kpi_id("flow@pump-2")
@@ -162,6 +165,60 @@ class TestGenerateNormal:
 
     def test_zero_noise_is_identically_zero(self):
         assert not generate_normal(_pair_spec(noise_std=0.0)).values.any()
+
+
+def _same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()  # tells -0.0 from 0.0, unlike ==
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _recursions(draw):
+    """A spec with cycles, shared targets and long lags, its innovations, a start and maybe a pin."""
+    n = draw(st.integers(1, 5))
+    length = draw(st.integers(1, 12))
+    kpis = tuple(_descriptor(parse_kpi_id(f"m{i}@n")) for i in range(n))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.floats(-3, 3), st.integers(1, length + 2)),
+            max_size=8,
+        )
+    )
+    links = tuple(CausalLink(kpis[s].kpi, kpis[t].kpi, c, lag) for s, t, c, lag in edges)
+    spec = SimulationSpec(kpis=kpis, causal_edges=links, noise_std=1.0, length=length, seed=0)
+    innovations = np.array(draw(st.lists(st.lists(_FINITE, min_size=n, max_size=n), min_size=length, max_size=length)))
+    start = draw(st.integers(0, length - 1))
+    pinned = None
+    if draw(st.booleans()):
+        targets = [t for _, t, _, _ in edges] or list(range(n))
+        values = np.array(draw(st.lists(_FINITE, min_size=length, max_size=length)))
+        pinned = (draw(st.sampled_from(targets)), values)
+    return spec, innovations, start, pinned
+
+
+class TestPropagate:
+    @given(_recursions())
+    @example((_pair_spec(length=3), np.full((3, 2), -0.0), 0, None))  # row 0 has no self-term to add +0.0
+    def test_keeps_the_bits_of_the_numpy_recursion(self, case):
+        spec, innovations, start, pinned = case
+        _same_bits(_propagate(spec, innovations, start, pinned), reference_propagate(spec, innovations, start, pinned))
+
+    @pytest.mark.parametrize("components,per_component", [(1, 1), (2, 6), (4, 3), (10, 5)])
+    def test_keeps_the_bits_on_chain_specs(self, components, per_component):
+        spec = make_chain_spec(components, per_component, length=60, seed=3)
+        _same_bits(generate_normal(spec).values, reference_propagate(spec, _noise(spec), 0))
+        clean = generate_normal(spec).values
+        for start in (0, 1, spec.length // 2, spec.length - 1):
+            pinned = (len(spec.kpis) - 1, clean[:, 0] + 1.0)
+            zeros = np.zeros_like(clean)
+            _same_bits(_propagate(spec, zeros, start, pinned), reference_propagate(spec, zeros, start, pinned))
+
+
+def _noise(spec: SimulationSpec) -> np.ndarray:
+    return np.random.default_rng(spec.seed).normal(0.0, spec.noise_std, size=(spec.length, len(spec.kpis)))
 
 
 class TestInjectFault:

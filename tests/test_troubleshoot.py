@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -495,7 +496,7 @@ class TestPostJson:
         def urlopen(request, timeout):
             raise error
 
-        monkeypatch.setattr(endpoints.urllib.request, "urlopen", urlopen)
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)  # post_json imports it when called
         with pytest.raises(Timeout, match="no answer within 30.0s"):
             endpoints.post_json(EndpointsConfig(retries=1, backoff=0.1), "x", {})
         assert recorded_sleeps == [0.1]
