@@ -138,7 +138,7 @@ _NEAR_MAX = st.one_of(st.floats(1e308, 1.7976931348623157e308), st.floats(-1.797
 
 
 @given(seed=st.integers(0, 19), rows=st.lists(st.lists(_NEAR_MAX, min_size=4, max_size=4), min_size=1, max_size=6))
-@example(seed=0, rows=[[1.7e308] * 4])  # its forward pass meets inf - inf, so its residuals were NaN
+@example(seed=0, rows=[[1.7e308] * 4])  # its one-row forward pass meets inf - inf: NaN residuals
 def test_a_state_whose_forward_pass_overflows_is_never_nan_and_never_normal(seed, rows):
     """A NaN error would read as normal: ``NaN > limit`` is false."""
     classifier = make_classifier(
