@@ -234,9 +234,9 @@ def _cmd_detect(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     out = _out_path(args, config, "detect", ".csv")
     with open(out, "w", encoding="utf-8") as handle:
         handle.write("timestamp,state_error,threshold,anomalous\n")
+        tails = {flag: f",{limit:.17g},{str(flag).lower()}\n" for flag in (False, True)}
         rows = zip(dataset.timestamps.tolist(), errors.tolist(), anomalous.tolist())
-        for timestamp, error, flag in rows:
-            handle.write(f"{timestamp},{error:.17g},{limit:.17g},{str(flag).lower()}\n")
+        handle.write("".join(f"{timestamp},{error:.17g}{tails[flag]}" for timestamp, error, flag in rows))
     flagged = int(anomalous.sum())
     print(
         f"{flagged} of {dataset.n_rows} states anomalous at sigma={config.classifier.sigma:g} "

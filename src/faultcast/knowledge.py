@@ -3,7 +3,9 @@
 Documents are cut into overlapping character windows aligned to whitespace so
 no word is split.  Each chunk is embedded either by the deterministic offline
 embedder (hashed bag of words, no network) or by a remote embedding endpoint.
-The store keeps every chunk with its vector in a single JSON file.
+The store keeps every chunk with its vector in a single JSON file.  Beside
+it, ``VectorStore.save`` writes a derived cache of two files, which
+``VectorStore.load`` reads instead when they match the store file.
 
 In memory the store keeps its chunks in one order, by chunk_id, and row
 ``i`` of its read-only ``(n_chunks, dimension)`` float64 matrix is the
@@ -12,18 +14,33 @@ all-or-nothing: every file is read and embedded, then the matrix is rebuilt
 once.  The matrix is column-major, so the column of one embedding bucket
 over all chunks is contiguous: retrieval reads only the columns where the
 query is nonzero, a few of many for an offline query.
-``VectorStore.load`` turns each chunk's embedding into a float64 row as the
-JSON parser closes that chunk, so the Python floats of one chunk exist at a
-time, not those of the whole parse tree: its peak is about the file's text
-plus twice the matrix.
 
-The offline embedder hashes each lowercase alphanumeric token with FNV-1a
+Parsing the ~1.24 M embedding floats of a large store is most of reading
+it, so the cache keeps the matrix as raw bytes, as Python's hash-checked
+``.pyc`` files keep compiled code (PEP 552).  ``<store>.cache.f64`` holds
+the matrix as little-endian float64, column-major, exactly rows ×
+dimension values.  ``<store>.cache.json`` holds the store's fields without
+the embeddings, the sha256 of the store file and the sha256 of the matrix
+file.  ``load`` hashes the store file and the matrix as it reads them; a
+missing file, a digest that differs, a matrix of the wrong size or a head
+that does not load sends it to the store file itself, with no error.  Both
+sources pass the same checks.  The cache files are written to temporary
+files and moved into place; one that cannot be written is left out.
+
+Without a cache, ``VectorStore.load`` turns each chunk's embedding into a
+float64 row as the JSON parser closes that chunk, so the Python floats of
+one chunk exist at a time, not those of the whole parse tree: its peak is
+about the file's text plus twice the matrix.
+
+The offline embedder hashes each lowercase ``a-z0-9`` token with FNV-1a
 (64 bit), buckets the hash modulo the dimension, counts, and L2-normalizes.
 It needs no model download, is stable across runs and machines, and two
-texts sharing no token are orthogonal unless buckets collide.  Manuals reuse
-a small vocabulary, so the hash of each token (not its bucket, which depends
-on the dimension) is kept in a bounded process-wide LRU cache.  The hashes
-of a text are bucketed in one unsigned 64-bit numpy modulo.
+texts sharing no token are orthogonal unless buckets collide.  Tokens are
+cut from the lowercased text's UTF-8 bytes with one ``bytes.translate``,
+so they are the bytes that are hashed.  Manuals reuse a small vocabulary,
+so the hash of each token (not its bucket, which depends on the dimension)
+is kept in a bounded process-wide LRU cache.  The hashes of a text are
+bucketed in one unsigned 64-bit numpy modulo.
 
 ``VectorStore.save`` writes the file itself, one chunk at a time, because
 ``json.dump`` with an indent runs pure Python for every embedding float.  The
@@ -35,35 +52,51 @@ row is mostly ``0.0`` and a few counts over one norm, so a block of rows
 holds few distinct values: each is formatted once, keyed by its bits so that
 ``-0.0`` keeps its sign, and every row is joined from those strings.  Blocks
 of about 2**17 values, taken in write order, bound the strings held at once;
-dense remote rows gain nothing from this and pay for one extra sort.
+dense remote rows gain nothing from this and pay for one extra sort.  The
+file's bytes are hashed as they are written, for the cache's head.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import hashlib
 import itertools
 import json
+import math
 import os
 import re
+import stat
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from . import endpoints
-from .errors import DimensionMismatch, EmptyDocument, EndpointError, IoError, SchemaError, load_json
+from .errors import (
+    DimensionMismatch,
+    EmptyDocument,
+    EndpointError,
+    FaultcastError,
+    IoError,
+    SchemaError,
+    load_json,
+)
 from .kpi import Vector, from_json, read_utf8
 
 DEFAULT_DIMENSION = 512
 DEFAULT_MAX_CHARS = 1000
 DEFAULT_OVERLAP_CHARS = 200
 _FORMAT_BLOCK = 1 << 17  # embedding values formatted per block by VectorStore.save
+_json_string = json.encoder.encode_basestring_ascii
 EMBEDDER_MODES = ("offline", "remote")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Keeps the bytes of a-z and 0-9 and maps every other byte to a space.
+_TOKEN_BYTES = bytes(byte if chr(byte) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for byte in range(256))
 _HEADING_RE = re.compile(r"^(#{1,6})[ \t]+(.+?)\s*$", re.MULTILINE)
 
 
@@ -89,15 +122,18 @@ def fnv1a_64(data: bytes) -> int:
     return value
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _token_hash(token: str) -> int:
-    """FNV-1a hash of a token's UTF-8 bytes, cached across embedders."""
-    return fnv1a_64(token.encode("utf-8"))
+# The FNV-1a hash of a token, cached across embedders.
+_token_hash = functools.lru_cache(maxsize=1 << 16)(fnv1a_64)
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase alphanumeric runs; everything else separates tokens."""
-    return _TOKEN_RE.findall(text.lower())
+def tokenize(text: str) -> list[bytes]:
+    """Runs of ``a-z0-9`` in the lowercased text, as ASCII bytes; everything else separates tokens.
+
+    A character outside ASCII encodes to bytes at or above 0x80, which
+    separate tokens as it would; ``surrogatepass`` encodes a lone surrogate
+    the same way.
+    """
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).split()
 
 
 class Embedder(Protocol):
@@ -124,7 +160,7 @@ class OfflineEmbedder:
         buckets = (hashes % np.uint64(self.dimension)).astype(np.intp)
         counts = np.bincount(buckets, minlength=self.dimension)
         vector = counts.astype(np.float64)
-        norm = np.linalg.norm(vector)
+        norm = math.sqrt(vector @ vector)  # np.linalg.norm's arithmetic
         return vector / norm if norm > 0 else vector
 
 
@@ -225,15 +261,11 @@ def reconstruct_document(chunks: Sequence[KnowledgeChunk]) -> str:
 
 def sections_for_chunks(text: str, chunks: Iterable[KnowledgeChunk]) -> None:
     """Assign each chunk the nearest markdown heading at or before its start."""
-    headings = [(m.start(), m.group(2)) for m in _HEADING_RE.finditer(text)]
+    matches = list(_HEADING_RE.finditer(text))
+    offsets = [match.start() for match in matches]
     for chunk in chunks:
-        section = None
-        for offset, title in headings:
-            if offset <= chunk.char_start:
-                section = title
-            else:
-                break
-        chunk.section = section
+        index = bisect.bisect_right(offsets, chunk.char_start)
+        chunk.section = matches[index - 1].group(2) if index else None
 
 
 class VectorStore:
@@ -277,7 +309,7 @@ class VectorStore:
                     f"dimensions, store expects {self.dimension}"
                 )
         # An empty list would make a 1-D array.
-        matrix = _numbers(vectors or np.empty((0, self.dimension)), (len(chunks), self.dimension))
+        matrix = _numbers(vectors if len(vectors) else np.empty((0, self.dimension)), (len(chunks), self.dimension))
         if matrix is None:
             bad = next(chunk for chunk, vector in zip(chunks, vectors) if _numbers(vector, (self.dimension,)) is None)
             raise SchemaError(f"chunk {bad.chunk_id}: embedding values are not numbers")
@@ -312,10 +344,28 @@ class VectorStore:
             self.manifest[doc_id] = {"title": title, "source": source}
 
     def save(self, path: str | os.PathLike[str]) -> None:
-        """Write the store as ``json.dump(payload, indent=1, sort_keys=True)`` would.
+        """Write the store as ``json.dump(payload, indent=1, sort_keys=True)`` would, then its cache.
 
-        Chunks are written one at a time, so the file is never held in memory.
+        Chunks are written one at a time, so the file is never held in
+        memory, and hashed as they are written.  A cache that cannot be
+        written is left out: ``load`` then reads the store itself.
         """
+        digest = hashlib.sha256()
+        try:
+            with open(path, "wb") as handle:
+                for text in self._store_text():
+                    data = text.encode("utf-8")
+                    digest.update(data)
+                    handle.write(data)
+        except OSError as exc:
+            raise IoError(f"cannot write store: {path}") from exc
+        try:
+            self._save_cache(path, digest.hexdigest())
+        except OSError:
+            pass
+
+    def _store_text(self) -> Iterator[str]:
+        """The store file's text, a chunk at a time."""
         tail = {
             "dimension": self.dimension,
             "embedder": self.embedder_name,
@@ -328,25 +378,71 @@ class VectorStore:
         values = itertools.chain.from_iterable(
             _row_values(self.matrix[i : i + step]) for i in range(0, len(self.chunks), step)
         )
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write('{\n "chunks": [')
-                separator = "\n"
-                for chunk, row_values in zip(self.chunks, values):
-                    handle.write(separator + _chunk_json(chunk, ",\n    ".join(row_values.tolist())))
-                    separator = ",\n"
-                handle.write("\n ],\n" if self.chunks else "],\n")
-                # The tail's keys sort after "chunks" and sit at the same depth.
-                handle.write(json.dumps(tail, indent=1, sort_keys=True)[2:] + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write store: {path}") from exc
+        yield '{\n "chunks": ['
+        separator = "\n"
+        for chunk, row_values in zip(self.chunks, values):
+            yield separator + _chunk_json(chunk, ",\n    ".join(row_values.tolist()))
+            separator = ",\n"
+        yield "\n ],\n" if self.chunks else "],\n"
+        # The tail's keys sort after "chunks" and sit at the same depth.
+        yield json.dumps(tail, indent=1, sort_keys=True)[2:] + "\n"
+
+    def _save_cache(self, path: str | os.PathLike[str], store_sha256: str) -> None:
+        """Write the matrix file, then the head that ties it to the store file of digest ``store_sha256``."""
+        head_path, matrix_path = _cache_paths(path)
+        columns = np.asfortranarray(self.matrix, dtype="<f8").T  # C-ordered: the column-major bytes
+        head = {
+            "chunks": [{key: getattr(chunk, key) for key in _CHUNK_FIELDS} for chunk in self.chunks],
+            "dimension": self.dimension,
+            "embedder": self.embedder_name,
+            "manifest": self.manifest,
+            "matrix_sha256": hashlib.sha256(columns).hexdigest(),
+            "store_sha256": store_sha256,
+            "version": 1,
+        }
+        # With the store's permissions, whoever may read the store may read its cache.
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+        _write_replacing(matrix_path, columns, mode)
+        _write_replacing(head_path, json.dumps(head, sort_keys=True, separators=(",", ":")).encode("utf-8"), mode)
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> VectorStore:
+        """Read the store's cache if it matches the store file, else the store file itself.
+
+        Both sources pass the same checks (:meth:`_from_payload`).  A
+        missing, stale or damaged cache is no error.
+        """
+        head_path, matrix_path = _cache_paths(path)
+        try:
+            return load_json(
+                functools.partial(cls._from_cache, path, matrix_path), "store cache", path=head_path, version=1
+            )
+        except FaultcastError:
+            pass
         return load_json(cls._from_payload, "store", path=path, version=1, object_hook=_embedding_row)
 
     @classmethod
-    def _from_payload(cls, payload: dict) -> VectorStore:
+    def _from_cache(cls, path: str | os.PathLike[str], matrix_path: str, head: dict) -> VectorStore:
+        """The store of ``head`` and the matrix file, if both match the store file at ``path``."""
+        if _file_sha256(path) != head["store_sha256"]:
+            raise SchemaError("store cache does not match the store")
+        rows, dimension = len(head["chunks"]), from_json(head["dimension"], int, "store cache", "dimension")
+        try:
+            with open(matrix_path, "rb") as handle:
+                if os.fstat(handle.fileno()).st_size != 8 * rows * dimension:
+                    raise SchemaError("store cache matrix has the wrong size")
+                matrix = np.empty((rows, dimension), dtype="<f8", order="F")
+                if handle.readinto(matrix.T) != matrix.nbytes:
+                    raise SchemaError("store cache matrix has the wrong size")
+        except OSError as exc:
+            raise IoError(f"cannot read store cache matrix: {matrix_path}") from exc
+        if hashlib.sha256(matrix.T).hexdigest() != head["matrix_sha256"]:
+            raise SchemaError("store cache matrix does not match its head")
+        return cls._from_payload(head, matrix)
+
+    @classmethod
+    def _from_payload(cls, payload: dict, matrix: np.ndarray | None = None) -> VectorStore:
+        """The store of a decoded store file, or of a cache head and its ``matrix``, checked alike."""
         dimension = from_json(payload["dimension"], int, "store", "dimension")
         embedder = payload["embedder"]
         if embedder not in EMBEDDER_MODES:
@@ -357,8 +453,43 @@ class VectorStore:
         store = cls(dimension=dimension, embedder_name=embedder)
         store.manifest = manifest
         entries = payload["chunks"]
-        store._set_chunks([_chunk_from_json(entry) for entry in entries], [entry["embedding"] for entry in entries])
+        vectors = [entry["embedding"] for entry in entries] if matrix is None else matrix
+        store._set_chunks([_chunk_from_json(entry) for entry in entries], vectors)
         return store
+
+
+def _cache_paths(path: str | os.PathLike[str]) -> tuple[str, str]:
+    """The store cache's head and matrix files beside the store file at ``path``."""
+    path = os.fspath(path)
+    return path + ".cache.json", path + ".cache.f64"
+
+
+def _file_sha256(path: str | os.PathLike[str]) -> str:
+    """sha256 of a file, read a block at a time."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as handle:
+            while block := handle.read(1 << 20):
+                digest.update(block)
+    except OSError as exc:
+        raise IoError(f"cannot read store: {path}") from exc
+    return digest.hexdigest()
+
+
+def _write_replacing(path: str, data: bytes | np.ndarray, mode: int) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then move it onto ``path`` with permissions ``mode``.
+
+    On failure the temporary file is removed and the error raised.
+    """
+    descriptor, temporary = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with open(descriptor, "wb") as handle:
+            handle.write(data)
+        os.chmod(temporary, mode)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 # The JSON types of a stored chunk's fields other than its embedding.
@@ -415,17 +546,20 @@ def _row_values(matrix: np.ndarray) -> np.ndarray:
 def _chunk_json(chunk: KnowledgeChunk, values: str) -> str:
     """One chunk as ``json.dumps(..., indent=1, sort_keys=True)`` prints it in a store.
 
-    ``values`` is its embedding's entries joined as they are written.
+    ``values`` is its embedding's entries joined as they are written.  An
+    int is written by ``int.__repr__`` and a str by
+    ``encode_basestring_ascii``, as ``json.dumps`` does.
     """
+    section = "null" if chunk.section is None else _json_string(chunk.section)
     return (
         "  {\n"
-        f'   "char_end": {json.dumps(chunk.char_end)},\n'
-        f'   "char_start": {json.dumps(chunk.char_start)},\n'
-        f'   "chunk_id": {json.dumps(chunk.chunk_id)},\n'
-        f'   "doc_id": {json.dumps(chunk.doc_id)},\n'
+        f'   "char_end": {int.__repr__(chunk.char_end)},\n'
+        f'   "char_start": {int.__repr__(chunk.char_start)},\n'
+        f'   "chunk_id": {_json_string(chunk.chunk_id)},\n'
+        f'   "doc_id": {_json_string(chunk.doc_id)},\n'
         f'   "embedding": [\n    {values}\n   ],\n'
-        f'   "section": {json.dumps(chunk.section)},\n'
-        f'   "text": {json.dumps(chunk.text)}\n'
+        f'   "section": {section},\n'
+        f'   "text": {_json_string(chunk.text)}\n'
         "  }"
     )
 
@@ -456,9 +590,12 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
 
 
 def _numbers(values: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``values`` as a column-major array of numbers of ``shape``, or None if they are not that."""
+    """``values`` as a column-major array of numbers of ``shape``, or None if they are not that.
+
+    A column-major array is returned as it is, not copied.
+    """
     try:
-        array = np.array(values, order="F")
+        array = np.asarray(values, order="F")
     except ValueError:  # a nested value makes rows of unequal depth
         return None
     return array if array.dtype.kind in "iuf" and array.shape == shape else None

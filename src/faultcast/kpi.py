@@ -256,10 +256,11 @@ def write_dataset(dataset: TimeSeriesDataset, path: str | os.PathLike[str]) -> N
     except OSError as exc:
         raise IoError(f"cannot write dataset: {path}") from exc
     with handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([TIMESTAMP_COLUMN, *(str(k) for k in dataset.kpis)])
-        for ts, row in zip(dataset.timestamps, dataset.values):
-            writer.writerow([int(ts), *(f"{v:.17g}" for v in row)])
+        csv.writer(handle, lineterminator="\n").writerow([TIMESTAMP_COLUMN, *(str(k) for k in dataset.kpis)])
+        # Numbers need no csv quoting, so each row is formatted in one step.
+        line = "%d" + ",%.17g" * len(dataset.kpis) + "\n"
+        rows = zip(dataset.timestamps.tolist(), dataset.values.tolist())
+        handle.write("".join(line % (timestamp, *values) for timestamp, values in rows))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ current state was classified anomalous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -100,6 +101,10 @@ def retrieve(
     query rank by chunk_id when their scores round alike, which a sum of a
     few nonzero terms does more often than a sum over every entry, and
     otherwise by the last bits of their rounding.
+
+    A finite row and query whose product or norms overflow (values near
+    1e308) are scaled by their largest magnitudes and scored again, as
+    ``knowledge._row_norms`` scales a row, so no such chunk is dropped.
     """
     if len(store) == 0:
         raise EmptyStore("cannot retrieve from an empty store")
@@ -109,17 +114,28 @@ def retrieve(
             f"query has {len(query_embedding)} dimensions, store expects {store.dimension}"
         )
     nonzero = np.flatnonzero(query_embedding)
-    if len(nonzero) < _SPARSE_SHARE * store.dimension:
-        products = store.matrix[:, nonzero] @ query_embedding[nonzero]
-    else:
-        products = store.matrix @ query_embedding
-    denominators = store.norms * np.linalg.norm(query_embedding)
-    similarities = np.divide(
-        products,
-        denominators,
-        out=np.zeros(len(denominators)),
-        where=denominators != 0.0,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(nonzero) < _SPARSE_SHARE * store.dimension:
+            products = store.matrix[:, nonzero] @ query_embedding[nonzero]
+        else:
+            products = store.matrix @ query_embedding
+        denominators = store.norms * np.linalg.norm(query_embedding)
+        similarities = np.divide(
+            products,
+            denominators,
+            out=np.zeros(len(denominators)),
+            where=denominators != 0.0,
+        )
+        # Any overflow leaves an inf or NaN in a similarity or a denominator,
+        # and so in this one dot product, far cheaper than the mask below.
+        if not math.isfinite(similarities @ denominators):
+            overflowed = ~np.isfinite(products) | ~np.isfinite(denominators)
+            # A zero row scores 0, though its norm times an overflowed query norm is NaN.
+            similarities[overflowed] = 0.0
+            query = query_embedding / np.abs(query_embedding).max()
+            for i in np.flatnonzero(overflowed & (store.norms != 0.0)):
+                row = store.matrix[i] / np.abs(store.matrix[i]).max()
+                similarities[i] = (row @ query) / (np.linalg.norm(row) * np.linalg.norm(query))
     hits = np.flatnonzero(similarities >= config.min_similarity)
     if len(hits) > config.top_k:
         # Keep every hit tied with the k-th best: chunk_id decides among them.

@@ -9,6 +9,7 @@ import numpy as np
 from faultcast.autoencoder import AutoencoderModel, TrainingConfig, bottleneck_layer_sizes, forward
 from faultcast.classifier import ErrorBaseline, TrainedClassifier
 from faultcast.errors import DimensionMismatch, NonFiniteLoss
+from faultcast.knowledge import _HEADING_RE
 from faultcast.kpi import KpiId, NormalizationStats
 from faultcast.simulate import SELF_COEFFICIENT, SimulationSpec
 
@@ -197,3 +198,16 @@ def load_text(loader, text: str, directory):
     path = directory / "artifact.json"
     path.write_text(text, encoding="utf-8")
     return loader(path)
+
+
+def reference_sections_for_chunks(text: str, chunks) -> None:
+    """The linear heading scan ``knowledge.sections_for_chunks`` replaced, kept verbatim as its reference."""
+    headings = [(m.start(), m.group(2)) for m in _HEADING_RE.finditer(text)]
+    for chunk in chunks:
+        section = None
+        for offset, title in headings:
+            if offset <= chunk.char_start:
+                section = title
+            else:
+                break
+        chunk.section = section

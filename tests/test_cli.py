@@ -11,12 +11,15 @@ modules an import loads, the exact stderr of a refused ``train``, and a
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -531,6 +534,21 @@ class TestDetect:
         limit = threshold(classifier.baseline, 4.5)
         assert [cells[3] == "true" for cells in rows] == [e > limit for e in errors.tolist()]
 
+    def test_verdict_csv_is_the_bytes_of_csv_writer(self, ws, tmp_path) -> None:
+        out = tmp_path / "verdicts.csv"
+        assert cli.main(["detect", "--data", ws.faulty, "--model", ws.model, "--out", str(out)]) == 0
+        classifier = load_classifier(ws.model)
+        dataset = load_dataset(ws.faulty)
+        errors, _ = score(classifier, dataset.values)
+        limit = threshold(classifier.baseline, 4.5)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["timestamp", "state_error", "threshold", "anomalous"])
+        for timestamp, error in zip(dataset.timestamps.tolist(), errors.tolist()):
+            writer.writerow([timestamp, f"{error:.17g}", f"{limit:.17g}", str(error > limit).lower()])
+        assert {error > limit for error in errors.tolist()} == {False, True}
+        assert out.read_text(encoding="utf-8") == buffer.getvalue()
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -934,6 +952,29 @@ class TestTroubleshoot:
         assert 1 <= len(retrieved_lines) <= 4
         for line in retrieved_lines:
             assert re.fullmatch(r"- .+#\d{4} \(similarity -?\d\.\d{4}\)", line)
+
+    def test_a_chunk_whose_product_overflows_is_retrieved(self, tmp_path, monkeypatch, capsys) -> None:
+        """A stored row near 1e308 (finite norm) loads, scores, and exits 0 without a warning."""
+        monkeypatch.chdir(tmp_path)
+        chunk = {"doc_id": "d", "section": None, "text": "tank", "char_start": 0, "char_end": 4}
+        rows = [[1e308, 1e308], [1.0, 0.0]]
+        store = {
+            "version": 1,
+            "dimension": 2,
+            "embedder": "offline",
+            "manifest": {"d": {"title": "D", "source": "d.md"}},
+            "chunks": [{**chunk, "chunk_id": f"d#{i:04d}", "embedding": row} for i, row in enumerate(rows)],
+        }
+        (tmp_path / "artifacts").mkdir()
+        (tmp_path / "artifacts" / "knowledge.json").write_text(json.dumps(store), encoding="utf-8")
+        report = _anomalous_report_file(tmp_path / "anomalous.json", with_description=True)
+        answer = tmp_path / "answer.md"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["troubleshoot", "--report", report, "--out", str(answer)]) == 0
+        assert capsys.readouterr().err == ""
+        retrieved = answer.read_text(encoding="utf-8").split("## Retrieved chunks")[1]
+        assert re.search(r"^- d#0000 \(similarity \d\.\d{4}\)$", retrieved, re.MULTILINE)
 
     def test_report_without_descriptions_fails_cleanly(
         self, manuals, tmp_path, monkeypatch, capsys

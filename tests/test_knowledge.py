@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import random
+import re
 import shutil
+import stat
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from faultcast.knowledge import (
     tokenize,
 )
 from faultcast.troubleshoot import RetrievalConfig, retrieve
+from helpers import cosine_similarity, reference_sections_for_chunks
 
 
 def test_fnv1a_64_reference_vectors():
@@ -54,9 +60,26 @@ def test_fnv1a_64_token_buckets_are_distinct():
 
 
 def test_tokenize_lowercases_and_splits_on_non_alphanumerics():
-    assert tokenize("Tank-pressure 2.5 bar!") == ["tank", "pressure", "2", "5", "bar"]
+    assert tokenize("Tank-pressure 2.5 bar!") == [b"tank", b"pressure", b"2", b"5", b"bar"]
     assert tokenize("   ") == []
-    assert tokenize("A_B") == ["a", "b"]
+    assert tokenize("A_B") == [b"a", b"b"]
+
+
+# The tokenizer's rule as a regular expression over the lowercased text.
+_REFERENCE_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def _reference_tokens(text: str) -> list[bytes]:
+    return [token.encode("ascii") for token in _REFERENCE_TOKEN_RE.findall(text.lower())]
+
+
+@given(text=st.text())
+@example(text="\ud800tank\udfff")  # lone surrogates
+@example(text="\u0130stanbul")  # "İ" lowercases to "i" and a combining dot
+@example(text="\u212aelvin")  # the Kelvin sign lowercases to "k"
+@example(text="a\x0bb\x1cc\x85d\u00a0e\u2028f")  # separators that str.split would also cut at
+def test_tokenize_matches_the_regex_over_any_text(text):
+    assert tokenize(text) == _reference_tokens(text)
 
 
 class TestOfflineEmbedder:
@@ -114,7 +137,7 @@ class TestOfflineEmbedder:
     @pytest.mark.parametrize("dimension", [1, 7, 512, 1000])
     def test_buckets_are_the_unsigned_hash_modulo_the_dimension(self, dimension):
         text = "Tank diesel, torque; compressor z q pressure valve tank"
-        hashes = [fnv1a_64(token.encode("utf-8")) for token in tokenize(text)]
+        hashes = [fnv1a_64(token) for token in _reference_tokens(text)]
         assert any(h >= 2**63 for h in hashes)
         if dimension > 1:
             # Hashes above 2**53 lose bits as floats: a float modulo moves a bucket.
@@ -127,8 +150,8 @@ class TestOfflineEmbedder:
 def _reference_embed(text: str, dimension: int) -> np.ndarray:
     """The offline embedding, one FNV-1a hash and one increment per token."""
     vector = np.zeros(dimension)
-    for token in tokenize(text):
-        vector[fnv1a_64(token.encode("utf-8")) % dimension] += 1.0
+    for token in _reference_tokens(text):
+        vector[fnv1a_64(token) % dimension] += 1.0
     norm = np.linalg.norm(vector)
     return vector / norm if norm > 0 else vector
 
@@ -205,6 +228,19 @@ def test_sections_follow_the_nearest_heading():
     chunks = [chunk_at(0), chunk_at(6), chunk_at(14), chunk_at(20), chunk_at(27)]
     sections_for_chunks(text, chunks)
     assert [c.section for c in chunks] == [None, "First", "First", "Sub", "Sub"]
+
+
+@given(
+    text=st.text(alphabet=st.sampled_from("# \t\nab"), min_size=1, max_size=120),
+    max_chars=st.integers(2, 30),
+)
+@example(text="# a\n# a\n## b\n", max_chars=4)
+def test_sections_are_those_of_the_linear_heading_scan(text, max_chars):
+    chunks = chunk_document("d", text, max_chars=max_chars, overlap_chars=1)
+    expected = chunk_document("d", text, max_chars=max_chars, overlap_chars=1)
+    sections_for_chunks(text, chunks)
+    reference_sections_for_chunks(text, expected)
+    assert [c.section for c in chunks] == [c.section for c in expected]
 
 
 def test_document_title():
@@ -659,11 +695,13 @@ def test_embedding_row_leaves_all_but_float_rows_as_parsed(embedding):
     assert knowledge._embedding_row(entry)["embedding"] is embedding
 
 
-def test_load_peak_memory_stays_near_the_file_and_the_matrix(tmp_path):
+@pytest.mark.parametrize("cache", ["cache kept", "cache deleted"])
+def test_load_peak_memory_stays_near_the_file_and_the_matrix(tmp_path, cache):
     """``load`` converts each chunk's embedding as it is parsed, not after the whole parse tree is built.
 
     Parsing every embedding before converting any peaks at the file plus 4.4
     to 4.8 times the matrix; converting each as it is parsed, at about 1.8 times.
+    The cache is hashed a block at a time and its matrix read in place.
     """
     rng = random.Random(11)
     vocabulary = ["".join(rng.choices("abcdefghijk", k=rng.randint(3, 9))) for _ in range(400)]
@@ -674,6 +712,8 @@ def test_load_peak_memory_stays_near_the_file_and_the_matrix(tmp_path):
     path = tmp_path / "store.json"
     store.save(path)
     del store
+    if cache == "cache deleted":
+        _delete_cache(path)
     tracemalloc.start()
     try:
         loaded = VectorStore.load(path)
@@ -684,6 +724,168 @@ def test_load_peak_memory_stays_near_the_file_and_the_matrix(tmp_path):
     assert peak < path.stat().st_size + 2.5 * loaded.matrix.nbytes
 
 
+def _cache_files(path):
+    return path.with_name(path.name + ".cache.json"), path.with_name(path.name + ".cache.f64")
+
+
+def _delete_cache(path):
+    for cache_file in _cache_files(path):
+        cache_file.unlink()
+
+
+@contextlib.contextmanager
+def _store_file_parses():
+    """The JSON objects ``VectorStore.load`` parses from store files meanwhile; none when it reads a cache."""
+    parsed = []
+
+    def hook(entry):
+        parsed.append(entry)
+        return embedding_row(entry)
+
+    embedding_row = knowledge._embedding_row
+    with mock.patch.object(knowledge, "_embedding_row", hook):
+        yield parsed
+
+
+def _assert_same_store(actual, expected):
+    """Equal chunk fields and order, matrix bits and layout, norm bits, manifest, dimension and embedder."""
+    assert (actual.dimension, actual.embedder_name, actual.manifest) == (
+        expected.dimension,
+        expected.embedder_name,
+        expected.manifest,
+    )
+    fields = [[getattr(c, key) for key in knowledge._CHUNK_FIELDS] for c in expected.chunks]
+    assert [[getattr(c, key) for key in knowledge._CHUNK_FIELDS] for c in actual.chunks] == fields
+    assert actual.matrix.tobytes() == expected.matrix.tobytes()
+    assert actual.matrix.dtype == np.float64 and actual.matrix.shape == expected.matrix.shape
+    assert actual.matrix.flags.f_contiguous and not actual.matrix.flags.writeable
+    assert actual.norms.tobytes() == expected.norms.tobytes()
+    for row, chunk in enumerate(actual.chunks):
+        assert chunk.embedding.base is actual.matrix and np.shares_memory(chunk.embedding, actual.matrix[row])
+
+
+@given(payload=_store_payloads())
+@example(payload=_EDGE_CASE_STORE)
+@example(payload={**_EDGE_CASE_STORE, "chunks": [], "manifest": {}})
+@example(payload=_with_embeddings([1e300, -1e300, 1e-300, -0.0], [5e-324, -5e-324, 2.2250738585072014e-308, 0.0]))
+def test_load_reads_from_the_cache_the_store_it_reads_from_the_file(tmp_path_factory, payload):
+    directory = tmp_path_factory.mktemp("store")
+    path = directory / "store.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    VectorStore.load(path).save(path)
+    head, matrix = _cache_files(path)
+    cached_bytes = head.read_bytes(), matrix.read_bytes()
+    with _store_file_parses() as parsed:
+        cached = VectorStore.load(path)
+    assert parsed == []
+    cached.save(directory / "again.json")
+    assert _cache_files(directory / "again.json")[1].read_bytes() == cached_bytes[1]
+    _delete_cache(path)
+    _assert_same_store(cached, VectorStore.load(path))
+    VectorStore.load(path).save(path)
+    assert (head.read_bytes(), matrix.read_bytes()) == cached_bytes
+
+
+def test_an_ingested_store_loads_from_its_cache_as_from_its_file(manuals, tmp_path):
+    store = VectorStore()
+    ingest_files(store, manuals, OfflineEmbedder())
+    path = tmp_path / "store.json"
+    store.save(path)
+    with _store_file_parses() as parsed:
+        cached = VectorStore.load(path)
+    assert parsed == []
+    _assert_same_store(cached, store)
+    _delete_cache(path)
+    _assert_same_store(VectorStore.load(path), store)
+
+
+def _corrupt_store_byte(path, other):
+    data = path.read_bytes()
+    assert b"tank" in data
+    path.write_bytes(data.replace(b"tank", b"tanq", 1))
+
+
+def _truncate_matrix(path, other):
+    matrix = _cache_files(path)[1]
+    matrix.write_bytes(matrix.read_bytes()[:-8])
+
+
+def _lengthen_matrix(path, other):
+    matrix = _cache_files(path)[1]
+    matrix.write_bytes(matrix.read_bytes() + bytes(8))
+
+
+def _matrix_of_another_store(path, other):
+    theirs, mine = _cache_files(other)[1], _cache_files(path)[1]
+    assert theirs.stat().st_size == mine.stat().st_size and theirs.read_bytes() != mine.read_bytes()
+    shutil.copyfile(theirs, mine)
+
+
+def _garbage_head(path, other):
+    _cache_files(path)[0].write_bytes(b"\x00not json")
+
+
+def _head_of_another_version(path, other):
+    head = _cache_files(path)[0]
+    head.write_text(json.dumps({**json.loads(head.read_text(encoding="utf-8")), "version": 2}), encoding="utf-8")
+
+
+# case -> how the store or its cache is changed after save
+STALE_CACHES = {
+    "store changed by one byte": _corrupt_store_byte,
+    "matrix truncated": _truncate_matrix,
+    "matrix lengthened": _lengthen_matrix,
+    "matrix of another store": _matrix_of_another_store,
+    "garbage head": _garbage_head,
+    "head of another version": _head_of_another_version,
+    "head missing": lambda path, other: _cache_files(path)[0].unlink(),
+    "matrix missing": lambda path, other: _cache_files(path)[1].unlink(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALE_CACHES))
+def test_load_ignores_a_cache_that_does_not_match_the_store(tmp_path, case):
+    """Load returns what the store file holds, with no error and no warning."""
+    embedder = OfflineEmbedder(16)
+    for name, text in (("store", "tank pressure " * 30), ("other", "pump pressure " * 30)):
+        store = VectorStore(dimension=16)
+        store.add_document("doc", "Doc", "doc.md", _embedded_chunks("doc", text, embedder))
+        (tmp_path / name).mkdir()
+        store.save(tmp_path / name / "store.json")
+    path = tmp_path / "store" / "store.json"
+    STALE_CACHES[case](path, tmp_path / "other" / "store.json")
+    uncached = tmp_path / "uncached.json"
+    shutil.copyfile(path, uncached)
+    with warnings.catch_warnings(), _store_file_parses() as parsed:
+        warnings.simplefilter("error")
+        loaded = VectorStore.load(path)
+    assert parsed
+    _assert_same_store(loaded, VectorStore.load(uncached))
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o644])
+def test_the_cache_is_as_readable_as_the_store(tmp_path, mode):
+    path = tmp_path / "store.json"
+    path.touch(mode)
+    path.chmod(mode)
+    VectorStore(dimension=4).save(path)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (path, *_cache_files(path))] == [mode] * 3
+
+
+def test_save_leaves_no_temporary_file_when_the_cache_cannot_be_written(tmp_path, monkeypatch):
+    store = VectorStore(dimension=16)
+    store.add_document("doc", "Doc", "doc.md", _embedded_chunks("doc", "tank " * 30, OfflineEmbedder(16)))
+
+    def refuse(source, target):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(knowledge.os, "replace", refuse)
+    store.save(tmp_path / "store.json")
+    assert [p.name for p in tmp_path.iterdir()] == ["store.json"]
+    monkeypatch.undo()
+    _assert_same_store(VectorStore.load(tmp_path / "store.json"), store)
+
+
 def test_huge_embedding_scores_its_true_cosine(tmp_path):
     path = _store_file(tmp_path, [1e300, 1e300], [1.0, 0.0])
     store = VectorStore.load(path)
@@ -692,6 +894,28 @@ def test_huge_embedding_scores_its_true_cosine(tmp_path):
     hits = {chunk.chunk_id: similarity for chunk, similarity in ranked}
     assert abs(hits["d#0000"] - 1.0) <= 1e-12
     assert abs(hits["d#0001"] - math.sqrt(0.5)) <= 1e-12
+
+
+# case -> (stored rows, query); every row's norm is finite
+OVERFLOWING_SCORES = {
+    "the product overflows": ([[1e308, 1e308], [1.0, 0.0], [0.0, 0.0]], [1.0, 1.0]),
+    "the query overflows": ([[1e308, 1e308], [1.0, 0.0], [0.0, 0.0]], [1e308, 1e308]),
+    "only the norms' product overflows": ([[1e308, 0.0], [1.0, 0.0], [0.0, 0.0]], [1.0, 1.6]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_SCORES))
+def test_a_score_that_overflows_is_the_true_cosine(tmp_path, case):
+    rows, query = OVERFLOWING_SCORES[case]
+    store = VectorStore.load(_store_file(tmp_path, *rows))
+    ranked = retrieve(store, np.array(query), RetrievalConfig(top_k=3))
+    hits = {chunk.chunk_id: similarity for chunk, similarity in ranked}
+    assert hits.keys() == {"d#0000", "d#0001", "d#0002"}
+    assert ranked[0][0].chunk_id == "d#0000"
+    for i, row in enumerate(rows):
+        # Scaled copies have the same cosine and no overflow.
+        expected = cosine_similarity(np.array(row) / max(max(row), 1.0), np.array(query) / max(query))
+        assert abs(hits[f"d#{i:04d}"] - expected) <= 1e-12
 
 
 def test_tiny_embedding_scores_its_true_cosine(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import shutil
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -23,6 +24,7 @@ from faultcast.errors import (
     SchemaError,
 )
 from faultcast.kpi import (
+    TIMESTAMP_COLUMN,
     KpiDescriptor,
     KpiId,
     Matrix,
@@ -370,6 +372,35 @@ def test_dataset_csv_round_trip_is_exact(tmp_path_factory, values):
     np.testing.assert_array_equal(loaded.values, ds.values)
     np.testing.assert_array_equal(loaded.timestamps, ds.timestamps)
     assert loaded.kpis == ds.kpis
+
+
+def _reference_dataset_csv(dataset: TimeSeriesDataset) -> str:
+    """The dataset as ``csv.writer`` writes it, one cell per value."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([TIMESTAMP_COLUMN, *(str(k) for k in dataset.kpis)])
+    for ts, row in zip(dataset.timestamps, dataset.values):
+        writer.writerow([int(ts), *(f"{v:.17g}" for v in row)])
+    return buffer.getvalue()
+
+
+@given(
+    columns=st.integers(1, 5),
+    timestamps=st.sets(st.integers(-(2**63), 2**63 - 1), max_size=6).map(sorted),
+    data=st.data(),
+)
+def test_write_dataset_writes_the_bytes_of_csv_writer(tmp_path_factory, columns, timestamps, data):
+    value = st.one_of(
+        st.sampled_from([-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e16, 0.1]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    rows = st.lists(value, min_size=columns, max_size=columns)
+    values = data.draw(st.lists(rows, min_size=len(timestamps), max_size=len(timestamps)))
+    kpis = [parse_kpi_id(f"m{i}@n") for i in range(columns)]
+    dataset = TimeSeriesDataset(timestamps, kpis, np.reshape(values, (len(timestamps), columns)))
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    write_dataset(dataset, path)
+    assert path.read_bytes() == _reference_dataset_csv(dataset).encode("utf-8")
 
 
 def test_write_dataset_unwritable_path_is_io_error(tmp_path):
