@@ -863,7 +863,7 @@ def test_load_ignores_a_cache_that_does_not_match_the_store(tmp_path, case):
     _assert_same_store(loaded, VectorStore.load(uncached))
 
 
-@pytest.mark.parametrize("mode", [0o600, 0o644])
+@pytest.mark.parametrize("mode", [0o600, 0o644], ids=oct)
 def test_the_cache_is_as_readable_as_the_store(tmp_path, mode):
     path = tmp_path / "store.json"
     path.touch(mode)
