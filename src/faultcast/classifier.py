@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .autoencoder import AutoencoderModel, TrainingConfig, forward, init_autoencoder, train
-from .errors import DataError, DimensionMismatch, IoError, SchemaMismatch, TooFewPoints, load_json
+from .errors import DataError, DimensionMismatch, SchemaMismatch, TooFewPoints, load_json, write_file
 from .kpi import (
     KpiId,
     Matrix,
@@ -288,12 +288,8 @@ def save_classifier(classifier: TrainedClassifier, path: str | os.PathLike[str])
         baseline=classifier.baseline,
         training=classifier.training,
     )
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(to_json(saved), handle, indent=2, sort_keys=True, allow_nan=False)
-            handle.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write model: {path}") from exc
+    text = json.dumps(to_json(saved), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    write_file(path, "model", text.encode("utf-8"))
 
 
 def load_classifier(path: str | os.PathLike[str]) -> TrainedClassifier:

@@ -39,7 +39,7 @@ from .classifier import (
     select_elbow,
     threshold,
 )
-from .errors import DataError, EndpointError, FaultcastError
+from .errors import DataError, EndpointError, FaultcastError, write_file
 from .kpi import (
     KpiDescriptor,
     KpiId,
@@ -218,8 +218,7 @@ def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     print(text, end="")
     _print_elbow(table.elbow_curve())
     out = _timestamped_path(config.paths.report_dir, "tune", ".csv")
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    write_file(out, "curve", text.encode("utf-8"))
     print(f"curve: {out}")
     return EXIT_OK
 
@@ -232,11 +231,10 @@ def _cmd_detect(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     errors, _ = score(classifier, dataset.values)
     anomalous = errors > limit
     out = _out_path(args, config, "detect", ".csv")
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write("timestamp,state_error,threshold,anomalous\n")
-        tails = {flag: f",{limit:.17g},{str(flag).lower()}\n" for flag in (False, True)}
-        rows = zip(dataset.timestamps.tolist(), errors.tolist(), anomalous.tolist())
-        handle.write("".join(f"{timestamp},{error:.17g}{tails[flag]}" for timestamp, error, flag in rows))
+    tails = {flag: f",{limit:.17g},{str(flag).lower()}\n" for flag in (False, True)}
+    rows = zip(dataset.timestamps.tolist(), errors.tolist(), anomalous.tolist())
+    body = "".join(f"{timestamp},{error:.17g}{tails[flag]}" for timestamp, error, flag in rows)
+    write_file(out, "verdicts", [b"timestamp,state_error,threshold,anomalous\n", body.encode("utf-8")])
     flagged = int(anomalous.sum())
     print(
         f"{flagged} of {dataset.n_rows} states anomalous at sigma={config.classifier.sigma:g} "
@@ -263,8 +261,7 @@ def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
         descriptors=descriptors,
     )
     out = _out_path(args, config, "report", ".json")
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(report_to_json(report))
+    write_file(out, "report", report_to_json(report).encode("utf-8"))
     if report.verdict.anomalous:
         components = ", ".join(c.node for c in report.top_components) or "none"
         print(
@@ -345,8 +342,7 @@ def _cmd_troubleshoot(args: argparse.Namespace, config: config_mod.ToolConfig) -
     for chunk_id, similarity in answer.retrieved:
         lines.append(f"- {chunk_id} (similarity {similarity:.4f})")
     lines.append("")
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
+    write_file(out, "answer", "\n".join(lines).encode("utf-8"))
     print(f"answered from {len(answer.sources)} sources; answer: {out}")
     return EXIT_OK
 
@@ -386,11 +382,9 @@ def _cmd_evaluate(args: argparse.Namespace, config: config_mod.ToolConfig) -> in
     )
     os.makedirs(out_dir, exist_ok=True)
     table_path = os.path.join(out_dir, "evaluation.csv")
-    with open(table_path, "w", encoding="utf-8") as handle:
-        handle.write(table.to_csv())
+    write_file(table_path, "table", table.to_csv().encode("utf-8"))
     curve_path = os.path.join(out_dir, "elbow.csv")
-    with open(curve_path, "w", encoding="utf-8") as handle:
-        handle.write(table.elbow_csv())
+    write_file(curve_path, "curve", table.elbow_csv().encode("utf-8"))
     print(table.to_text(), end="")
     _print_elbow(table.elbow_curve())
     print(f"table: {table_path}")

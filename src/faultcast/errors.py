@@ -4,14 +4,15 @@ Every error raised by library code derives from :class:`FaultcastError` so
 callers (notably the CLI) can map failures to exit codes without matching on
 message text.  :func:`load_json` is the one way outside JSON (model, store,
 report, config, simulation spec, fault spec) becomes a typed value or one of
-these errors.
+these errors, and :func:`write_file` the one way a file is written.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, TypeVar
+import stat
+from typing import Any, Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -141,3 +142,33 @@ def load_json(
         raise SchemaError(f"malformed {what}: {exc}{where}") from exc
     except DataError as exc:
         raise type(exc)(f"{exc}{where}") from exc
+
+
+def write_file(path: str | os.PathLike[str], what: str, data: bytes | Iterable[Any], mode: int | None = None) -> None:
+    """Replace the file at ``path`` whole with ``data``: bytes, or an iterable of bytes-like blocks.
+
+    ``data`` is written to a temporary file beside the target (a symlink's
+    target), which then replaces it in one ``os.replace``, with permissions
+    ``mode``, else the replaced file's, else those of ``open`` under the
+    umask.  Any exception removes the temporary file; an ``OSError`` or a
+    target that is not a regular file raises :class:`IoError` naming ``what``.
+    Nothing is synced to disk.
+    """
+    target = os.path.realpath(path)
+    try:
+        kept = os.stat(target) if os.path.exists(target) else None
+        if kept is not None and not stat.S_ISREG(kept.st_mode):
+            raise IoError(f"cannot write {what}: {path} is not a regular file")
+        temporary = f"{target}.{os.urandom(4).hex()}.tmp"
+        descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(descriptor, "wb") as handle:
+                if mode is not None or kept is not None:
+                    os.fchmod(descriptor, stat.S_IMODE(kept.st_mode) if mode is None else mode)
+                handle.writelines([data] if isinstance(data, bytes) else data)
+            os.replace(temporary, target)
+        except BaseException:
+            os.unlink(temporary)
+            raise
+    except OSError as exc:
+        raise IoError(f"cannot write {what}: {path}") from exc

@@ -24,8 +24,7 @@ the embeddings, the sha256 of the store file and the sha256 of the matrix
 file.  ``load`` hashes the store file and the matrix as it reads them; a
 missing file, a digest that differs, a matrix of the wrong size or a head
 that does not load sends it to the store file itself, with no error.  Both
-sources pass the same checks.  The cache files are written to temporary
-files and moved into place; one that cannot be written is left out.
+sources pass the same checks.  A cache that cannot be written is left out.
 
 Without a cache, ``VectorStore.load`` turns each chunk's embedding into a
 float64 row as the JSON parser closes that chunk, so the Python floats of
@@ -59,6 +58,7 @@ file's bytes are hashed as they are written, for the cache's head.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -67,7 +67,6 @@ import math
 import os
 import re
 import stat
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
@@ -83,6 +82,7 @@ from .errors import (
     IoError,
     SchemaError,
     load_json,
+    write_file,
 )
 from .kpi import Vector, from_json, read_utf8
 
@@ -91,6 +91,7 @@ DEFAULT_MAX_CHARS = 1000
 DEFAULT_OVERLAP_CHARS = 200
 _FORMAT_BLOCK = 1 << 17  # embedding values formatted per block by VectorStore.save
 _json_string = json.encoder.encode_basestring_ascii
+_BOOLEANS = {bool, np.bool_}
 EMBEDDER_MODES = ("offline", "remote")
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -259,9 +260,19 @@ def reconstruct_document(chunks: Sequence[KnowledgeChunk]) -> str:
     return "".join(parts)
 
 
+def _headings(text: str) -> Iterator[re.Match[str]]:
+    """The matches of ``_HEADING_RE.finditer(text)``, tried only where a line starts with ``#``.
+
+    A match never runs into a later line that starts with ``#``, so trying
+    only these positions finds what trying every character finds.
+    """
+    starts = itertools.chain((0,), (match.start() + 1 for match in re.finditer("\n#", text)))
+    return filter(None, (_HEADING_RE.match(text, start) for start in starts))
+
+
 def sections_for_chunks(text: str, chunks: Iterable[KnowledgeChunk]) -> None:
     """Assign each chunk the nearest markdown heading at or before its start."""
-    matches = list(_HEADING_RE.finditer(text))
+    matches = list(_headings(text))
     offsets = [match.start() for match in matches]
     for chunk in chunks:
         index = bisect.bisect_right(offsets, chunk.char_start)
@@ -296,9 +307,9 @@ class VectorStore:
         """Make ``vectors[i]`` the read-only embedding of ``chunks[i]``, in row ``i`` of ``matrix``.
 
         The first vector that is not a list or array of ``dimension`` finite
-        numbers, or whose norm exceeds the largest float (so that no cosine
-        with it can be computed), raises a :class:`DataError` naming its
-        chunk; the store is left as it was.
+        numbers (a boolean is not one), or whose norm exceeds the largest
+        float (so that no cosine with it can be computed), raises a
+        :class:`DataError` naming its chunk; the store is left as it was.
         """
         for chunk, vector in zip(chunks, vectors):
             if not isinstance(vector, (list, np.ndarray)):
@@ -308,6 +319,9 @@ class VectorStore:
                     f"chunk {chunk.chunk_id}: embedding has {len(vector)} "
                     f"dimensions, store expects {self.dimension}"
                 )
+            # numpy reads a boolean beside a number as that number.
+            if type(vector) is list and not _BOOLEANS.isdisjoint(map(type, vector)):
+                raise SchemaError(f"chunk {chunk.chunk_id}: embedding values are not numbers")
         # An empty list would make a 1-D array.
         matrix = _numbers(vectors if len(vectors) else np.empty((0, self.dimension)), (len(chunks), self.dimension))
         if matrix is None:
@@ -351,18 +365,16 @@ class VectorStore:
         written is left out: ``load`` then reads the store itself.
         """
         digest = hashlib.sha256()
-        try:
-            with open(path, "wb") as handle:
-                for text in self._store_text():
-                    data = text.encode("utf-8")
-                    digest.update(data)
-                    handle.write(data)
-        except OSError as exc:
-            raise IoError(f"cannot write store: {path}") from exc
-        try:
+
+        def blocks() -> Iterator[bytes]:
+            for text in self._store_text():
+                data = text.encode("utf-8")
+                digest.update(data)
+                yield data
+
+        write_file(path, "store", blocks())
+        with contextlib.suppress(OSError, IoError):
             self._save_cache(path, digest.hexdigest())
-        except OSError:
-            pass
 
     def _store_text(self) -> Iterator[str]:
         """The store file's text, a chunk at a time."""
@@ -402,8 +414,8 @@ class VectorStore:
         }
         # With the store's permissions, whoever may read the store may read its cache.
         mode = stat.S_IMODE(os.stat(path).st_mode)
-        _write_replacing(matrix_path, columns, mode)
-        _write_replacing(head_path, json.dumps(head, sort_keys=True, separators=(",", ":")).encode("utf-8"), mode)
+        write_file(matrix_path, "store cache", [columns], mode)
+        write_file(head_path, "store cache", json.dumps(head, sort_keys=True, separators=(",", ":")).encode("utf-8"), mode)
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> VectorStore:
@@ -476,22 +488,6 @@ def _file_sha256(path: str | os.PathLike[str]) -> str:
     return digest.hexdigest()
 
 
-def _write_replacing(path: str, data: bytes | np.ndarray, mode: int) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then move it onto ``path`` with permissions ``mode``.
-
-    On failure the temporary file is removed and the error raised.
-    """
-    descriptor, temporary = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with open(descriptor, "wb") as handle:
-            handle.write(data)
-        os.chmod(temporary, mode)
-        os.replace(temporary, path)
-    except BaseException:
-        os.unlink(temporary)
-        raise
-
-
 # The JSON types of a stored chunk's fields other than its embedding.
 _CHUNK_FIELDS = {
     "chunk_id": str,
@@ -506,12 +502,13 @@ _CHUNK_FIELDS = {
 def _embedding_row(entry: dict) -> dict:
     """``json.load``'s object hook for a store: an embedding numpy reads as float64 becomes that row.
 
-    Any other embedding, a list of ints included, stays the list the parser
-    made, for :meth:`VectorStore._set_chunks` to convert or refuse.  This
-    never raises: inside the parser an error would read as text that is not JSON.
+    Any other embedding, a list of ints or one holding a boolean included,
+    stays the list the parser made, for :meth:`VectorStore._set_chunks` to
+    convert or refuse.  This never raises: inside the parser an error would
+    read as text that is not JSON.
     """
     vector = entry.get("embedding")
-    if type(vector) is list:
+    if type(vector) is list and _BOOLEANS.isdisjoint(map(type, vector)):
         row = _numbers(vector, (len(vector),))
         if row is not None and row.dtype == np.float64:
             entry["embedding"] = row
@@ -603,7 +600,7 @@ def _numbers(values: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:
 
 def document_title(text: str, fallback: str) -> str:
     """First markdown heading, or the fallback name."""
-    match = _HEADING_RE.search(text)
+    match = next(_headings(text), None)
     return match.group(2) if match else fallback
 
 

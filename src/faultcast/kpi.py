@@ -36,6 +36,7 @@ from .errors import (
     MalformedKpiId,
     MissingValue,
     SchemaError,
+    write_file,
 )
 
 TIMESTAMP_COLUMN = "timestamp"
@@ -251,16 +252,12 @@ def load_dataset(path: str | os.PathLike[str], missing_policy: str = "forward_fi
 
 def write_dataset(dataset: TimeSeriesDataset, path: str | os.PathLike[str]) -> None:
     """Write a dataset as CSV with 17 significant digits (exact round trip)."""
-    try:
-        handle = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoError(f"cannot write dataset: {path}") from exc
-    with handle:
-        csv.writer(handle, lineterminator="\n").writerow([TIMESTAMP_COLUMN, *(str(k) for k in dataset.kpis)])
-        # Numbers need no csv quoting, so each row is formatted in one step.
-        line = "%d" + ",%.17g" * len(dataset.kpis) + "\n"
-        rows = zip(dataset.timestamps.tolist(), dataset.values.tolist())
-        handle.write("".join(line % (timestamp, *values) for timestamp, values in rows))
+    csv.writer(header := io.StringIO(), lineterminator="\n").writerow([TIMESTAMP_COLUMN, *(str(k) for k in dataset.kpis)])
+    # Numbers need no csv quoting, so each row is formatted in one step.
+    line = "%d" + ",%.17g" * len(dataset.kpis) + "\n"
+    rows = zip(dataset.timestamps.tolist(), dataset.values.tolist())
+    body = "".join(line % (timestamp, *values) for timestamp, values in rows)
+    write_file(path, "dataset", [header.getvalue().encode("utf-8"), body.encode("utf-8")])
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import math
 
 import numpy as np
 
+from faultcast import errors
 from faultcast.autoencoder import AutoencoderModel, TrainingConfig, bottleneck_layer_sizes, forward
 from faultcast.classifier import ErrorBaseline, TrainedClassifier
 from faultcast.errors import DimensionMismatch, NonFiniteLoss
@@ -211,3 +214,43 @@ def reference_sections_for_chunks(text: str, chunks) -> None:
             else:
                 break
         chunk.section = section
+
+
+class _FillingDisk:
+    """A binary file that takes ``room`` more bytes, then fails as a full disk does."""
+
+    def __init__(self, handle, room: int):
+        self.handle = handle
+        self.room = room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.handle.close()
+
+    def write(self, block) -> None:
+        block = memoryview(block).cast("B")
+        taken = self.handle.write(block[: self.room])
+        self.room -= taken
+        if taken < len(block):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, blocks) -> None:
+        for block in blocks:
+            self.write(block)
+
+
+@contextlib.contextmanager
+def disk_fills_up(monkeypatch, room: int):
+    """Every file ``errors.write_file`` opens meanwhile fails with ENOSPC once ``room`` bytes are in it."""
+
+    def filling_open(file, mode="r", **kwargs):
+        handle = open(file, mode, **kwargs)
+        return _FillingDisk(handle, room) if "w" in mode else handle
+
+    monkeypatch.setattr(errors, "open", filling_open, raising=False)
+    try:
+        yield
+    finally:
+        monkeypatch.delattr(errors, "open")

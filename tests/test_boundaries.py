@@ -183,6 +183,49 @@ def test_outside_json_is_decoded_only_by_load_json_and_the_endpoint_client():
     assert _json_decoding_calls() == {("errors", "load_json"), ("endpoints", "post_json")}
 
 
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether a call creates, writes or replaces a file: ``open`` in a w, x, a or + mode, ``os.open``,
+    ``os.replace``, ``os.rename``, anything in ``tempfile``, or ``write_text`` or ``write_bytes``."""
+    func = call.func
+    owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+    if isinstance(func, ast.Attribute) and (
+        func.attr in ("write_text", "write_bytes")
+        or owner == "tempfile"
+        or (owner == "os" and func.attr in ("open", "replace", "rename"))
+    ):
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    elif isinstance(func, ast.Attribute) and func.attr == "open":  # Path.open
+        mode = call.args[0] if call.args else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    else:
+        return False
+    # A mode that is not a literal could be any of them.
+    return mode is not None and not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wxa+"))
+
+
+def _file_writing_calls() -> set[tuple[str, str]]:
+    """(module, innermost function) of every call in the package that writes a file."""
+    sites = set()
+    for path in sorted(Path(faultcast.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _writes_a_file(node):
+                scope = node
+                while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scope = parents[scope]
+                sites.add((path.stem, getattr(scope, "name", "<module>")))
+            if isinstance(node, ast.ImportFrom) and node.module == "tempfile":
+                sites.add((path.stem, "from tempfile import"))
+    return sites
+
+
+def test_files_are_written_only_by_write_file_and_the_name_claim():
+    """Every file is replaced whole by ``errors.write_file``; ``cli._create_file`` only claims a fresh name."""
+    assert _file_writing_calls() == {("errors", "write_file"), ("cli", "_create_file")}
+
+
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory, manuals) -> dict[str, dict]:
     """One valid payload of each kind, as decoded JSON."""

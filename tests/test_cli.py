@@ -4,8 +4,9 @@ Every test drives ``faultcast.cli.main`` in process with a temporary working
 directory, checking exit codes, printed status lines, and the files each
 subcommand writes.  A few tests run the module through a subprocess: the
 ``--help`` and bare-invocation paths that argparse terminates itself, the
-modules an import loads, the exact stderr of a refused ``train``, and a
-``detect`` whose errors overflow, run under ``-W error::RuntimeWarning``.
+modules an import loads, the exact stderr of a refused ``train``, a
+``detect`` whose errors overflow, run under ``-W error::RuntimeWarning``, and
+a ``kb ingest`` cut short by the file size limit.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from faultcast.simulate import (
     make_chain_spec,
     spec_to_json,
 )
+
+from helpers import disk_fills_up
 
 GRID = (1.5, 3.0, 4.5)
 
@@ -116,6 +119,16 @@ _SUBPROCESS_ENV = {
         filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])
     ),
 }
+
+# Runs the command line with its arguments after the first, which is the
+# file size limit in bytes; past it a write fails with EFBIG, not a signal.
+_LIMITED_CLI = """
+import resource, signal, sys
+from faultcast import cli
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(cli.main(sys.argv[2:]))
+"""
 
 
 def _normal_report_file(path, timestamp: int = 7) -> str:
@@ -549,6 +562,18 @@ class TestDetect:
         assert {error > limit for error in errors.tolist()} == {False, True}
         assert out.read_text(encoding="utf-8") == buffer.getvalue()
 
+    def test_a_failed_write_keeps_the_previous_verdicts(self, ws, tmp_path, monkeypatch, capsys) -> None:
+        out = tmp_path / "verdicts.csv"
+        assert cli.main(["detect", "--data", ws.quiet, "--model", ws.model, "--out", str(out)]) == 0
+        old = out.read_bytes()
+        capsys.readouterr()
+        with disk_fills_up(monkeypatch, 100):
+            rc = cli.main(["detect", "--data", ws.faulty, "--model", ws.model, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: cannot write verdicts: {out}\n"
+        assert out.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["verdicts.csv"]
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -853,6 +878,27 @@ class TestKnowledgeBase:
         assert rc == 3
         assert capsys.readouterr().err.startswith("endpoint error: ")
         assert not (tmp_path / "artifacts" / "knowledge.json").exists()
+
+    def test_an_ingest_cut_short_keeps_the_previous_store(self, manuals, tmp_path, monkeypatch, capsys) -> None:
+        """The file size limit stops the save of a larger store midway, as a full disk would."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["kb", "ingest", str(manuals[0])]) == 0
+        store_path = tmp_path / "artifacts" / "knowledge.json"
+        old, old_chunks = store_path.read_bytes(), len(VectorStore.load(store_path))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIMITED_CLI, str(len(old) + 1), "kb", "ingest", *map(str, manuals)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=tmp_path,
+            env=_SUBPROCESS_ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"data error: cannot write store: {os.path.join('artifacts', 'knowledge.json')}\n"
+        assert proc.stdout == ""
+        assert store_path.read_bytes() == old
+        assert len(VectorStore.load(store_path)) == old_chunks
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestTroubleshoot:

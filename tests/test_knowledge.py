@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import shutil
@@ -271,6 +272,12 @@ class TestVectorStore:
         with pytest.raises(SchemaError, match=f"chunk {chunks[-1].chunk_id}: .*not finite"):
             store.add_document("doc", "Doc", "doc.txt", chunks)
         assert len(store) == 0 and store.manifest == {} and len(store.matrix) == 0
+
+    def test_add_document_refuses_a_numpy_boolean_beside_numbers(self):
+        chunks = _embedded_chunks("doc", "tank pressure " * 10, OfflineEmbedder(4))
+        chunks[-1].embedding = [np.True_, 0.5, 0.0, 0.0]
+        with pytest.raises(SchemaError, match=f"^chunk {chunks[-1].chunk_id}: embedding values are not numbers$"):
+            VectorStore(dimension=4).add_document("doc", "Doc", "doc.txt", chunks)
 
     def test_add_document_checks_dimension(self):
         store = VectorStore(dimension=16)
@@ -607,6 +614,8 @@ BAD_EMBEDDINGS = {
     "integer beyond int64 beside floats": ([10**30, 0.5, 0.5, 0.5], SchemaError, "embedding values are not numbers"),
     "integer beyond uint64": ([2**64, 1, 1, 1], SchemaError, "embedding values are not numbers"),
     "booleans": ([True, False, True, True], SchemaError, "embedding values are not numbers"),
+    "boolean beside a number": ([True, 0.5, 0.0, 0.0], SchemaError, "embedding values are not numbers"),
+    "boolean beside integers": ([0, 1, False, 2], SchemaError, "embedding values are not numbers"),
     "norm beyond float64": ([1.7e308, -1.7e308, 0.0, 0.0], SchemaError, "embedding norm exceeds the largest float"),
 }
 
@@ -619,10 +628,6 @@ def test_add_and_load_refuse_a_bad_embedding_alike(tmp_path, case):
     """
     embedding, error, message = BAD_EMBEDDINGS[case]
     path, payload = _valid_store_payload(tmp_path)
-    # Beside rows of numbers, a row of booleans becomes numbers on both paths
-    # (the FOUND on boolean embeddings in CHANGES.md), so it is refused alone.
-    if case == "booleans":
-        del payload["chunks"][1:]
     entries = payload["chunks"]
     entries[0]["embedding"] = embedding
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -658,8 +663,6 @@ GOOD_EMBEDDINGS = {
     "negative zero": ([-0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, -0.0]),
     "smallest subnormal": ([5e-324, -5e-324, 0.0, 1.0], [0.0, 5e-324, 0.0, 0.0]),
     "largest magnitudes": ([1.7e308, 0.0, 1e-300, 0.0], [0.0, -1.7976931348623157e308, 0.0, 1.0]),
-    # Pins the FOUND on boolean embeddings in CHANGES.md: true loads as 1.0.
-    "boolean beside a number": ([True, 0.5, 0.0, 0.0], [0.25, 0.5, 0.0, 0.0]),
     "rows of floats beside rows of integers": (
         [0.25, 0.5, -0.0, 1.0],
         [1, 2, 3, 4],
@@ -681,13 +684,24 @@ def test_load_keeps_the_bits_of_a_plain_json_load(tmp_path, case):
     assert loaded.matrix.tobytes() == np.array(parsed, order="F").astype(np.float64).tobytes()
     for chunk in loaded.chunks:
         assert np.shares_memory(chunk.embedding, loaded.matrix) and not chunk.embedding.flags.writeable
-    if case == "boolean beside a number":
-        assert loaded.matrix[0].tolist() == [1.0, 0.5, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
     "embedding",
-    [[1, 2], [10**30, 0.5], [2**64, 1], [True, False], ["a", 1.0], [[1], [2]], [None, 0.5], 0.5, None, {"x": 1}],
+    [
+        [1, 2],
+        [10**30, 0.5],
+        [2**64, 1],
+        [True, False],
+        [True, 0.5],
+        [0.25, False],
+        ["a", 1.0],
+        [[1], [2]],
+        [None, 0.5],
+        0.5,
+        None,
+        {"x": 1},
+    ],
     ids=repr,
 )
 def test_embedding_row_leaves_all_but_float_rows_as_parsed(embedding):
@@ -876,8 +890,12 @@ def test_save_leaves_no_temporary_file_when_the_cache_cannot_be_written(tmp_path
     store = VectorStore(dimension=16)
     store.add_document("doc", "Doc", "doc.md", _embedded_chunks("doc", "tank " * 30, OfflineEmbedder(16)))
 
+    replace = os.replace
+
     def refuse(source, target):
-        raise OSError(28, "No space left on device")
+        if target.endswith((".cache.json", ".cache.f64")):
+            raise OSError(28, "No space left on device")
+        replace(source, target)
 
     monkeypatch.setattr(knowledge.os, "replace", refuse)
     store.save(tmp_path / "store.json")
