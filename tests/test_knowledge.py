@@ -688,20 +688,8 @@ def test_load_keeps_the_bits_of_a_plain_json_load(tmp_path, case):
 
 @pytest.mark.parametrize(
     "embedding",
-    [
-        [1, 2],
-        [10**30, 0.5],
-        [2**64, 1],
-        [True, False],
-        [True, 0.5],
-        [0.25, False],
-        ["a", 1.0],
-        [[1], [2]],
-        [None, 0.5],
-        0.5,
-        None,
-        {"x": 1},
-    ],
+    [[1, 2], [10**30, 0.5], [2**64, 1], [True, False], [True, 0.5], [0.25, False], ["a", 1.0], [[1], [2]], [None, 0.5]]
+    + [0.5, None, {"x": 1}],
     ids=repr,
 )
 def test_embedding_row_leaves_all_but_float_rows_as_parsed(embedding):
