@@ -19,6 +19,7 @@ network-free offline embedder).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import glob
 import os
@@ -47,7 +48,7 @@ from .kpi import (
     load_descriptors,
     write_dataset,
 )
-from .knowledge import OfflineEmbedder, RemoteEmbedder, VectorStore, ingest_files
+from .knowledge import VectorStore, ingest_files
 from .ranker import analyze, load_report, report_to_json
 from .simulate import Scenario, evaluate_scenarios, generate_normal, inject_fault, load_fault, load_spec
 from .troubleshoot import EchoClient, HttpCompletionClient, troubleshoot
@@ -97,40 +98,48 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", parents=[common], help="fit a classifier on failure-free data")
     p.add_argument("--data", required=True, metavar="CSV", help="failure-free training series")
     p.add_argument("--out", required=True, metavar="MODEL", help="model file to write")
+    p.set_defaults(run=_cmd_train)
 
     p = sub.add_parser("tune", parents=[common], help="sweep sigma over failure-free data and pick the elbow")
     p.add_argument("--data", required=True, nargs="+", metavar="CSV", help="failure-free series")
     p.add_argument("--model", required=True, metavar="MODEL")
+    p.set_defaults(run=_cmd_tune)
 
     p = sub.add_parser("detect", parents=[common], help="classify every state of a series")
     p.add_argument("--data", required=True, metavar="CSV")
     p.add_argument("--model", required=True, metavar="MODEL")
     p.add_argument("--out", default=None, metavar="CSV", help="verdict file (default: timestamped report)")
+    p.set_defaults(run=_cmd_detect)
 
     p = sub.add_parser("rank", parents=[common], help="rank root-cause KPIs for the latest state")
     p.add_argument("--data", required=True, metavar="CSV")
     p.add_argument("--model", required=True, metavar="MODEL")
     p.add_argument("--out", default=None, metavar="JSON", help="report file (default: timestamped report)")
+    p.set_defaults(run=_cmd_rank)
 
     kb = sub.add_parser("kb", help="knowledge base maintenance")
     kbsub = kb.add_subparsers(dest="kb_command", metavar="ACTION", required=True)
     p = kbsub.add_parser("ingest", parents=[common], help="chunk, embed, and index manuals")
     p.add_argument("files", nargs="+", metavar="FILE", help="manual files (.md or plain text)")
+    p.set_defaults(run=_cmd_kb_ingest)
 
     p = sub.add_parser("troubleshoot", parents=[common], help="answer an anomaly report from the knowledge base")
     p.add_argument("--report", required=True, metavar="JSON", help="anomaly report produced by rank")
     p.add_argument("--out", default=None, metavar="MD", help="answer file (default: timestamped report)")
+    p.set_defaults(run=_cmd_troubleshoot)
 
     p = sub.add_parser("simulate", parents=[common], help="generate a synthetic scenario")
     p.add_argument("--spec", required=True, metavar="JSON", help="simulation spec")
     p.add_argument("--seed", required=True, type=int, metavar="N")
     p.add_argument("--fault", default=None, metavar="JSON", help="fault to inject")
     p.add_argument("--out", default=None, metavar="CSV", help="dataset file (default: timestamped report)")
+    p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("evaluate", parents=[common], help="sigma-sweep a directory of scenarios")
     p.add_argument("--scenarios", required=True, metavar="DIR", help="directory of <name>.csv [+ <name>.fault.json]")
     p.add_argument("--model", required=True, metavar="MODEL")
     p.add_argument("--out-dir", default=None, metavar="DIR", help="output directory (default: timestamped)")
+    p.set_defaults(run=_cmd_evaluate)
 
     return parser
 
@@ -171,17 +180,26 @@ def _timestamped_path(
             counter += 1
 
 
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+def _publish(
+    out: str | None, report_dir: str, stem: str, suffix: str, write: typing.Callable[[str], None]
+) -> str:
+    """``write`` the file at ``out``, its directory made, or else at a fresh timestamped name; the path written.
 
-
-def _out_path(args: argparse.Namespace, config: config_mod.ToolConfig, stem: str, suffix: str) -> str:
-    """``--out`` with its directory made, or else a fresh timestamped path under the report directory."""
-    if not args.out:
-        return _timestamped_path(config.paths.report_dir, stem, suffix)
-    _ensure_parent(args.out)
-    return args.out
+    A claimed name that ``write`` fails to fill is removed, so no empty file
+    is left under it; the write's error is the one raised.
+    """
+    if out:
+        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+        write(out)
+        return out
+    path = _timestamped_path(report_dir, stem, suffix)
+    try:
+        write(path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        raise
+    return path
 
 
 def _descriptor_table(config: config_mod.ToolConfig) -> dict[KpiId, KpiDescriptor]:
@@ -193,11 +211,10 @@ def _descriptor_table(config: config_mod.ToolConfig) -> dict[KpiId, KpiDescripto
 def _cmd_train(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     dataset = load_dataset(args.data, config.missing_policy)
     classifier, curve = fit_classifier(dataset, config.training)
-    _ensure_parent(args.out)
-    save_classifier(classifier, args.out)
+    out = _publish(args.out, config.paths.report_dir, "model", ".json", lambda path: save_classifier(classifier, path))
     print(
         f"trained on {dataset.n_rows} states x {dataset.n_kpis} KPIs "
-        f"({config.training.epochs} epochs, final loss {curve[-1]:.6g}); model: {args.out}"
+        f"({config.training.epochs} epochs, final loss {curve[-1]:.6g}); model: {out}"
     )
     return EXIT_OK
 
@@ -217,8 +234,8 @@ def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     text = table.elbow_csv()
     print(text, end="")
     _print_elbow(table.elbow_curve())
-    out = _timestamped_path(config.paths.report_dir, "tune", ".csv")
-    write_file(out, "curve", text.encode("utf-8"))
+    data = text.encode("utf-8")
+    out = _publish(None, config.paths.report_dir, "tune", ".csv", lambda path: write_file(path, "curve", data))
     print(f"curve: {out}")
     return EXIT_OK
 
@@ -230,11 +247,13 @@ def _cmd_detect(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     limit = threshold(classifier.baseline, config.classifier.sigma)
     errors, _ = score(classifier, dataset.values)
     anomalous = errors > limit
-    out = _out_path(args, config, "detect", ".csv")
     tails = {flag: f",{limit:.17g},{str(flag).lower()}\n" for flag in (False, True)}
     rows = zip(dataset.timestamps.tolist(), errors.tolist(), anomalous.tolist())
     body = "".join(f"{timestamp},{error:.17g}{tails[flag]}" for timestamp, error, flag in rows)
-    write_file(out, "verdicts", [b"timestamp,state_error,threshold,anomalous\n", body.encode("utf-8")])
+    blocks = [b"timestamp,state_error,threshold,anomalous\n", body.encode("utf-8")]
+    out = _publish(
+        args.out, config.paths.report_dir, "detect", ".csv", lambda path: write_file(path, "verdicts", blocks)
+    )
     flagged = int(anomalous.sum())
     print(
         f"{flagged} of {dataset.n_rows} states anomalous at sigma={config.classifier.sigma:g} "
@@ -260,8 +279,10 @@ def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
         pagerank_config=config.pagerank,
         descriptors=descriptors,
     )
-    out = _out_path(args, config, "report", ".json")
-    write_file(out, "report", report_to_json(report).encode("utf-8"))
+    data = report_to_json(report).encode("utf-8")
+    out = _publish(
+        args.out, config.paths.report_dir, "report", ".json", lambda path: write_file(path, "report", data)
+    )
     if report.verdict.anomalous:
         components = ", ".join(c.node for c in report.top_components) or "none"
         print(
@@ -274,22 +295,13 @@ def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
     return EXIT_OK
 
 
-def _make_embedder(config: config_mod.ToolConfig, store: VectorStore):
-    if store.embedder_name == "remote":
-        return RemoteEmbedder(config.endpoints, store.dimension)
-    return OfflineEmbedder(store.dimension)
-
-
 def _cmd_kb_ingest(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
-    store_path = config.paths.kb_store
-    if os.path.exists(store_path):
-        store = VectorStore.load(store_path)
+    if os.path.exists(config.paths.kb_store):
+        store = VectorStore.load(config.paths.kb_store)
     else:
         store = VectorStore(dimension=config.embedding_dimension, embedder_name=config.embedder)
-    embedder = _make_embedder(config, store)
-    added = ingest_files(store, args.files, embedder)
-    _ensure_parent(store_path)
-    store.save(store_path)
+    added = ingest_files(store, args.files, store.embedder(config.endpoints))
+    store_path = _publish(config.paths.kb_store, config.paths.report_dir, "knowledge", ".json", store.save)
     documents = len({Path(path).stem for path in args.files})
     print(
         f"ingested {documents} documents ({added} chunks, "
@@ -318,9 +330,8 @@ def _cmd_troubleshoot(args: argparse.Namespace, config: config_mod.ToolConfig) -
         spec=config.prompt,
         config=config.retrieval,
         llm=llm,
-        embedder=_make_embedder(config, store),
+        embedder=store.embedder(config.endpoints),
     )
-    out = _out_path(args, config, "troubleshoot", ".md")
     lines = [
         "# Troubleshooting answer",
         "",
@@ -342,7 +353,10 @@ def _cmd_troubleshoot(args: argparse.Namespace, config: config_mod.ToolConfig) -
     for chunk_id, similarity in answer.retrieved:
         lines.append(f"- {chunk_id} (similarity {similarity:.4f})")
     lines.append("")
-    write_file(out, "answer", "\n".join(lines).encode("utf-8"))
+    data = "\n".join(lines).encode("utf-8")
+    out = _publish(
+        args.out, config.paths.report_dir, "troubleshoot", ".md", lambda path: write_file(path, "answer", data)
+    )
     print(f"answered from {len(answer.sources)} sources; answer: {out}")
     return EXIT_OK
 
@@ -354,8 +368,9 @@ def _cmd_simulate(args: argparse.Namespace, config: config_mod.ToolConfig) -> in
     if args.fault is not None:
         fault = load_fault(args.fault)
         dataset, fault = inject_fault(dataset, spec, fault)
-    out = _out_path(args, config, "scenario", ".csv")
-    write_dataset(dataset, out)
+    out = _publish(
+        args.out, config.paths.report_dir, "scenario", ".csv", lambda path: write_dataset(dataset, path)
+    )
     status = f"simulated {dataset.n_rows} states x {dataset.n_kpis} KPIs (seed {args.seed})"
     if fault is not None:
         status += f"; {fault.kind} fault on {fault.target} at t={fault.onset}"
@@ -392,21 +407,6 @@ def _cmd_evaluate(args: argparse.Namespace, config: config_mod.ToolConfig) -> in
     return EXIT_OK
 
 
-def _dispatch(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
-    if args.command == "kb":
-        return _cmd_kb_ingest(args, config)
-    handlers = {
-        "train": _cmd_train,
-        "tune": _cmd_tune,
-        "detect": _cmd_detect,
-        "rank": _cmd_rank,
-        "troubleshoot": _cmd_troubleshoot,
-        "simulate": _cmd_simulate,
-        "evaluate": _cmd_evaluate,
-    }
-    return handlers[args.command](args, config)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -414,21 +414,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A reconstruction error that overflows to inf is a verdict (anomalous), not a fault;
         # so is one whose forward pass meets inf - inf, which score turns into inf.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _dispatch(args, config)
+            return args.run(args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EndpointError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FaultcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 
 from .autoencoder import TrainingConfig
 from .classifier import SIGMA_GRID, ClassifierConfig, check_sigma_grid
@@ -25,7 +25,7 @@ from .endpoints import EndpointsConfig
 from .errors import SchemaError, load_json
 from .granger import GrangerConfig
 from .knowledge import DEFAULT_DIMENSION, EMBEDDER_MODES
-from .kpi import MISSING_POLICIES, _optional_inner, from_json, to_json
+from .kpi import MISSING_POLICIES, _json_fields, _optional_inner, from_json, to_json
 from .pagerank import PageRankConfig
 from .troubleshoot import PromptSpec, RetrievalConfig
 
@@ -96,14 +96,11 @@ def load_config(path: str | os.PathLike[str]) -> ToolConfig:
 def override_fields(cls: type = ToolConfig, prefix: str = "") -> list[tuple[str, object]]:
     """All (dotted name, type hint) leaves of the config tree, in field order."""
     leaves: list[tuple[str, object]] = []
-    hints = typing.get_type_hints(cls)
-    for f in fields(cls):
-        hint = hints[f.name]
-        dotted = f"{prefix}{f.name}"
+    for name, _key, hint in _json_fields(cls):
         if is_dataclass(hint):
-            leaves.extend(override_fields(typing.cast(type, hint), f"{dotted}."))
+            leaves.extend(override_fields(typing.cast(type, hint), f"{prefix}{name}."))
         else:
-            leaves.append((dotted, hint))
+            leaves.append((f"{prefix}{name}", hint))
     return leaves
 
 

@@ -4,8 +4,9 @@ Documents are cut into overlapping character windows aligned to whitespace so
 no word is split.  Each chunk is embedded either by the deterministic offline
 embedder (hashed bag of words, no network) or by a remote embedding endpoint.
 The store keeps every chunk with its vector in a single JSON file.  Beside
-it, ``VectorStore.save`` writes a derived cache of two files, which
-``VectorStore.load`` reads instead when they match the store file.
+it (beside its target, if it is a symlink), ``VectorStore.save`` writes a
+derived cache of two files, which ``VectorStore.load`` reads instead when
+they match the store file.
 
 In memory the store keeps its chunks in one order, by chunk_id, and row
 ``i`` of its read-only ``(n_chunks, dimension)`` float64 matrix is the
@@ -303,6 +304,14 @@ class VectorStore:
     def __len__(self) -> int:
         return len(self.chunks)
 
+    def embedder(self, endpoint: endpoints.EndpointsConfig | None = None) -> Embedder:
+        """The embedder of this store's vectors: offline, or remote through ``endpoint``; else ``ValueError``."""
+        if self.embedder_name == "offline":
+            return OfflineEmbedder(self.dimension)
+        if self.embedder_name == "remote" and endpoint is not None:
+            return RemoteEmbedder(endpoint, self.dimension)
+        raise ValueError(f"store was embedded with {self.embedder_name!r}; pass a matching embedder")
+
     def _set_chunks(self, chunks: list[KnowledgeChunk], vectors: Sequence) -> None:
         """Make ``vectors[i]`` the read-only embedding of ``chunks[i]``, in row ``i`` of ``matrix``.
 
@@ -376,14 +385,13 @@ class VectorStore:
         with contextlib.suppress(OSError, IoError):
             self._save_cache(path, digest.hexdigest())
 
+    def _header(self) -> dict:
+        """The fields beside the chunks that the store file and its cache head both hold, less their versions."""
+        return {"dimension": self.dimension, "embedder": self.embedder_name, "manifest": self.manifest}
+
     def _store_text(self) -> Iterator[str]:
         """The store file's text, a chunk at a time."""
-        tail = {
-            "dimension": self.dimension,
-            "embedder": self.embedder_name,
-            "manifest": self.manifest,
-            "version": 1,
-        }
+        tail = {**self._header(), "version": 1}
         # A block of rows at a time: a dense store, whose values are all
         # distinct, never holds all their strings at once.
         step = max(1, _FORMAT_BLOCK // self.dimension)
@@ -404,10 +412,8 @@ class VectorStore:
         head_path, matrix_path = _cache_paths(path)
         columns = np.asfortranarray(self.matrix, dtype="<f8").T  # C-ordered: the column-major bytes
         head = {
+            **self._header(),
             "chunks": [{key: getattr(chunk, key) for key in _CHUNK_FIELDS} for chunk in self.chunks],
-            "dimension": self.dimension,
-            "embedder": self.embedder_name,
-            "manifest": self.manifest,
             "matrix_sha256": hashlib.sha256(columns).hexdigest(),
             "store_sha256": store_sha256,
             "version": 1,
@@ -471,8 +477,8 @@ class VectorStore:
 
 
 def _cache_paths(path: str | os.PathLike[str]) -> tuple[str, str]:
-    """The store cache's head and matrix files beside the store file at ``path``."""
-    path = os.fspath(path)
+    """The store cache's head and matrix files beside the store file at ``path``, or beside its symlink's target."""
+    path = os.path.realpath(path)
     return path + ".cache.json", path + ".cache.f64"
 
 

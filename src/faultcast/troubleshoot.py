@@ -18,7 +18,7 @@ import numpy as np
 from . import endpoints
 from .errors import DimensionMismatch, EmptyStore, EndpointError, MissingDescriptor
 from .kpi import KpiDescriptor, KpiId
-from .knowledge import Embedder, KnowledgeChunk, OfflineEmbedder, VectorStore, embed_text
+from .knowledge import Embedder, KnowledgeChunk, VectorStore, embed_text
 from .ranker import KpiAnomaly
 
 QUESTION_PREFIX = "What is the cause of anomalous values regarding "
@@ -209,11 +209,7 @@ def troubleshoot(
     offline embedder; with no ``llm`` the offline echo client is used.
     """
     if embedder is None:
-        if store.embedder_name != "offline":
-            raise ValueError(
-                f"store was embedded with {store.embedder_name!r}; pass a matching embedder"
-            )
-        embedder = OfflineEmbedder(store.dimension)
+        embedder = store.embedder()
     if llm is None:
         llm = EchoClient()
     prompt = build_prompt(anomalies, descriptors, spec)

@@ -5,10 +5,11 @@ from __future__ import annotations
 import contextlib
 import errno
 import math
+from unittest import mock
 
 import numpy as np
 
-from faultcast import errors
+from faultcast import errors, knowledge
 from faultcast.autoencoder import AutoencoderModel, TrainingConfig, bottleneck_layer_sizes, forward
 from faultcast.classifier import ErrorBaseline, TrainedClassifier
 from faultcast.errors import DimensionMismatch, NonFiniteLoss
@@ -254,3 +255,17 @@ def disk_fills_up(monkeypatch, room: int):
         yield
     finally:
         monkeypatch.delattr(errors, "open")
+
+
+@contextlib.contextmanager
+def store_file_parses():
+    """The JSON objects ``VectorStore.load`` parses from store files meanwhile; none when it reads a cache."""
+    parsed = []
+
+    def hook(entry):
+        parsed.append(entry)
+        return embedding_row(entry)
+
+    embedding_row = knowledge._embedding_row
+    with mock.patch.object(knowledge, "_embedding_row", hook):
+        yield parsed

@@ -617,6 +617,31 @@ def test_timestamped_path_claims_a_fresh_name(tmp_path, monkeypatch) -> None:
     assert os.path.isdir(directory)
 
 
+@pytest.mark.parametrize("command", ["tune", "detect", "rank", "troubleshoot", "simulate"])
+def test_a_failed_write_to_a_timestamped_name_leaves_no_file(
+    command, ws, manuals, tmp_path, monkeypatch, capsys
+) -> None:
+    """The name claimed for a default output is removed when the write fails, so no empty report is left."""
+    monkeypatch.chdir(tmp_path)
+    store = str(tmp_path / "kb.json")
+    argv = {
+        "tune": ["tune", "--data", ws.quiet, "--model", ws.model],
+        "detect": ["detect", "--data", ws.faulty, "--model", ws.model],
+        "rank": ["rank", "--data", ws.faulty, "--model", ws.model],
+        "troubleshoot": ["troubleshoot", "--report", str(tmp_path / "report.json"), "--paths.kb_store", store],
+        "simulate": ["simulate", "--spec", ws.spec_json, "--seed", "1"],
+    }[command]
+    if command == "troubleshoot":
+        _anomalous_report_file(tmp_path / "report.json", with_description=True)
+        assert cli.main(["kb", "ingest", *map(str, manuals), "--paths.kb_store", store]) == 0
+    capsys.readouterr()
+    with disk_fills_up(monkeypatch, 10):
+        assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot write ") and err.count("\n") == 1
+    assert list((tmp_path / "reports").iterdir()) == []
+
+
 class TestTune:
     def _expected_totals(self, ws, paths: list[str]) -> dict[float, int]:
         classifier = load_classifier(ws.model)

@@ -272,7 +272,7 @@ def test_cli_overrides_match_the_config_file(flags, tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text('{"granger": {"lag": 20, "window": 60}}', encoding="utf-8")
     seen = []
-    monkeypatch.setattr(cli, "_dispatch", lambda args, resolved: seen.append(resolved) or 0)
+    monkeypatch.setattr(cli, "_cmd_simulate", lambda args, resolved: seen.append(resolved) or 0)
     spec = ["simulate", "--spec", "spec.json", "--seed", "1"]
     assert cli.main([*spec, *flags]) == 0
     assert cli.main([*spec, "--config", str(config)]) == 0

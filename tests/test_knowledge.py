@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -11,7 +10,6 @@ import shutil
 import stat
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +35,7 @@ from faultcast.knowledge import (
     tokenize,
 )
 from faultcast.troubleshoot import RetrievalConfig, retrieve
-from helpers import cosine_similarity, reference_sections_for_chunks
+from helpers import cosine_similarity, reference_sections_for_chunks, store_file_parses
 
 
 def test_fnv1a_64_reference_vectors():
@@ -735,20 +733,6 @@ def _delete_cache(path):
         cache_file.unlink()
 
 
-@contextlib.contextmanager
-def _store_file_parses():
-    """The JSON objects ``VectorStore.load`` parses from store files meanwhile; none when it reads a cache."""
-    parsed = []
-
-    def hook(entry):
-        parsed.append(entry)
-        return embedding_row(entry)
-
-    embedding_row = knowledge._embedding_row
-    with mock.patch.object(knowledge, "_embedding_row", hook):
-        yield parsed
-
-
 def _assert_same_store(actual, expected):
     """Equal chunk fields and order, matrix bits and layout, norm bits, manifest, dimension and embedder."""
     assert (actual.dimension, actual.embedder_name, actual.manifest) == (
@@ -777,7 +761,7 @@ def test_load_reads_from_the_cache_the_store_it_reads_from_the_file(tmp_path_fac
     VectorStore.load(path).save(path)
     head, matrix = _cache_files(path)
     cached_bytes = head.read_bytes(), matrix.read_bytes()
-    with _store_file_parses() as parsed:
+    with store_file_parses() as parsed:
         cached = VectorStore.load(path)
     assert parsed == []
     cached.save(directory / "again.json")
@@ -793,7 +777,7 @@ def test_an_ingested_store_loads_from_its_cache_as_from_its_file(manuals, tmp_pa
     ingest_files(store, manuals, OfflineEmbedder())
     path = tmp_path / "store.json"
     store.save(path)
-    with _store_file_parses() as parsed:
+    with store_file_parses() as parsed:
         cached = VectorStore.load(path)
     assert parsed == []
     _assert_same_store(cached, store)
@@ -858,7 +842,7 @@ def test_load_ignores_a_cache_that_does_not_match_the_store(tmp_path, case):
     STALE_CACHES[case](path, tmp_path / "other" / "store.json")
     uncached = tmp_path / "uncached.json"
     shutil.copyfile(path, uncached)
-    with warnings.catch_warnings(), _store_file_parses() as parsed:
+    with warnings.catch_warnings(), store_file_parses() as parsed:
         warnings.simplefilter("error")
         loaded = VectorStore.load(path)
     assert parsed

@@ -40,6 +40,7 @@ from faultcast.kpi import (
     to_json,
     write_dataset,
 )
+from faultcast.ranker import load_report
 
 from helpers import make_classifier, unit_baseline, zero_model
 
@@ -318,6 +319,9 @@ def _run_cli(argv) -> tuple[int, list[str]]:
 def test_cli_reads_a_mutated_dataset_or_exits_two_with_one_line(command, scratch, cli_model, data):
     """A model that ``train`` writes loads back, and ``detect`` reads the same CSV with it.
 
+    A report that ``rank`` writes loads back, and ``detect`` writes one
+    verdict row per row that ``load_dataset`` reads.
+
     ``tune`` and ``evaluate`` that succeed write their curve file and print the
     elbow line just before the paths of the files they wrote.
     """
@@ -341,6 +345,13 @@ def test_cli_reads_a_mutated_dataset_or_exits_two_with_one_line(command, scratch
         trained = str(scratch / "out")
         load_classifier(trained)
         _run_cli(["detect", "--data", str(path), "--model", trained, "--out", str(scratch / "report")])
+    if code == 0 and command == "rank":
+        load_report(scratch / "out")
+    if code == 0 and command == "detect":
+        with open(scratch / "out", encoding="utf-8") as verdicts:
+            header, *rows = verdicts.read().splitlines()
+        assert header == "timestamp,state_error,threshold,anomalous"
+        assert [int(row.split(",")[0]) for row in rows] == load_dataset(path).timestamps.tolist()
     if code == 0 and command in ("tune", "evaluate"):
         written = 1 if command == "tune" else 2
         assert out[-1 - written].startswith("elbow: sigma="), out

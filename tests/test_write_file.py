@@ -20,7 +20,7 @@ from faultcast.errors import IoError, write_file
 from faultcast.knowledge import OfflineEmbedder, VectorStore, chunk_document
 from faultcast.kpi import KpiId, TimeSeriesDataset, load_dataset, write_dataset
 
-from helpers import disk_fills_up, make_classifier, unit_baseline, zero_model
+from helpers import disk_fills_up, make_classifier, store_file_parses, unit_baseline, zero_model
 
 KPIS = [KpiId("load", "pump"), KpiId("temp", "pump")]
 
@@ -118,6 +118,22 @@ def test_a_symlinked_store_stays_a_link_and_its_target_gets_the_new_bytes(tmp_pa
     for path in (link, target):
         assert [c.chunk_id for c in VectorStore.load(path).chunks] == [c.chunk_id for c in new.chunks]
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_store_saved_through_a_symlink_keeps_its_cache_beside_the_target(tmp_path):
+    target = tmp_path / "real" / "store.json"
+    target.parent.mkdir()
+    _store(1).save(target)
+    link = tmp_path / "store.json"
+    link.symlink_to(target)
+    _store(3).save(link)
+    beside_target = sorted(p.name for p in target.parent.iterdir())
+    assert beside_target == ["store.json", "store.json.cache.f64", "store.json.cache.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["real", "store.json"]
+    for path in (link, target):
+        with store_file_parses() as parsed:
+            assert len(VectorStore.load(path)) == len(_store(3))
+        assert parsed == []
 
 
 def test_a_hard_link_to_the_old_file_keeps_the_old_bytes(tmp_path):
