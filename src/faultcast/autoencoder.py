@@ -48,6 +48,8 @@ class TrainingConfig:
             raise ValueError("learning_rate must be positive and finite")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def resolve_batch_size(self, n_rows: int) -> int:
         return self.batch_size if self.batch_size is not None else min(32, n_rows)
@@ -132,12 +134,8 @@ def forward(model: AutoencoderModel, states: np.ndarray) -> np.ndarray:
     batch = states[None, :] if single else states
     if batch.shape[1] != model.n_inputs:
         raise DimensionMismatch(f"expected {model.n_inputs} inputs, got {batch.shape[1]}")
-    # _forward_cached's arithmetic, without keeping the activations that only backprop reads.
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = batch @ w + b
-        batch = z if i == last else np.tanh(z)
-    return batch[0] if single else batch
+    output = _forward_cached(model, batch)[-1]
+    return output[0] if single else output
 
 
 def _views_of(model: AutoencoderModel, flat: np.ndarray) -> AutoencoderModel:

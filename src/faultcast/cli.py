@@ -23,6 +23,7 @@ import contextlib
 import datetime
 import glob
 import os
+import shutil
 import sys
 import typing
 from collections.abc import Sequence
@@ -130,7 +131,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", parents=[common], help="generate a synthetic scenario")
     p.add_argument("--spec", required=True, metavar="JSON", help="simulation spec")
-    p.add_argument("--seed", required=True, type=int, metavar="N")
+    p.add_argument("--seed", required=True, type=_seed, metavar="N")
     p.add_argument("--fault", default=None, metavar="JSON", help="fault to inject")
     p.add_argument("--out", default=None, metavar="CSV", help="dataset file (default: timestamped report)")
     p.set_defaults(run=_cmd_simulate)
@@ -142,6 +143,13 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_evaluate)
 
     return parser
+
+
+def _seed(text: str) -> int:
+    """``simulate --seed``: an integer >= 0, as numpy's generators take."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, not {text!r}")
+    return int(text)
 
 
 def _resolve_config(args: argparse.Namespace) -> config_mod.ToolConfig:
@@ -181,23 +189,23 @@ def _timestamped_path(
 
 
 def _publish(
-    out: str | None, report_dir: str, stem: str, suffix: str, write: typing.Callable[[str], None]
+    out: str | None, report_dir: str, stem: str, suffix: str, write: typing.Callable[[str], None], claim=_create_file
 ) -> str:
-    """``write`` the file at ``out``, its directory made, or else at a fresh timestamped name; the path written.
+    """``write`` at ``out``, its parent made, or else at a fresh name ``_timestamped_path`` claims; the path written.
 
-    A claimed name that ``write`` fails to fill is removed, so no empty file
-    is left under it; the write's error is the one raised.
+    A claimed name (a directory with what ``write`` put in it) that ``write`` fails to fill is
+    removed, and the write's error is the one raised; a given ``out`` is left alone.
     """
     if out:
         os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
         write(out)
         return out
-    path = _timestamped_path(report_dir, stem, suffix)
+    path = _timestamped_path(report_dir, stem, suffix, claim)
     try:
         write(path)
     except BaseException:
         with contextlib.suppress(OSError):
-            os.unlink(path)
+            (shutil.rmtree if os.path.isdir(path) else os.unlink)(path)
         raise
     return path
 
@@ -387,23 +395,21 @@ def _cmd_evaluate(args: argparse.Namespace, config: config_mod.ToolConfig) -> in
     for path in scenario_files:
         name = os.path.splitext(os.path.basename(path))[0]
         dataset = load_dataset(path, config.missing_policy)
-        check_schema(classifier, dataset.kpis)
         fault_path = os.path.join(args.scenarios, f"{name}.fault.json")
         fault = load_fault(fault_path) if os.path.exists(fault_path) else None
         scenarios.append(Scenario(name=name, dataset=dataset, fault=fault))
     table = evaluate_scenarios(classifier, scenarios, config.sigma_grid)
-    out_dir = args.out_dir or _timestamped_path(
-        config.paths.report_dir, "evaluation", "", claim=os.mkdir
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    table_path = os.path.join(out_dir, "evaluation.csv")
-    write_file(table_path, "table", table.to_csv().encode("utf-8"))
-    curve_path = os.path.join(out_dir, "elbow.csv")
-    write_file(curve_path, "curve", table.elbow_csv().encode("utf-8"))
+
+    def write(out_dir: str) -> None:
+        os.makedirs(out_dir, exist_ok=True)
+        write_file(os.path.join(out_dir, "evaluation.csv"), "table", table.to_csv().encode("utf-8"))
+        write_file(os.path.join(out_dir, "elbow.csv"), "curve", table.elbow_csv().encode("utf-8"))
+
+    out_dir = _publish(args.out_dir, config.paths.report_dir, "evaluation", "", write, claim=os.mkdir)
     print(table.to_text(), end="")
     _print_elbow(table.elbow_curve())
-    print(f"table: {table_path}")
-    print(f"curve: {curve_path}")
+    print(f"table: {os.path.join(out_dir, 'evaluation.csv')}")
+    print(f"curve: {os.path.join(out_dir, 'elbow.csv')}")
     return EXIT_OK
 
 

@@ -287,15 +287,18 @@ class VectorStore:
     ``norms[i]`` its Euclidean norm.  ``matrix`` is column-major
     (``order="F"``): a chunk's embedding is a strided view of its row, and
     each bucket's column is contiguous for retrieval.  Each
-    ``add_document`` or :func:`ingest_files` call sorts the chunks by
+    ``add_documents`` or :func:`ingest_files` call sorts the chunks by
     chunk_id and rebuilds the matrix once, or fails and leaves the store as
     it was; ``load`` keeps the file's order.  Every chunk carries an
     embedding.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION, embedder_name: str = "offline"):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        """A store's header is checked here only, so every store that ``save`` writes, ``load`` reads."""
+        if type(dimension) is not int or dimension < 1:
+            raise ValueError(f"store dimension must be an integer >= 1, not {dimension!r}")
+        if embedder_name not in EMBEDDER_MODES:
+            raise ValueError(f"store embedder must be one of {EMBEDDER_MODES}, not {embedder_name!r}")
         self.dimension = dimension
         self.embedder_name = embedder_name
         self.manifest: dict[str, dict[str, str]] = {}
@@ -351,13 +354,7 @@ class VectorStore:
         self.matrix = matrix
         self.norms = norms
 
-    def add_document(
-        self, doc_id: str, title: str, source: str, chunks: Sequence[KnowledgeChunk]
-    ) -> None:
-        """Register a document, replacing any previous version of it."""
-        self._add_documents({doc_id: (title, source, chunks)})
-
-    def _add_documents(self, documents: dict[str, tuple[str, str, Sequence[KnowledgeChunk]]]) -> None:
+    def add_documents(self, documents: dict[str, tuple[str, str, Sequence[KnowledgeChunk]]]) -> None:
         """Register each doc_id's title, source and chunks, replacing any previous version."""
         chunks = [c for c in self.chunks if c.doc_id not in documents]
         chunks += [chunk for *_, new in documents.values() for chunk in new]
@@ -461,14 +458,10 @@ class VectorStore:
     @classmethod
     def _from_payload(cls, payload: dict, matrix: np.ndarray | None = None) -> VectorStore:
         """The store of a decoded store file, or of a cache head and its ``matrix``, checked alike."""
-        dimension = from_json(payload["dimension"], int, "store", "dimension")
-        embedder = payload["embedder"]
-        if embedder not in EMBEDDER_MODES:
-            raise SchemaError(f"store embedder must be one of {EMBEDDER_MODES}, not {embedder!r}")
         manifest = from_json(payload["manifest"], dict[str, dict[str, str]], "store", "manifest")
         if any(entry.keys() != {"title", "source"} for entry in manifest.values()):
             raise SchemaError("store manifest entries must hold exactly a title and a source")
-        store = cls(dimension=dimension, embedder_name=embedder)
+        store = cls(dimension=payload["dimension"], embedder_name=payload["embedder"])
         store.manifest = manifest
         entries = payload["chunks"]
         vectors = [entry["embedding"] for entry in entries] if matrix is None else matrix
@@ -636,5 +629,5 @@ def ingest_files(
         for chunk in chunks:
             chunk.embedding = embed_text(chunk.text, embedder)
         documents[doc_id] = (document_title(text, doc_id), str(path), chunks)
-    store._add_documents(documents)
+    store.add_documents(documents)
     return sum(len(chunks) for *_, chunks in documents.values())

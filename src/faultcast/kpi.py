@@ -16,6 +16,7 @@ number of dimensions.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -164,8 +165,8 @@ def _fast_rows(text: str, n_kpis: int) -> tuple[np.ndarray, np.ndarray] | None:
 
     ``None`` leaves the rows to the per-cell loop of :func:`load_dataset`, which
     words every error: text that is not ASCII (numpy misreads some non-ASCII
-    digits) or holds a quote or a carriage return, no rows, a cell numpy refuses,
-    a value that is not finite, or timestamps that do not strictly increase.
+    digits) or holds a quote or a carriage return, no rows, or a cell numpy refuses.
+    :class:`TimeSeriesDataset` refuses a value that is not finite or timestamps out of order.
     """
     body = text.partition("\n")[2]
     if not text.isascii() or '"' in text or "\r" in text or not body.strip():
@@ -177,10 +178,7 @@ def _fast_rows(text: str, n_kpis: int) -> tuple[np.ndarray, np.ndarray] | None:
             table = np.loadtxt(io.StringIO(body), dtype=row, delimiter=",", comments=None, quotechar=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    timestamps, values = table["timestamp"].copy(), np.ascontiguousarray(table["values"])
-    if not np.isfinite(values).all() or not (timestamps[1:] > timestamps[:-1]).all():
-        return None
-    return timestamps, values
+    return table["timestamp"].copy(), np.ascontiguousarray(table["values"])
 
 
 def _kpi_cell(cell: str, path: str | os.PathLike[str], row_no: int) -> KpiId:
@@ -216,7 +214,8 @@ def load_dataset(path: str | os.PathLike[str], missing_policy: str = "forward_fi
         raise SchemaError(f"{path}: row 1: duplicate KPI columns")
     fast = _fast_rows(content, len(kpis))
     if fast is not None:
-        return TimeSeriesDataset(timestamps=fast[0], kpis=kpis, values=fast[1])
+        with contextlib.suppress(SchemaError):  # the per-cell loop below names the row at fault
+            return TimeSeriesDataset(timestamps=fast[0], kpis=kpis, values=fast[1])
 
     timestamps: list[int] = []
     rows: list[list[float]] = []

@@ -91,13 +91,10 @@ def detect_anomalous_kpis(
     kpi_std: np.ndarray,
     sigma_kpi: float,
 ) -> list[KpiAnomaly]:
-    """KPIs whose residual strictly exceeds mu_j + sigma_kpi * std_j."""
-    anomalies = []
-    for j, kpi in enumerate(kpis):
-        limit = float(kpi_mu[j] + sigma_kpi * kpi_std[j])
-        if residuals[j] > limit:
-            anomalies.append(KpiAnomaly(kpi=kpi, score=float(residuals[j]), kpi_threshold=limit))
-    return anomalies
+    """KPIs whose residual strictly exceeds mu_j + sigma_kpi * std_j, in column order."""
+    limits = kpi_mu + sigma_kpi * kpi_std
+    over = np.flatnonzero(residuals > limits)
+    return [KpiAnomaly(kpi=kpis[j], score=float(residuals[j]), kpi_threshold=float(limits[j])) for j in over]
 
 
 def build_causality_graph(
@@ -199,11 +196,7 @@ class RollingHistory:
         """Copy of the most recent ``length`` rows, oldest first."""
         if length > self._count:
             raise InsufficientHistory(f"need {length} samples, have {self._count}")
-        end = self._cursor
-        start = (end - length) % self._capacity
-        if start < end or length == 0:
-            return self._buffer[start:end].copy()
-        return np.vstack([self._buffer[start:], self._buffer[:end]])
+        return self._buffer.take(range(self._cursor - length, self._cursor), axis=0, mode="wrap")
 
 
 def analyze(

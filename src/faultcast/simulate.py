@@ -69,6 +69,8 @@ class SimulationSpec:
             raise ValueError("noise_std must be finite and non-negative")
         if self.length < 1:
             raise ValueError("length must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def kpi_ids(self) -> list[KpiId]:

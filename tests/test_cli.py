@@ -40,6 +40,7 @@ from faultcast.classifier import (
     threshold,
 )
 from faultcast.config import override_fields
+from faultcast.errors import IoError
 from faultcast.knowledge import VectorStore
 from faultcast.kpi import KpiId, TimeSeriesDataset, load_dataset, write_dataset
 from faultcast.granger import GrangerConfig
@@ -642,6 +643,71 @@ def test_a_failed_write_to_a_timestamped_name_leaves_no_file(
     assert list((tmp_path / "reports").iterdir()) == []
 
 
+@pytest.mark.parametrize("failing", ["table", "curve", "table in a given directory"])
+def test_a_failed_evaluate_leaves_no_claimed_directory(failing, ws, tmp_path, monkeypatch, capsys) -> None:
+    """The directory claimed for evaluate's outputs goes, with any file already in it; a given one stays."""
+    monkeypatch.chdir(tmp_path)
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    (scenarios / "quiet.csv").write_bytes(Path(ws.quiet).read_bytes())
+    given = tmp_path / "given"
+    argv = ["evaluate", "--scenarios", str(scenarios), "--model", ws.model]
+    if failing == "table in a given directory":
+        argv += ["--out-dir", str(given)]
+    write_file = cli.write_file
+
+    def fail_the_curve(path, what, data, mode=None):
+        if what == "curve":
+            raise IoError(f"cannot write {what}: {path}")
+        write_file(path, what, data, mode)
+
+    if failing == "curve":  # the table is written into the directory first
+        monkeypatch.setattr(cli, "write_file", fail_the_curve)
+        assert cli.main(argv) == 2
+    else:
+        with disk_fills_up(monkeypatch, 10):
+            assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    what = "curve" if failing == "curve" else "table"
+    assert err.startswith(f"data error: cannot write {what}: ") and err.count("\n") == 1
+    if failing == "table in a given directory":
+        assert list(given.iterdir()) == [] and not (tmp_path / "reports").exists()
+    else:
+        assert list((tmp_path / "reports").iterdir()) == [] and not given.exists()
+
+
+# case -> (the command reading the file, its name, its text, the one stderr line the command ends with)
+ONE_LINE_DATA_ERRORS = {
+    "training data with only a header": (
+        "train", "header.csv", "timestamp,load@component-1\n",
+        "data error: cannot fit normalization on an empty dataset\n",
+    ),
+    "an empty descriptor table": (
+        "rank", "descriptors.csv", "",
+        "data error: {path}: empty file\n",
+    ),
+    "a cell beyond csv's field limit": (
+        "train", "long.csv", "timestamp,load@component-1\n0,1.5\n1," + "x" * 131073 + "\n",
+        "data error: {path}: row 3: field larger than field limit (131072)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_LINE_DATA_ERRORS))
+def test_a_bad_input_file_ends_in_one_data_error_line(case, ws, tmp_path, capsys) -> None:
+    command, name, text, line = ONE_LINE_DATA_ERRORS[case]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.json"
+    if command == "train":
+        argv = ["train", "--data", str(path), "--out", str(out)]
+    else:
+        argv = ["rank", "--data", ws.faulty, "--model", ws.model, "--paths.descriptors", str(path), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == line.format(path=path)
+    assert not out.exists()
+
+
 class TestTune:
     def _expected_totals(self, ws, paths: list[str]) -> dict[float, int]:
         classifier = load_classifier(ws.model)
@@ -1231,6 +1297,24 @@ class TestSimulate:
         assert err.startswith("data error: ")
         assert "nosuch@x" in err
         assert len(err.splitlines()) == 1
+
+    def test_a_negative_seed_is_a_usage_error(self, ws, tmp_path, capsys) -> None:
+        out = tmp_path / "out.csv"
+        assert cli.main(["simulate", "--spec", ws.spec_json, "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: argument --seed: seed must be an integer >= 0, not '-1'\n"
+        assert not out.exists()
+
+    def test_a_spec_with_a_negative_seed_is_a_data_error(self, ws, tmp_path, capsys) -> None:
+        spec = tmp_path / "spec.json"
+        payload = json.loads(Path(ws.spec_json).read_text(encoding="utf-8"))
+        spec.write_text(json.dumps({**payload, "seed": -1}), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert cli.main(["simulate", "--spec", str(spec), "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.endswith(f"seed must be >= 0 (in {spec})\n")
+        assert err.count("\n") == 1 and not out.exists()
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            make_chain_spec(components=1, kpis_per_component=1, seed=-1)
 
     def test_missing_spec_is_a_data_error(self, tmp_path, capsys) -> None:
         rc = cli.main(

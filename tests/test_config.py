@@ -279,6 +279,28 @@ def test_cli_overrides_match_the_config_file(flags, tmp_path, monkeypatch):
     assert seen[0] == seen[1] == load_config(config)
 
 
+@pytest.mark.parametrize("source", ["override", "config file"])
+def test_a_negative_training_seed_ends_in_one_line(source, tmp_path, capsys):
+    """An override is a usage error (exit 1), a config file a data error (exit 2); nothing is trained."""
+    data = tmp_path / "train.csv"
+    data.write_text("timestamp,a@n,b@n\n0,1.0,2.0\n1,2.0,0.5\n2,0.5,1.5\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text('{"training": {"seed": -1}}', encoding="utf-8")
+    flags = ["--training.seed", "-1"] if source == "override" else ["--config", str(config)]
+    out = tmp_path / "model.json"
+    rc = cli.main(["train", "--data", str(data), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    if source == "override":
+        assert rc == 1 and err.startswith("usage error: bad value for --training.seed: ")
+        assert err.endswith("seed must be >= 0\n")
+    else:
+        assert rc == 2 and err.startswith("data error: ")
+        assert err.endswith(f"seed must be >= 0 (in {config})\n")
+    assert err.count("\n") == 1 and not out.exists()
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        TrainingConfig(seed=-1)
+
+
 def test_cli_invalid_override_pair_is_a_usage_error(capsys):
     rc = cli.main(["simulate", "--spec", "spec.json", "--seed", "1", "--granger.lag", "30"])
     assert rc == 1

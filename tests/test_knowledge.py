@@ -259,7 +259,7 @@ class TestVectorStore:
         store = VectorStore(dimension=16)
         bare = chunk_document("doc", "some text")
         with pytest.raises(SchemaError, match=r"^chunk doc#0000: embedding is not a list or array$"):
-            store.add_document("doc", "Doc", "doc.txt", bare)
+            store.add_documents({"doc": ("Doc", "doc.txt", bare)})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_add_document_rejects_non_finite_embeddings(self, value):
@@ -268,30 +268,30 @@ class TestVectorStore:
         chunks[-1].embedding = chunks[-1].embedding.copy()
         chunks[-1].embedding[3] = value
         with pytest.raises(SchemaError, match=f"chunk {chunks[-1].chunk_id}: .*not finite"):
-            store.add_document("doc", "Doc", "doc.txt", chunks)
+            store.add_documents({"doc": ("Doc", "doc.txt", chunks)})
         assert len(store) == 0 and store.manifest == {} and len(store.matrix) == 0
 
     def test_add_document_refuses_a_numpy_boolean_beside_numbers(self):
         chunks = _embedded_chunks("doc", "tank pressure " * 10, OfflineEmbedder(4))
         chunks[-1].embedding = [np.True_, 0.5, 0.0, 0.0]
         with pytest.raises(SchemaError, match=f"^chunk {chunks[-1].chunk_id}: embedding values are not numbers$"):
-            VectorStore(dimension=4).add_document("doc", "Doc", "doc.txt", chunks)
+            VectorStore(dimension=4).add_documents({"doc": ("Doc", "doc.txt", chunks)})
 
     def test_add_document_checks_dimension(self):
         store = VectorStore(dimension=16)
         chunks = _embedded_chunks("doc", "some text", OfflineEmbedder(8))
         with pytest.raises(DimensionMismatch):
-            store.add_document("doc", "Doc", "doc.txt", chunks)
+            store.add_documents({"doc": ("Doc", "doc.txt", chunks)})
 
     def test_reingesting_replaces_and_keeps_chunk_order(self):
         embedder = OfflineEmbedder(16)
         store = VectorStore(dimension=16)
         b_chunks = _embedded_chunks("b", "bravo " * 30, embedder)
-        store.add_document("b", "B", "b.txt", b_chunks)
+        store.add_documents({"b": ("B", "b.txt", b_chunks)})
         assert len(store) == len(b_chunks)
         a_chunks = _embedded_chunks("a", "alfa " * 30, embedder)
-        store.add_document("a", "A", "a.txt", a_chunks)
-        store.add_document("b", "B", "b.txt", _embedded_chunks("b", "bravo " * 30, embedder))
+        store.add_documents({"a": ("A", "a.txt", a_chunks)})
+        store.add_documents({"b": ("B", "b.txt", _embedded_chunks("b", "bravo " * 30, embedder))})
         assert len(store) == len(a_chunks) + len(b_chunks)
         ids = [c.chunk_id for c in store.chunks]
         assert ids == sorted(ids)
@@ -300,7 +300,7 @@ class TestVectorStore:
     def test_save_load_round_trip(self, tmp_path):
         embedder = OfflineEmbedder(16)
         store = VectorStore(dimension=16, embedder_name="offline")
-        store.add_document("doc", "Doc", "doc.md", _embedded_chunks("doc", "tank " * 40, embedder))
+        store.add_documents({"doc": ("Doc", "doc.md", _embedded_chunks("doc", "tank " * 40, embedder))})
         path = tmp_path / "store.json"
         store.save(path)
 
@@ -344,8 +344,8 @@ class TestVectorStore:
     def test_embeddings_are_read_only_rows_of_one_matrix(self, manuals, tmp_path):
         embedder = OfflineEmbedder(16)
         added = VectorStore(dimension=16)
-        added.add_document("b", "B", "b.txt", _embedded_chunks("b", "bravo tank " * 20, embedder))
-        added.add_document("a", "A", "a.txt", _embedded_chunks("a", "alfa valve " * 20, embedder))
+        added.add_documents({"b": ("B", "b.txt", _embedded_chunks("b", "bravo tank " * 20, embedder))})
+        added.add_documents({"a": ("A", "a.txt", _embedded_chunks("a", "alfa valve " * 20, embedder))})
         ingested = VectorStore(dimension=16)
         ingest_files(ingested, manuals, embedder)
         ingested.save(tmp_path / "store.json")
@@ -479,7 +479,7 @@ def test_save_writes_rows_in_chunk_order_across_format_blocks(tmp_path, monkeypa
         chunks = chunk_document(doc_id, "word " * 5 * len(rows), max_chars=25, overlap_chars=0)
         for chunk, row in zip(chunks, rows, strict=True):
             chunk.embedding = np.array(row)
-        store.add_document(doc_id, doc_id, f"{doc_id}.md", chunks)
+        store.add_documents({doc_id: (doc_id, f"{doc_id}.md", chunks)})
     store.save(tmp_path / "saved.json")
     chunks = [{**vars(c), "embedding": c.embedding.tolist()} for c in store.chunks]
     payload = {
@@ -532,7 +532,7 @@ def test_store_bytes_do_not_depend_on_ingest_order_or_history(fixtures_dir, tmp_
 def _valid_store_payload(tmp_path):
     store = VectorStore(dimension=4, embedder_name="offline")
     chunks = _embedded_chunks("doc", "tank " * 30, OfflineEmbedder(4))
-    store.add_document("doc", "Doc", "doc.md", chunks)
+    store.add_documents({"doc": ("Doc", "doc.md", chunks)})
     path = tmp_path / "store.json"
     store.save(path)
     return path, json.loads(path.read_text(encoding="utf-8"))
@@ -620,7 +620,7 @@ BAD_EMBEDDINGS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_EMBEDDINGS))
 def test_add_and_load_refuse_a_bad_embedding_alike(tmp_path, case):
-    """The same check refuses an embedding handed to ``add_document`` and one read from a file.
+    """The same check refuses an embedding handed to ``add_documents`` and one read from a file.
 
     The first chunk's embedding is bad; both paths see the same chunks.
     """
@@ -631,7 +631,7 @@ def test_add_and_load_refuse_a_bad_embedding_alike(tmp_path, case):
     path.write_text(json.dumps(payload), encoding="utf-8")
     chunks = [KnowledgeChunk(**entry) for entry in entries]
     with pytest.raises(error) as added:
-        VectorStore(dimension=4).add_document("doc", "Doc", "doc.md", chunks)
+        VectorStore(dimension=4).add_documents({"doc": ("Doc", "doc.md", chunks)})
     with pytest.raises(error) as loaded:
         VectorStore.load(path)
     assert type(added.value) is type(loaded.value) is error
@@ -785,6 +785,43 @@ def test_an_ingested_store_loads_from_its_cache_as_from_its_file(manuals, tmp_pa
     _assert_same_store(VectorStore.load(path), store)
 
 
+@given(
+    dimension=st.integers(1, 8),
+    embedder_name=st.sampled_from(EMBEDDER_MODES),
+    texts=st.lists(st.text("tank valve é\n", min_size=1, max_size=80), max_size=3),
+)
+def test_every_store_the_constructor_accepts_saves_and_loads_back(tmp_path_factory, dimension, embedder_name, texts):
+    """The header is checked where a store is built, so no store saves that ``load`` then refuses."""
+    store = VectorStore(dimension=dimension, embedder_name=embedder_name)
+    embedder = OfflineEmbedder(dimension)
+    store.add_documents(
+        {f"doc{i}": (f"Doc {i}", f"doc{i}.md", _embedded_chunks(f"doc{i}", text, embedder)) for i, text in enumerate(texts)}
+    )
+    path = tmp_path_factory.mktemp("store") / "store.json"
+    store.save(path)
+    with store_file_parses() as parsed:
+        cached = VectorStore.load(path)
+    assert parsed == []
+    _assert_same_store(cached, store)
+    _delete_cache(path)
+    _assert_same_store(VectorStore.load(path), store)
+
+
+@pytest.mark.parametrize(
+    "dimension, embedder_name, message",
+    [
+        (4, "remote:model", r"^store embedder must be one of \('offline', 'remote'\), not 'remote:model'$"),
+        (True, "offline", r"^store dimension must be an integer >= 1, not True$"),
+        (np.int64(4), "offline", r"^store dimension must be an integer >= 1, not (np\.int64\(4\)|4)$"),
+        (0, "offline", r"^store dimension must be an integer >= 1, not 0$"),
+    ],
+    ids=["embedder with a model", "boolean dimension", "numpy integer dimension", "zero dimension"],
+)
+def test_the_constructor_refuses_a_header_that_would_not_load(dimension, embedder_name, message):
+    with pytest.raises(ValueError, match=message):
+        VectorStore(dimension=dimension, embedder_name=embedder_name)
+
+
 def _corrupt_store_byte(path, other):
     data = path.read_bytes()
     assert b"tank" in data
@@ -835,7 +872,7 @@ def test_load_ignores_a_cache_that_does_not_match_the_store(tmp_path, case):
     embedder = OfflineEmbedder(16)
     for name, text in (("store", "tank pressure " * 30), ("other", "pump pressure " * 30)):
         store = VectorStore(dimension=16)
-        store.add_document("doc", "Doc", "doc.md", _embedded_chunks("doc", text, embedder))
+        store.add_documents({"doc": ("Doc", "doc.md", _embedded_chunks("doc", text, embedder))})
         (tmp_path / name).mkdir()
         store.save(tmp_path / name / "store.json")
     path = tmp_path / "store" / "store.json"
@@ -860,7 +897,7 @@ def test_the_cache_is_as_readable_as_the_store(tmp_path, mode):
 
 def test_save_leaves_no_temporary_file_when_the_cache_cannot_be_written(tmp_path, monkeypatch):
     store = VectorStore(dimension=16)
-    store.add_document("doc", "Doc", "doc.md", _embedded_chunks("doc", "tank " * 30, OfflineEmbedder(16)))
+    store.add_documents({"doc": ("Doc", "doc.md", _embedded_chunks("doc", "tank " * 30, OfflineEmbedder(16)))})
 
     replace = os.replace
 

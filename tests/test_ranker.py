@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from faultcast.classifier import ClassifierConfig, ErrorBaseline, score
 from faultcast.errors import DataError, InsufficientHistory, SchemaError
@@ -78,6 +80,28 @@ def test_detect_anomalous_kpis_strictly_above_limit():
         kpis, np.array([4.0, 4.000001]), np.ones(2), np.ones(2), 3.0
     )
     assert [a.kpi for a in exact] == [kpis[1]]
+
+
+_FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(
+    columns=st.lists(st.tuples(_FLOATS, _FLOATS, st.floats(0.0, 1e6), st.booleans()), min_size=1, max_size=12),
+    sigma_kpi=st.floats(0.1, 20.0),
+)
+def test_detect_anomalous_kpis_keeps_the_bits_of_the_per_kpi_rule(columns, sigma_kpi):
+    """Each limit is ``float(mu_j + sigma_kpi * std_j)`` worked out alone, as a per-KPI loop does; a tie is not over."""
+    kpis = [parse_kpi_id(f"k{j}@n") for j in range(len(columns))]
+    mu, std = np.array([c[1] for c in columns]), np.array([c[2] for c in columns])
+    residuals = np.array([m + sigma_kpi * sd if tie else r for r, m, sd, tie in columns])
+    expected = []
+    for j, kpi in enumerate(kpis):
+        limit = float(mu[j] + sigma_kpi * std[j])
+        if residuals[j] > limit:
+            expected.append((kpi, float(residuals[j]), limit))
+    found = detect_anomalous_kpis(kpis, residuals, mu, std, sigma_kpi)
+    assert [(a.kpi, a.score, a.kpi_threshold) for a in found] == expected
+    assert all(type(a.score) is float and type(a.kpi_threshold) is float for a in found)
 
 
 def test_causality_graph_validation():
@@ -180,6 +204,18 @@ def test_rolling_history_ring_buffer():
         history.push(np.zeros(3))
     with pytest.raises(ValueError):
         RollingHistory(n_kpis=2, capacity=0)
+
+
+@given(capacity=st.integers(1, 9), pushes=st.integers(0, 30), data=st.data())
+def test_rolling_history_window_is_the_last_rows_pushed(capacity, pushes, data):
+    history = RollingHistory(n_kpis=2, capacity=capacity)
+    rows = np.arange(2.0 * pushes).reshape(pushes, 2)
+    for row in rows:
+        history.push(row)
+    length = data.draw(st.integers(0, min(capacity, pushes)))
+    window = history.window(length)
+    assert window.shape == (length, 2) and window.flags.c_contiguous and window.flags.owndata
+    assert window.tobytes() == rows[pushes - length :].tobytes()
 
 
 def test_build_causality_graph_finds_the_planted_edge():

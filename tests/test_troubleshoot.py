@@ -129,15 +129,18 @@ def _axis_chunk(chunk_id: str, direction: np.ndarray) -> KnowledgeChunk:
 @pytest.fixture
 def axis_store():
     store = VectorStore(dimension=3, embedder_name="offline")
-    store.add_document(
-        "m",
-        "M",
-        "m.txt",
-        [
-            _axis_chunk("m#0000", [1.0, 0.0, 0.0]),
-            _axis_chunk("m#0001", [1.0, 1.0, 0.0]),
-            _axis_chunk("m#0002", [0.0, 1.0, 0.0]),
-        ],
+    store.add_documents(
+        {
+            "m": (
+                "M",
+                "m.txt",
+                [
+                    _axis_chunk("m#0000", [1.0, 0.0, 0.0]),
+                    _axis_chunk("m#0001", [1.0, 1.0, 0.0]),
+                    _axis_chunk("m#0002", [0.0, 1.0, 0.0]),
+                ],
+            )
+        }
     )
     return store
 
@@ -172,11 +175,14 @@ class TestRetrieve:
         pairs = [([1.0], [2.0]), ([1.0, 3.0, 2.0, 0.0], [3.0, 1.0, 0.0, 2.0])]
         for (first, second), query in itertools.product(pairs, [[1.0, 1.0], [1.0] * 64]):
             store = VectorStore(dimension=64, embedder_name="offline")
-            store.add_document(
-                "m",
-                "M",
-                "m.txt",
-                [_axis_chunk("m#0001", padded(second)), _axis_chunk("m#0000", padded(first))],
+            store.add_documents(
+                {
+                    "m": (
+                        "M",
+                        "m.txt",
+                        [_axis_chunk("m#0001", padded(second)), _axis_chunk("m#0000", padded(first))],
+                    )
+                }
             )
             result = retrieve(store, padded(query), RetrievalConfig(top_k=2))
             assert [c.chunk_id for c, _ in result] == ["m#0000", "m#0001"]
@@ -277,7 +283,7 @@ class TestMatrixRetrieval:
             for i in range(1200)
         ]
         store = VectorStore(dimension=512)
-        store.add_document("m", "M", "m.txt", chunks)
+        store.add_documents({"m": ("M", "m.txt", chunks)})
         query = embedder.embed("tank pressure valve")
         retrieve(store, query)
         tracemalloc.start()
@@ -356,8 +362,8 @@ class TestTroubleshootOffline:
         assert len(result.retrieved) == 1
 
     def test_non_offline_store_needs_an_explicit_embedder(self):
-        store = VectorStore(dimension=4, embedder_name="remote:model")
-        store.add_document("m", "M", "m.txt", [_axis_chunk("m#0000", [1.0, 0.0, 0.0, 0.0])])
+        store = VectorStore(dimension=4, embedder_name="remote")
+        store.add_documents({"m": ("M", "m.txt", [_axis_chunk("m#0000", [1.0, 0.0, 0.0, 0.0])])})
         with pytest.raises(ValueError, match="embedder"):
             troubleshoot([_anomaly(PRESSURE, 1.0)], DESCRIPTORS, store, spec=PromptSpec(kpi_count=2))
         # with a matching embedder it runs

@@ -32,7 +32,7 @@ def _store(documents: int) -> VectorStore:
         chunks = chunk_document(f"doc{index}", f"tank pressure valve {index} " * 40, max_chars=80, overlap_chars=10)
         for chunk in chunks:
             chunk.embedding = embedder.embed(chunk.text)
-        store.add_document(f"doc{index}", f"Doc {index}", f"doc{index}.md", chunks)
+        store.add_documents({f"doc{index}": (f"Doc {index}", f"doc{index}.md", chunks)})
     return store
 
 
