@@ -26,33 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainingConfig
 from .errors import DimensionMismatch, NonFiniteLoss
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    """Hyperparameters for :func:`train`.
-
-    ``batch_size=None`` resolves to min(32, number of rows) at training time.
-    """
-
-    epochs: int = 200
-    learning_rate: float = 0.01
-    batch_size: int | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-
-    def resolve_batch_size(self, n_rows: int) -> int:
-        return self.batch_size if self.batch_size is not None else min(32, n_rows)
 
 
 @dataclass(eq=False)

@@ -22,7 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .autoencoder import AutoencoderModel, TrainingConfig, forward, init_autoencoder, train
+from .autoencoder import AutoencoderModel, forward, init_autoencoder, train
+from .config import DEFAULT_SIGMA as DEFAULT_SIGMA, ClassifierConfig as ClassifierConfig
+from .config import SIGMA_GRID, TrainingConfig, check_sigma_grid
 from .errors import DataError, DimensionMismatch, SchemaMismatch, TooFewPoints, load_json, write_file
 from .kpi import (
     KpiId,
@@ -34,28 +36,6 @@ from .kpi import (
     from_json,
     to_json,
 )
-
-# Default sigma multiplier and the sweep grid it was chosen from.
-DEFAULT_SIGMA = 4.5
-SIGMA_GRID: tuple[float, ...] = (1.5, 3.0, 4.5, 6.0, 7.5, 9.0, 10.5)
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Threshold multipliers.  ``sigma_kpi=None`` falls back to ``sigma``."""
-
-    sigma: float = DEFAULT_SIGMA
-    sigma_kpi: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
-        if self.sigma_kpi is not None and not 0 < self.sigma_kpi < math.inf:
-            raise ValueError("sigma_kpi must be positive and finite")
-
-    @property
-    def effective_sigma_kpi(self) -> float:
-        return self.sigma if self.sigma_kpi is None else self.sigma_kpi
 
 
 @dataclass(eq=False)
@@ -190,16 +170,6 @@ class SweepPoint:
     sigma: float
     fp_count: int
     prediction_count: int
-
-
-def check_sigma_grid(grid: Sequence[float]) -> None:
-    """Raise ``ValueError`` unless ``grid`` is non-empty, positive, finite and ascending."""
-    if len(grid) == 0:
-        raise ValueError("sigma grid must be non-empty")
-    if not all(0 < sigma < math.inf for sigma in grid):
-        raise ValueError("sigma grid values must be positive and finite")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("sigma grid must be strictly ascending")
 
 
 def sigma_sweep(

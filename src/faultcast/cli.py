@@ -31,28 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
+# ``detect`` runs constantly, so only its layers load here; other commands import theirs when run.
 from . import config as config_mod
-from .classifier import (
-    check_schema,
-    fit_classifier,
-    load_classifier,
-    save_classifier,
-    score,
-    select_elbow,
-    threshold,
-)
+from .classifier import check_schema, fit_classifier, load_classifier, save_classifier, score, select_elbow, threshold
 from .errors import DataError, EndpointError, FaultcastError, write_file
-from .kpi import (
-    KpiDescriptor,
-    KpiId,
-    load_dataset,
-    load_descriptors,
-    write_dataset,
-)
-from .knowledge import VectorStore, ingest_files
-from .ranker import analyze, load_report, report_to_json
-from .simulate import Scenario, evaluate_scenarios, generate_normal, inject_fault, load_fault, load_spec
-from .troubleshoot import EchoClient, HttpCompletionClient, troubleshoot
+from .kpi import KpiDescriptor, KpiId, load_dataset, load_descriptors, write_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -236,6 +219,7 @@ def _print_elbow(curve: list[tuple[float, int]]) -> None:
 
 
 def _cmd_tune(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
+    from .simulate import Scenario, evaluate_scenarios
     classifier = load_classifier(args.model)
     scenarios = [Scenario(name=path, dataset=load_dataset(path, config.missing_policy)) for path in args.data]
     table = evaluate_scenarios(classifier, scenarios, config.sigma_grid)
@@ -271,6 +255,7 @@ def _cmd_detect(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
+    from .ranker import analyze, report_to_json
     classifier = load_classifier(args.model)
     dataset = load_dataset(args.data, config.missing_policy)
     check_schema(classifier, dataset.kpis)
@@ -304,6 +289,7 @@ def _cmd_rank(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
 
 
 def _cmd_kb_ingest(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
+    from .knowledge import VectorStore, ingest_files
     if os.path.exists(config.paths.kb_store):
         store = VectorStore.load(config.paths.kb_store)
     else:
@@ -319,6 +305,7 @@ def _cmd_kb_ingest(args: argparse.Namespace, config: config_mod.ToolConfig) -> i
 
 
 def _cmd_troubleshoot(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
+    from .ranker import load_report
     report = load_report(args.report)
     if not report.verdict.anomalous:
         print("state is normal; nothing to troubleshoot")
@@ -326,6 +313,8 @@ def _cmd_troubleshoot(args: argparse.Namespace, config: config_mod.ToolConfig) -
     if not report.anomalous_kpis:
         print("state is anomalous but no KPI is over its own threshold; nothing to troubleshoot")
         return EXIT_NO_ANOMALY
+    from .knowledge import VectorStore
+    from .troubleshoot import EchoClient, HttpCompletionClient, troubleshoot
     store = VectorStore.load(config.paths.kb_store)
     descriptors = _descriptor_table(config)
     for kpi, description in report.descriptions.items():
@@ -370,6 +359,7 @@ def _cmd_troubleshoot(args: argparse.Namespace, config: config_mod.ToolConfig) -
 
 
 def _cmd_simulate(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
+    from .simulate import generate_normal, inject_fault, load_fault, load_spec
     spec = load_spec(args.spec)
     dataset = generate_normal(spec, args.seed)
     fault = None
@@ -387,6 +377,7 @@ def _cmd_simulate(args: argparse.Namespace, config: config_mod.ToolConfig) -> in
 
 
 def _cmd_evaluate(args: argparse.Namespace, config: config_mod.ToolConfig) -> int:
+    from .simulate import Scenario, evaluate_scenarios, load_fault
     classifier = load_classifier(args.model)
     scenario_files = sorted(glob.glob(os.path.join(args.scenarios, "*.csv")))
     if not scenario_files:

@@ -10,24 +10,155 @@ leaves out keep their default values.  Overrides form a partial config too and
 overlay the config they are applied to.  Either way the whole config is then
 built once with :func:`faultcast.kpi.from_json`, so values that constrain each
 other are checked together and the order of overrides never matters.
+
+This module is the one home of every settable value: each stage's section
+class with its checks, and the constants they share.  It imports only
+:mod:`faultcast.errors` and :mod:`faultcast.kpi`, so a command loads only the
+layers it runs.  Each layer module imports its sections back from here, and
+they can still be imported from it (``faultcast.granger.GrangerConfig``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass, field, is_dataclass
 
-from .autoencoder import TrainingConfig
-from .classifier import SIGMA_GRID, ClassifierConfig, check_sigma_grid
-from .endpoints import EndpointsConfig
 from .errors import SchemaError, load_json
-from .granger import GrangerConfig
-from .knowledge import DEFAULT_DIMENSION, EMBEDDER_MODES
 from .kpi import MISSING_POLICIES, _json_fields, _optional_inner, from_json, to_json
-from .pagerank import PageRankConfig
-from .troubleshoot import PromptSpec, RetrievalConfig
+
+# Default sigma multiplier and the sweep grid it was chosen from.
+DEFAULT_SIGMA = 4.5
+SIGMA_GRID: tuple[float, ...] = (1.5, 3.0, 4.5, 6.0, 7.5, 9.0, 10.5)
+DEFAULT_DIMENSION = 512
+EMBEDDER_MODES = ("offline", "remote")
+
+
+@dataclass(frozen=True)
+class TrainingConfig:
+    """Hyperparameters for :func:`faultcast.autoencoder.train`.
+
+    ``batch_size=None`` resolves to min(32, number of rows) at training time.
+    """
+
+    epochs: int = 200
+    learning_rate: float = 0.01
+    batch_size: int | None = None
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+    def resolve_batch_size(self, n_rows: int) -> int:
+        return self.batch_size if self.batch_size is not None else min(32, n_rows)
+
+
+@dataclass(frozen=True)
+class ClassifierConfig:
+    """Threshold multipliers.  ``sigma_kpi=None`` falls back to ``sigma``."""
+
+    sigma: float = DEFAULT_SIGMA
+    sigma_kpi: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if self.sigma_kpi is not None and not 0 < self.sigma_kpi < math.inf:
+            raise ValueError("sigma_kpi must be positive and finite")
+
+    @property
+    def effective_sigma_kpi(self) -> float:
+        return self.sigma if self.sigma_kpi is None else self.sigma_kpi
+
+
+def check_sigma_grid(grid: typing.Sequence[float]) -> None:
+    """Raise ``ValueError`` unless ``grid`` is non-empty, positive, finite and ascending."""
+    if len(grid) == 0:
+        raise ValueError("sigma grid must be non-empty")
+    if not all(0 < sigma < math.inf for sigma in grid):
+        raise ValueError("sigma grid values must be positive and finite")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("sigma grid must be strictly ascending")
+
+
+@dataclass(frozen=True)
+class GrangerConfig:
+    """Lag order, significance level, and analysis window length."""
+
+    lag: int = 3
+    alpha: float = 0.05
+    window: int = 40
+
+    def __post_init__(self) -> None:
+        if self.lag < 1:
+            raise ValueError("lag must be >= 1")
+        if not 0 < self.alpha < 1:
+            raise ValueError("alpha must lie in (0, 1)")
+        if self.window < 2 * self.lag + 2:
+            raise ValueError(f"window must be >= 2*lag + 2 = {2 * self.lag + 2}")
+
+
+@dataclass(frozen=True)
+class PageRankConfig:
+    damping: float = 0.85
+    reverse_edges: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0 < self.damping <= 0.99:
+            raise ValueError("damping must lie in (0, 0.99]")
+
+
+@dataclass(frozen=True)
+class PromptSpec:
+    """How many KPI descriptions go into the question."""
+
+    kpi_count: int = 3
+
+    def __post_init__(self) -> None:
+        if not 2 <= self.kpi_count <= 4:
+            raise ValueError("kpi_count must lie in [2, 4]")
+
+
+@dataclass(frozen=True)
+class RetrievalConfig:
+    top_k: int = 4
+    min_similarity: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        if not -1.0 <= self.min_similarity <= 1.0:
+            raise ValueError("min_similarity must lie in [-1, 1]")
+
+
+@dataclass(frozen=True)
+class EndpointsConfig:
+    """Remote completion/embedding service addresses and retry policy."""
+
+    base_url: str = "http://localhost:11434"
+    completion_model: str = "troubleshoot-llm"
+    embed_model: str = "kb-embedder"
+    timeout: float = 30.0
+    retries: int = 2
+    backoff: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be positive and finite")
+        if self.retries < 0:
+            raise ValueError("retries must be non-negative")
+        if not 0 <= self.backoff < math.inf:
+            raise ValueError("backoff must be non-negative and finite")
+
 
 LLM_MODES = ("echo", "http")
 

@@ -1,41 +1,20 @@
 """HTTP plumbing shared by the embedding and completion clients.
 
-:class:`EndpointsConfig` holds the service address, the model names and the
-retry policy.  :func:`post_json` sends one JSON POST to an ``http`` or
-``https`` URL through :mod:`urllib.request`; after the first failure the
-call is retried ``retries`` times with exponentially growing pauses.  All
-failure modes end in :class:`EndpointError` (or its :class:`Timeout`
-subclass when the last attempt timed out).
+:class:`~faultcast.config.EndpointsConfig` holds the service address, the
+model names and the retry policy.  :func:`post_json` sends one JSON POST to an
+``http`` or ``https`` URL through :mod:`urllib.request`; after the first
+failure the call is retried ``retries`` times with exponentially growing
+pauses.  All failure modes end in :class:`EndpointError` (or its
+:class:`Timeout` subclass when the last attempt timed out).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
-from dataclasses import dataclass
 
+from .config import EndpointsConfig
 from .errors import EndpointError, Timeout
-
-
-@dataclass(frozen=True)
-class EndpointsConfig:
-    """Remote completion/embedding service addresses and retry policy."""
-
-    base_url: str = "http://localhost:11434"
-    completion_model: str = "troubleshoot-llm"
-    embed_model: str = "kb-embedder"
-    timeout: float = 30.0
-    retries: int = 2
-    backoff: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0 < self.timeout < math.inf:
-            raise ValueError("timeout must be positive and finite")
-        if self.retries < 0:
-            raise ValueError("retries must be non-negative")
-        if not 0 <= self.backoff < math.inf:
-            raise ValueError("backoff must be non-negative and finite")
 
 
 def post_json(endpoint: EndpointsConfig, route: str, payload: dict) -> dict:

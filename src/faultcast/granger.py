@@ -27,22 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class GrangerConfig:
-    """Lag order, significance level, and analysis window length."""
-
-    lag: int = 3
-    alpha: float = 0.05
-    window: int = 40
-
-    def __post_init__(self) -> None:
-        if self.lag < 1:
-            raise ValueError("lag must be >= 1")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.window < 2 * self.lag + 2:
-            raise ValueError(f"window must be >= 2*lag + 2 = {2 * self.lag + 2}")
+from .config import GrangerConfig as GrangerConfig
 
 
 @dataclass(frozen=True)

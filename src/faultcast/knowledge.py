@@ -75,6 +75,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 import numpy as np
 
 from . import endpoints
+from .config import DEFAULT_DIMENSION, EMBEDDER_MODES
 from .errors import (
     DimensionMismatch,
     EmptyDocument,
@@ -87,13 +88,11 @@ from .errors import (
 )
 from .kpi import Vector, from_json, read_utf8
 
-DEFAULT_DIMENSION = 512
 DEFAULT_MAX_CHARS = 1000
 DEFAULT_OVERLAP_CHARS = 200
 _FORMAT_BLOCK = 1 << 17  # embedding values formatted per block by VectorStore.save
 _json_string = json.encoder.encode_basestring_ascii
 _BOOLEANS = {bool, np.bool_}
-EMBEDDER_MODES = ("offline", "remote")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3

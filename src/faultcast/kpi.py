@@ -23,6 +23,7 @@ import io
 import itertools
 import math
 import os
+import re
 import types
 import typing
 import warnings
@@ -42,6 +43,8 @@ from .errors import (
 
 TIMESTAMP_COLUMN = "timestamp"
 MISSING_POLICIES = ("forward_fill", "reject")
+# numpy's reader takes an integer's leading zeros at any length; ``int`` counts them to its digit limit.
+_LEADING_ZEROS = re.compile(r"^([+-]?)0+(?=\d)")
 
 # float64 arrays, read by :func:`from_json` with exactly this many dimensions.
 Vector = typing.Annotated[np.ndarray, 1]
@@ -129,7 +132,7 @@ def _parse_timestamp(cell: str, path: str | os.PathLike[str], row_no: int) -> in
     if not text:
         raise MissingValue(f"{path}: row {row_no}: empty timestamp cell")
     try:
-        value = int(text)
+        value = int(_LEADING_ZEROS.sub(r"\1", text))
     except ValueError as exc:
         raise SchemaError(f"{path}: row {row_no}: timestamp {text!r} is not an integer") from exc
     if not -(2**63) <= value < 2**63:
@@ -165,11 +168,15 @@ def _fast_rows(text: str, n_kpis: int) -> tuple[np.ndarray, np.ndarray] | None:
 
     ``None`` leaves the rows to the per-cell loop of :func:`load_dataset`, which
     words every error: text that is not ASCII (numpy misreads some non-ASCII
-    digits) or holds a quote or a carriage return, no rows, or a cell numpy refuses.
+    digits) or holds a quote or a carriage return, no rows, a line longer than
+    csv's field limit (the loop refuses a cell past it), or a cell numpy refuses.
     :class:`TimeSeriesDataset` refuses a value that is not finite or timestamps out of order.
     """
     body = text.partition("\n")[2]
     if not text.isascii() or '"' in text or "\r" in text or not body.strip():
+        return None
+    limit = csv.field_size_limit()
+    if len(body) > limit and max(map(len, body.split("\n"))) > limit:
         return None
     row = np.dtype([("timestamp", np.int64), ("values", np.float64, (n_kpis,))])
     try:

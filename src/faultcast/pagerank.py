@@ -15,26 +15,16 @@ sweeps: 2,132 at 0.99, the largest damping allowed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+from .config import PageRankConfig
 from .errors import NoNodes
 
 Node = TypeVar("Node", bound=Hashable)
 
 _TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class PageRankConfig:
-    damping: float = 0.85
-    reverse_edges: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0 < self.damping <= 0.99:
-            raise ValueError("damping must lie in (0, 0.99]")
 
 
 def pagerank(

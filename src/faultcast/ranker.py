@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import ClassifierConfig, StateVerdict, TrainedClassifier, score, threshold
+from .classifier import StateVerdict, TrainedClassifier, score, threshold
+from .config import ClassifierConfig, GrangerConfig, PageRankConfig
 from .errors import DataError, InsufficientHistory, load_json
-from .granger import GrangerConfig, granger_tests
+from .granger import granger_tests
 from .kpi import KpiDescriptor, KpiId, from_json, to_json
-from .pagerank import PageRankConfig, pagerank
+from .pagerank import pagerank
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,18 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import SIGMA_GRID, TrainedClassifier, sigma_sweep
+from .classifier import TrainedClassifier, sigma_sweep
+from .config import SIGMA_GRID
 from .errors import NoAnomalousReport, OnsetOutOfRange, SchemaError, load_json
 from .kpi import KpiDescriptor, KpiId, TimeSeriesDataset, from_json, to_json
-from .ranker import AnomalyReport
+
+if typing.TYPE_CHECKING:
+    from .ranker import AnomalyReport
 
 SELF_COEFFICIENT = 0.5
 

@@ -16,6 +16,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import endpoints
+from .config import PromptSpec, RetrievalConfig
 from .errors import DimensionMismatch, EmptyStore, EndpointError, MissingDescriptor
 from .kpi import KpiDescriptor, KpiId
 from .knowledge import Embedder, KnowledgeChunk, VectorStore, embed_text
@@ -28,29 +29,6 @@ CONTEXT_HEADER = "Use the following context to answer."
 # (2 cores, 1 BLAS thread) the gather and the full product broke even near
 # 160 nonzero entries; an offline query has about 14.
 _SPARSE_SHARE = 0.25
-
-
-@dataclass(frozen=True)
-class PromptSpec:
-    """How many KPI descriptions go into the question."""
-
-    kpi_count: int = 3
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.kpi_count <= 4:
-            raise ValueError("kpi_count must lie in [2, 4]")
-
-
-@dataclass(frozen=True)
-class RetrievalConfig:
-    top_k: int = 4
-    min_similarity: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if not -1.0 <= self.min_similarity <= 1.0:
-            raise ValueError("min_similarity must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)

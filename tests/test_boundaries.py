@@ -226,6 +226,32 @@ def test_files_are_written_only_by_write_file_and_the_name_claim():
     assert _file_writing_calls() == {("errors", "write_file"), ("cli", "_create_file")}
 
 
+def _unread_imports() -> list[str]:
+    """``module: name`` for every name a package module imports and never reads.
+
+    A name re-exported as ``from .x import X as X`` or listed in ``__all__`` counts as read.
+    """
+    unread = []
+    for path in sorted(Path(faultcast.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read and alias.asname != alias.name:
+                        unread.append(f"{path.stem}: {bound}")
+    return unread
+
+
+def test_every_imported_name_is_read():
+    """An import that nothing reads only costs start-up time; a re-export says so with ``X as X``."""
+    assert _unread_imports() == []
+
+
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory, manuals) -> dict[str, dict]:
     """One valid payload of each kind, as decoded JSON."""

@@ -132,6 +132,17 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+def _faultcast_modules_after(*argv: str) -> set[str]:
+    """The faultcast modules a fresh interpreter has loaded once ``faultcast <argv>`` exits 0."""
+    code = (
+        "import sys; from faultcast import cli; code = cli.main(sys.argv[1:]); "
+        "print(*sorted(n for n in sys.modules if n.split('.')[0] == 'faultcast')); sys.exit(code)"
+    )
+    command = [sys.executable, "-c", code, *argv]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True, env=_SUBPROCESS_ENV)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
 def _normal_report_file(path, timestamp: int = 7) -> str:
     verdict = StateVerdict(
         timestamp=timestamp, state_error=0.01, threshold=0.5, anomalous=False
@@ -332,6 +343,27 @@ class TestParsing:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=_SUBPROCESS_ENV
         )
         assert proc.stdout.split() == []
+
+    def test_detect_loads_only_the_layers_it_runs(self, ws, tmp_path) -> None:
+        # An operator runs detect constantly; localization and troubleshooting wait for an alarm.
+        out = str(tmp_path / "verdicts.csv")
+        loaded = _faultcast_modules_after("detect", "--data", ws.quiet, "--model", ws.model, "--out", out)
+        run = ("cli", "config", "errors", "kpi", "classifier", "autoencoder")
+        assert loaded == {"faultcast", *(f"faultcast.{name}" for name in run)}
+
+    def test_kb_ingest_loads_no_localization_or_troubleshooting(self, manuals, tmp_path) -> None:
+        store = str(tmp_path / "kb.json")
+        loaded = _faultcast_modules_after("kb", "ingest", str(manuals[0]), "--paths.kb_store", store)
+        assert "faultcast.knowledge" in loaded
+        unrun = {"ranker", "simulate", "granger", "pagerank", "troubleshoot"}
+        assert not loaded & {f"faultcast.{name}" for name in unrun}
+
+    def test_importing_the_config_loads_only_errors_and_kpi(self) -> None:
+        code = "import sys, faultcast.config; print(*sorted(n for n in sys.modules if n.split('.')[0] == 'faultcast'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True, env=_SUBPROCESS_ENV
+        )
+        assert proc.stdout.split() == ["faultcast", "faultcast.config", "faultcast.errors", "faultcast.kpi"]
 
 
 class TestTrain:

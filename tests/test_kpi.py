@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faultcast import cli
@@ -282,6 +282,31 @@ def test_load_dataset_equals_the_per_cell_loop(scratch, data, missing_policy):
     fast = _outcome(path, missing_policy)
     with mock.patch("faultcast.kpi._fast_rows", return_value=None):
         assert fast == _outcome(path, missing_policy)
+
+
+@st.composite
+def _table_near_the_field_limit(draw) -> tuple[list[str], str]:
+    """A header and a CSV body in which up to two cells are padded to about csv's field limit."""
+    rows = draw(_rows())
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[_a_row(rows, draw)]
+        column = draw(st.integers(0, len(row) - 1))
+        width = csv.field_size_limit() + draw(st.integers(-200, 2))  # the line, or only the cell, past the limit
+        row[column] = row[column].rjust(width, draw(st.sampled_from(" 0")))
+    return rows[0], "".join(",".join(row) + "\n" for row in rows[1:])
+
+
+@given(table=_table_near_the_field_limit())
+@example(table=(["timestamp", "a@n"], "0,1.5\n1,0." + "0" * 131072 + "1\n"))  # a 131075-character cell
+@example(table=(["timestamp", "a@n"], "0" * 5000 + "5,1.5\n"))  # past int's 4300-digit limit
+def test_both_dataset_paths_load_or_refuse_a_body_alike(scratch, table):
+    header, body = table
+    path = scratch / "limit.csv"
+    outcomes = []
+    for first_kpi in (header[1], f'"{header[1]}"'):  # a quote sends every row to the per-cell loop
+        path.write_text(",".join([header[0], first_kpi, *header[2:]]) + "\n" + body, encoding="utf-8")
+        outcomes.append(_outcome(path, "forward_fill"))
+    assert outcomes[0] == outcomes[1]
 
 
 @given(rows=_rows())
