@@ -280,7 +280,7 @@ def sections_for_chunks(text: str, chunks: Iterable[KnowledgeChunk]) -> None:
 
 
 class VectorStore:
-    """All chunks of all ingested documents plus a document manifest.
+    """All chunks of all ingested documents.
 
     Row ``i`` of ``matrix`` is the embedding of ``chunks[i]`` and
     ``norms[i]`` its Euclidean norm.  ``matrix`` is column-major
@@ -300,7 +300,6 @@ class VectorStore:
             raise ValueError(f"store embedder must be one of {EMBEDDER_MODES}, not {embedder_name!r}")
         self.dimension = dimension
         self.embedder_name = embedder_name
-        self.manifest: dict[str, dict[str, str]] = {}
         self._set_chunks([], [])
 
     def __len__(self) -> int:
@@ -353,14 +352,12 @@ class VectorStore:
         self.matrix = matrix
         self.norms = norms
 
-    def add_documents(self, documents: dict[str, tuple[str, str, Sequence[KnowledgeChunk]]]) -> None:
-        """Register each doc_id's title, source and chunks, replacing any previous version."""
+    def add_documents(self, documents: dict[str, Sequence[KnowledgeChunk]]) -> None:
+        """Register each doc_id's chunks, replacing any previous version."""
         chunks = [c for c in self.chunks if c.doc_id not in documents]
-        chunks += [chunk for *_, new in documents.values() for chunk in new]
+        chunks += [chunk for new in documents.values() for chunk in new]
         chunks.sort(key=lambda c: c.chunk_id)
         self._set_chunks(chunks, [chunk.embedding for chunk in chunks])
-        for doc_id, (title, source, _) in documents.items():
-            self.manifest[doc_id] = {"title": title, "source": source}
 
     def save(self, path: str | os.PathLike[str]) -> None:
         """Write the store as ``json.dump(payload, indent=1, sort_keys=True)`` would, then its cache.
@@ -383,7 +380,7 @@ class VectorStore:
 
     def _header(self) -> dict:
         """The fields beside the chunks that the store file and its cache head both hold, less their versions."""
-        return {"dimension": self.dimension, "embedder": self.embedder_name, "manifest": self.manifest}
+        return {"dimension": self.dimension, "embedder": self.embedder_name}
 
     def _store_text(self) -> Iterator[str]:
         """The store file's text, a chunk at a time."""
@@ -457,11 +454,7 @@ class VectorStore:
     @classmethod
     def _from_payload(cls, payload: dict, matrix: np.ndarray | None = None) -> VectorStore:
         """The store of a decoded store file, or of a cache head and its ``matrix``, checked alike."""
-        manifest = from_json(payload["manifest"], dict[str, dict[str, str]], "store", "manifest")
-        if any(entry.keys() != {"title", "source"} for entry in manifest.values()):
-            raise SchemaError("store manifest entries must hold exactly a title and a source")
         store = cls(dimension=payload["dimension"], embedder_name=payload["embedder"])
-        store.manifest = manifest
         entries = payload["chunks"]
         vectors = [entry["embedding"] for entry in entries] if matrix is None else matrix
         store._set_chunks([_chunk_from_json(entry) for entry in entries], vectors)
@@ -596,12 +589,6 @@ def _numbers(values: Sequence, shape: tuple[int, ...]) -> np.ndarray | None:
     return array if array.dtype.kind in "iuf" and array.shape == shape else None
 
 
-def document_title(text: str, fallback: str) -> str:
-    """First markdown heading, or the fallback name."""
-    match = next(_headings(text), None)
-    return match.group(2) if match else fallback
-
-
 def ingest_files(
     store: VectorStore,
     paths: Sequence[str | os.PathLike[str]],
@@ -627,6 +614,6 @@ def ingest_files(
             sections_for_chunks(text, chunks)
         for chunk in chunks:
             chunk.embedding = embed_text(chunk.text, embedder)
-        documents[doc_id] = (document_title(text, doc_id), str(path), chunks)
+        documents[doc_id] = chunks
     store.add_documents(documents)
-    return sum(len(chunks) for *_, chunks in documents.values())
+    return sum(map(len, documents.values()))

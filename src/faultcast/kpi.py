@@ -127,6 +127,13 @@ class TimeSeriesDataset:
         return int(self.values.shape[0])
 
 
+def _quoted(text: str) -> str:
+    """A refused cell as ``repr`` writes it; past 40 characters, its first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}… ({len(text)} characters)"
+
+
 def _parse_timestamp(cell: str, path: str | os.PathLike[str], row_no: int) -> int:
     text = cell.strip()
     if not text:
@@ -134,9 +141,9 @@ def _parse_timestamp(cell: str, path: str | os.PathLike[str], row_no: int) -> in
     try:
         value = int(_LEADING_ZEROS.sub(r"\1", text))
     except ValueError as exc:
-        raise SchemaError(f"{path}: row {row_no}: timestamp {text!r} is not an integer") from exc
+        raise SchemaError(f"{path}: row {row_no}: timestamp {_quoted(text)} is not an integer") from exc
     if not -(2**63) <= value < 2**63:
-        raise SchemaError(f"{path}: row {row_no}: timestamp {text!r} does not fit in 64 bits")
+        raise SchemaError(f"{path}: row {row_no}: timestamp {_quoted(text)} does not fit in 64 bits")
     return value
 
 
@@ -246,7 +253,7 @@ def load_dataset(path: str | os.PathLike[str], missing_policy: str = "forward_fi
             try:
                 value = float(text)
             except ValueError as exc:
-                raise SchemaError(f"{path}: row {row_no} column {kpis[col]}: {text!r} is not a number") from exc
+                raise SchemaError(f"{path}: row {row_no} column {kpis[col]}: {_quoted(text)} is not a number") from exc
             if not math.isfinite(value):
                 raise SchemaError(f"{path}: row {row_no} column {kpis[col]}: non-finite value")
             parsed.append(value)

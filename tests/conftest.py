@@ -7,6 +7,7 @@ realistic model.  Tests that mutate state build their own objects.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,16 @@ settings.register_profile(
     "suite", deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+# A failing @given test makes hypothesis's pytest plugin import this module,
+# whose libcst import warns with a DeprecationWarning; under the suite's
+# error::DeprecationWarning that would end the session in an INTERNALERROR.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -965,7 +965,7 @@ class TestKnowledgeBase:
         assert cli.main(["kb", "ingest", *files]) == 0
         assert capsys.readouterr().out.startswith("ingested 3 documents (")
         store = VectorStore.load(tmp_path / "artifacts" / "knowledge.json")
-        assert sorted(store.manifest) == ["electrical", "engine", "tank_pressure"]
+        assert sorted({c.doc_id for c in store.chunks}) == ["electrical", "engine", "tank_pressure"]
 
     def test_a_manual_that_is_not_utf8_exits_two(self, tmp_path, monkeypatch, capsys) -> None:
         monkeypatch.chdir(tmp_path)
@@ -1131,7 +1131,6 @@ class TestTroubleshoot:
             "version": 1,
             "dimension": 2,
             "embedder": "offline",
-            "manifest": {"d": {"title": "D", "source": "d.md"}},
             "chunks": [{**chunk, "chunk_id": f"d#{i:04d}", "embedding": row} for i, row in enumerate(rows)],
         }
         (tmp_path / "artifacts").mkdir()
@@ -1192,9 +1191,7 @@ class TestTroubleshoot:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("data error: ")
 
-    @pytest.mark.parametrize(
-        "key, value", [("dimension", "4"), ("dimension", 4.7), ("embedder", 5), ("manifest", {"doc": 3})]
-    )
+    @pytest.mark.parametrize("key, value", [("dimension", "4"), ("dimension", 4.7), ("embedder", 5)])
     def test_store_with_a_malformed_header_exits_two(
         self, key, value, manuals, tmp_path, monkeypatch, capsys
     ) -> None:

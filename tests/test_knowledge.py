@@ -27,7 +27,6 @@ from faultcast.knowledge import (
     VectorStore,
     _row_norms,
     chunk_document,
-    document_title,
     fnv1a_64,
     ingest_files,
     reconstruct_document,
@@ -242,11 +241,6 @@ def test_sections_are_those_of_the_linear_heading_scan(text, max_chars):
     assert [c.section for c in chunks] == [c.section for c in expected]
 
 
-def test_document_title():
-    assert document_title("prose\n# Tank Manual\nmore", "fallback") == "Tank Manual"
-    assert document_title("no headings here", "fallback") == "fallback"
-
-
 def _embedded_chunks(doc_id: str, text: str, embedder: OfflineEmbedder):
     chunks = chunk_document(doc_id, text, max_chars=60, overlap_chars=10)
     for chunk in chunks:
@@ -259,7 +253,7 @@ class TestVectorStore:
         store = VectorStore(dimension=16)
         bare = chunk_document("doc", "some text")
         with pytest.raises(SchemaError, match=r"^chunk doc#0000: embedding is not a list or array$"):
-            store.add_documents({"doc": ("Doc", "doc.txt", bare)})
+            store.add_documents({"doc": bare})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_add_document_rejects_non_finite_embeddings(self, value):
@@ -268,39 +262,39 @@ class TestVectorStore:
         chunks[-1].embedding = chunks[-1].embedding.copy()
         chunks[-1].embedding[3] = value
         with pytest.raises(SchemaError, match=f"chunk {chunks[-1].chunk_id}: .*not finite"):
-            store.add_documents({"doc": ("Doc", "doc.txt", chunks)})
-        assert len(store) == 0 and store.manifest == {} and len(store.matrix) == 0
+            store.add_documents({"doc": chunks})
+        assert len(store) == 0 and len(store.matrix) == 0
 
     def test_add_document_refuses_a_numpy_boolean_beside_numbers(self):
         chunks = _embedded_chunks("doc", "tank pressure " * 10, OfflineEmbedder(4))
         chunks[-1].embedding = [np.True_, 0.5, 0.0, 0.0]
         with pytest.raises(SchemaError, match=f"^chunk {chunks[-1].chunk_id}: embedding values are not numbers$"):
-            VectorStore(dimension=4).add_documents({"doc": ("Doc", "doc.txt", chunks)})
+            VectorStore(dimension=4).add_documents({"doc": chunks})
 
     def test_add_document_checks_dimension(self):
         store = VectorStore(dimension=16)
         chunks = _embedded_chunks("doc", "some text", OfflineEmbedder(8))
         with pytest.raises(DimensionMismatch):
-            store.add_documents({"doc": ("Doc", "doc.txt", chunks)})
+            store.add_documents({"doc": chunks})
 
     def test_reingesting_replaces_and_keeps_chunk_order(self):
         embedder = OfflineEmbedder(16)
         store = VectorStore(dimension=16)
         b_chunks = _embedded_chunks("b", "bravo " * 30, embedder)
-        store.add_documents({"b": ("B", "b.txt", b_chunks)})
+        store.add_documents({"b": b_chunks})
         assert len(store) == len(b_chunks)
         a_chunks = _embedded_chunks("a", "alfa " * 30, embedder)
-        store.add_documents({"a": ("A", "a.txt", a_chunks)})
-        store.add_documents({"b": ("B", "b.txt", _embedded_chunks("b", "bravo " * 30, embedder))})
+        store.add_documents({"a": a_chunks})
+        store.add_documents({"b": _embedded_chunks("b", "bravo " * 30, embedder)})
         assert len(store) == len(a_chunks) + len(b_chunks)
         ids = [c.chunk_id for c in store.chunks]
         assert ids == sorted(ids)
-        assert set(store.manifest) == {"a", "b"}
+        assert {c.doc_id for c in store.chunks} == {"a", "b"}
 
     def test_save_load_round_trip(self, tmp_path):
         embedder = OfflineEmbedder(16)
         store = VectorStore(dimension=16, embedder_name="offline")
-        store.add_documents({"doc": ("Doc", "doc.md", _embedded_chunks("doc", "tank " * 40, embedder))})
+        store.add_documents({"doc": _embedded_chunks("doc", "tank " * 40, embedder)})
         path = tmp_path / "store.json"
         store.save(path)
 
@@ -315,7 +309,6 @@ class TestVectorStore:
         loaded = VectorStore.load(path)
         assert loaded.dimension == store.dimension
         assert loaded.embedder_name == store.embedder_name
-        assert loaded.manifest == store.manifest
         assert len(loaded) == len(store)
         for mine, theirs in zip(store.chunks, loaded.chunks):
             assert mine.chunk_id == theirs.chunk_id
@@ -344,8 +337,8 @@ class TestVectorStore:
     def test_embeddings_are_read_only_rows_of_one_matrix(self, manuals, tmp_path):
         embedder = OfflineEmbedder(16)
         added = VectorStore(dimension=16)
-        added.add_documents({"b": ("B", "b.txt", _embedded_chunks("b", "bravo tank " * 20, embedder))})
-        added.add_documents({"a": ("A", "a.txt", _embedded_chunks("a", "alfa valve " * 20, embedder))})
+        added.add_documents({"b": _embedded_chunks("b", "bravo tank " * 20, embedder)})
+        added.add_documents({"a": _embedded_chunks("a", "alfa valve " * 20, embedder)})
         ingested = VectorStore(dimension=16)
         ingest_files(ingested, manuals, embedder)
         ingested.save(tmp_path / "store.json")
@@ -390,12 +383,10 @@ def _store_payloads(draw, max_dimension=4, max_chunks=4, values=_VALUE, text=_TE
             ),
         }
     )
-    entry = st.fixed_dictionaries({"title": text, "source": text})
     return {
         "version": 1,
         "dimension": dimension,
         "embedder": draw(st.sampled_from(EMBEDDER_MODES)),
-        "manifest": draw(st.dictionaries(text, entry, max_size=3)),
         "chunks": draw(st.lists(chunk, max_size=max_chunks)),
     }
 
@@ -404,7 +395,6 @@ _EDGE_CASE_STORE = {
     "version": 1,
     "dimension": 4,
     "embedder": "offline",
-    "manifest": {"d\u00e9": {"title": 'say "hi"\\', "source": "m\u00e9/\x01.md"}},
     "chunks": [
         {
             "chunk_id": "d\u00e9#0000",
@@ -430,7 +420,7 @@ _EDGE_CASE_STORE = {
 
 @given(payload=_store_payloads())
 @example(payload=_EDGE_CASE_STORE)
-@example(payload={**_EDGE_CASE_STORE, "chunks": [], "manifest": {}})
+@example(payload={**_EDGE_CASE_STORE, "chunks": []})
 def test_save_writes_the_bytes_of_json_dump(tmp_path_factory, payload):
     directory = tmp_path_factory.mktemp("store")
     source = directory / "source.json"
@@ -479,30 +469,32 @@ def test_save_writes_rows_in_chunk_order_across_format_blocks(tmp_path, monkeypa
         chunks = chunk_document(doc_id, "word " * 5 * len(rows), max_chars=25, overlap_chars=0)
         for chunk, row in zip(chunks, rows, strict=True):
             chunk.embedding = np.array(row)
-        store.add_documents({doc_id: (doc_id, f"{doc_id}.md", chunks)})
+        store.add_documents({doc_id: chunks})
     store.save(tmp_path / "saved.json")
     chunks = [{**vars(c), "embedding": c.embedding.tolist()} for c in store.chunks]
     payload = {
         "chunks": chunks,
         "dimension": 4,
         "embedder": "offline",
-        "manifest": store.manifest,
         "version": 1,
     }
     oracle = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     assert (tmp_path / "saved.json").read_bytes() == oracle.encode("utf-8")
 
 
-FIXTURE_STORE_SHA256 = "73e3091f0ff14d63a27412b108406e6f99e26694d7013545d94cbe2224e1189e"
+FIXTURE_STORE_SHA256 = "70a0170d2e0fc8a27b33c090621f5d03bf4e6d9c63afc78e90e944255a7bf92e"
 FIXTURE_FILES = [f"tests/fixtures/{name}.md" for name in ("electrical", "engine", "tank_pressure")]
 
 
 def _kb_ingest_sha256(fixtures_dir, tmp_path, monkeypatch, capsys, *runs) -> str:
-    """sha256 of the store left by one ``faultcast kb ingest`` per run, from the repository root."""
+    """sha256 of the store left by one ``faultcast kb ingest`` per run, from the repository root.
+
+    ``{root}`` in a file name stands for the repository root's absolute path.
+    """
     shutil.copytree(fixtures_dir, tmp_path / "tests" / "fixtures", dirs_exist_ok=True)
     monkeypatch.chdir(tmp_path)
     for files in runs:
-        assert cli.main(["kb", "ingest", *files]) == 0
+        assert cli.main(["kb", "ingest", *(name.format(root=tmp_path) for name in files)]) == 0
     capsys.readouterr()
     return hashlib.sha256((tmp_path / "artifacts" / "knowledge.json").read_bytes()).hexdigest()
 
@@ -519,8 +511,10 @@ def test_kb_ingest_of_the_fixtures_keeps_its_bytes(fixtures_dir, tmp_path, monke
         [FIXTURE_FILES[1:] + FIXTURE_FILES[:1]],
         [FIXTURE_FILES, FIXTURE_FILES[1:2]],
         [["tests/fixtures/old/engine.md", *FIXTURE_FILES]],
+        [[f"{{root}}/{name}" for name in FIXTURE_FILES]],
+        [[f"./{name}" for name in FIXTURE_FILES]],
     ],
-    ids=["reversed", "rotated", "then-one-again", "same-stem-last-wins"],
+    ids=["reversed", "rotated", "then-one-again", "same-stem-last-wins", "absolute-paths", "dot-slash-paths"],
 )
 def test_store_bytes_do_not_depend_on_ingest_order_or_history(fixtures_dir, tmp_path, monkeypatch, capsys, runs):
     old = tmp_path / "tests" / "fixtures" / "old" / "engine.md"
@@ -529,10 +523,38 @@ def test_store_bytes_do_not_depend_on_ingest_order_or_history(fixtures_dir, tmp_
     assert _kb_ingest_sha256(fixtures_dir, tmp_path, monkeypatch, capsys, *runs) == FIXTURE_STORE_SHA256
 
 
+def test_a_store_with_a_document_manifest_still_loads(fixtures_dir, tmp_path, monkeypatch, capsys):
+    """Stores once held a per-document manifest (title and source); a store or cache head with one loads.
+
+    The next ``save`` drops it and writes the bytes of a store built without it.
+    """
+    _kb_ingest_sha256(fixtures_dir, tmp_path, monkeypatch, capsys, FIXTURE_FILES)
+    expected = VectorStore.load(tmp_path / "artifacts" / "knowledge.json")
+    manifest = {doc: {"title": doc.title(), "source": f"tests/fixtures/{doc}.md"} for doc in ("electrical", "engine")}
+    old = tmp_path / "old.json"
+    payload = json.loads((tmp_path / "artifacts" / "knowledge.json").read_text(encoding="utf-8"))
+    old.write_text(json.dumps({**payload, "manifest": manifest}), encoding="utf-8")
+    _assert_same_store(VectorStore.load(old), expected)
+
+    resaved = tmp_path / "resaved.json"
+    VectorStore.load(old).save(resaved)
+    assert hashlib.sha256(resaved.read_bytes()).hexdigest() == FIXTURE_STORE_SHA256
+    # The cache that save wrote, as it was written with the manifest beside the old store.
+    head, matrix = _cache_files(resaved)
+    old_head = {**json.loads(head.read_text(encoding="utf-8")), "manifest": manifest}
+    old_head["store_sha256"] = hashlib.sha256(old.read_bytes()).hexdigest()
+    _cache_files(old)[0].write_text(json.dumps(old_head), encoding="utf-8")
+    shutil.copyfile(matrix, _cache_files(old)[1])
+    with store_file_parses() as parsed:
+        cached = VectorStore.load(old)
+    assert parsed == []
+    _assert_same_store(cached, expected)
+
+
 def _valid_store_payload(tmp_path):
     store = VectorStore(dimension=4, embedder_name="offline")
     chunks = _embedded_chunks("doc", "tank " * 30, OfflineEmbedder(4))
-    store.add_documents({"doc": ("Doc", "doc.md", chunks)})
+    store.add_documents({"doc": chunks})
     path = tmp_path / "store.json"
     store.save(path)
     return path, json.loads(path.read_text(encoding="utf-8"))
@@ -547,7 +569,6 @@ MALFORMED_STORES = {
     "no chunks": (("chunks",), MISSING, SchemaError),
     "no dimension": (("dimension",), MISSING, SchemaError),
     "no embedder": (("embedder",), MISSING, SchemaError),
-    "no manifest": (("manifest",), MISSING, SchemaError),
     **{
         f"chunk without {key}": ((*FIRST_CHUNK, key), MISSING, SchemaError)
         for key in ("chunk_id", "doc_id", "section", "text", "char_start", "char_end", "embedding")
@@ -567,10 +588,6 @@ MALFORMED_STORES = {
     "dimension is a boolean": (("dimension",), True, SchemaError),
     "numeric embedder": (("embedder",), 5, SchemaError),
     "unknown embedder": (("embedder",), "remote:model", SchemaError),
-    "manifest is a list": (("manifest",), [], SchemaError),
-    "numeric manifest entry": (("manifest", "doc"), 3, SchemaError),
-    "manifest entry without source": (("manifest", "doc", "source"), MISSING, SchemaError),
-    "numeric manifest title": (("manifest", "doc", "title"), 3, SchemaError),
     "short embedding": ((*FIRST_CHUNK, "embedding"), [0.5] * 3, DimensionMismatch),
     "long embedding": ((*FIRST_CHUNK, "embedding"), [0.5] * 5, DimensionMismatch),
     "embedding is not a list": ((*FIRST_CHUNK, "embedding"), 0.5, SchemaError),
@@ -631,7 +648,7 @@ def test_add_and_load_refuse_a_bad_embedding_alike(tmp_path, case):
     path.write_text(json.dumps(payload), encoding="utf-8")
     chunks = [KnowledgeChunk(**entry) for entry in entries]
     with pytest.raises(error) as added:
-        VectorStore(dimension=4).add_documents({"doc": ("Doc", "doc.md", chunks)})
+        VectorStore(dimension=4).add_documents({"doc": chunks})
     with pytest.raises(error) as loaded:
         VectorStore.load(path)
     assert type(added.value) is type(loaded.value) is error
@@ -646,7 +663,6 @@ def _store_file(tmp_path, *embeddings):
         "version": 1,
         "dimension": len(embeddings[0]),
         "embedder": "offline",
-        "manifest": {},
         "chunks": [{**chunk, "chunk_id": f"d#{i:04d}", "embedding": e} for i, e in enumerate(embeddings)],
     }
     path = tmp_path / "store.json"
@@ -734,12 +750,8 @@ def _delete_cache(path):
 
 
 def _assert_same_store(actual, expected):
-    """Equal chunk fields and order, matrix bits and layout, norm bits, manifest, dimension and embedder."""
-    assert (actual.dimension, actual.embedder_name, actual.manifest) == (
-        expected.dimension,
-        expected.embedder_name,
-        expected.manifest,
-    )
+    """Equal chunk fields and order, matrix bits and layout, norm bits, dimension and embedder."""
+    assert (actual.dimension, actual.embedder_name) == (expected.dimension, expected.embedder_name)
     fields = [[getattr(c, key) for key in knowledge._CHUNK_FIELDS] for c in expected.chunks]
     assert [[getattr(c, key) for key in knowledge._CHUNK_FIELDS] for c in actual.chunks] == fields
     assert actual.matrix.tobytes() == expected.matrix.tobytes()
@@ -752,7 +764,7 @@ def _assert_same_store(actual, expected):
 
 @given(payload=_store_payloads())
 @example(payload=_EDGE_CASE_STORE)
-@example(payload={**_EDGE_CASE_STORE, "chunks": [], "manifest": {}})
+@example(payload={**_EDGE_CASE_STORE, "chunks": []})
 @example(payload=_with_embeddings([1e300, -1e300, 1e-300, -0.0], [5e-324, -5e-324, 2.2250738585072014e-308, 0.0]))
 def test_load_reads_from_the_cache_the_store_it_reads_from_the_file(tmp_path_factory, payload):
     directory = tmp_path_factory.mktemp("store")
@@ -795,7 +807,7 @@ def test_every_store_the_constructor_accepts_saves_and_loads_back(tmp_path_facto
     store = VectorStore(dimension=dimension, embedder_name=embedder_name)
     embedder = OfflineEmbedder(dimension)
     store.add_documents(
-        {f"doc{i}": (f"Doc {i}", f"doc{i}.md", _embedded_chunks(f"doc{i}", text, embedder)) for i, text in enumerate(texts)}
+        {f"doc{i}": _embedded_chunks(f"doc{i}", text, embedder) for i, text in enumerate(texts)}
     )
     path = tmp_path_factory.mktemp("store") / "store.json"
     store.save(path)
@@ -872,7 +884,7 @@ def test_load_ignores_a_cache_that_does_not_match_the_store(tmp_path, case):
     embedder = OfflineEmbedder(16)
     for name, text in (("store", "tank pressure " * 30), ("other", "pump pressure " * 30)):
         store = VectorStore(dimension=16)
-        store.add_documents({"doc": ("Doc", "doc.md", _embedded_chunks("doc", text, embedder))})
+        store.add_documents({"doc": _embedded_chunks("doc", text, embedder)})
         (tmp_path / name).mkdir()
         store.save(tmp_path / name / "store.json")
     path = tmp_path / "store" / "store.json"
@@ -897,7 +909,7 @@ def test_the_cache_is_as_readable_as_the_store(tmp_path, mode):
 
 def test_save_leaves_no_temporary_file_when_the_cache_cannot_be_written(tmp_path, monkeypatch):
     store = VectorStore(dimension=16)
-    store.add_documents({"doc": ("Doc", "doc.md", _embedded_chunks("doc", "tank " * 30, OfflineEmbedder(16)))})
+    store.add_documents({"doc": _embedded_chunks("doc", "tank " * 30, OfflineEmbedder(16))})
 
     replace = os.replace
 
@@ -974,9 +986,7 @@ class TestIngestFiles:
         store = VectorStore(dimension=64)
         added = ingest_files(store, manuals, OfflineEmbedder(64))
         assert added == len(store) > 0
-        assert set(store.manifest) == {"tank_pressure", "engine", "electrical"}
-        assert store.manifest["tank_pressure"]["title"] == "Compressed Air Tank Manual"
-        assert store.manifest["tank_pressure"]["source"].endswith("tank_pressure.md")
+        assert {c.doc_id for c in store.chunks} == {"tank_pressure", "engine", "electrical"}
         assert all(c.section is not None for c in store.chunks)
         assert all(c.embedding is not None for c in store.chunks)
 
@@ -1006,14 +1016,14 @@ class TestIngestFiles:
         set_chunks = VectorStore._set_chunks
         monkeypatch.setattr(VectorStore, "_set_chunks", lambda *args: rebuilds.append(set_chunks(*args)))
         ingest_files(store, manuals, OfflineEmbedder(64))
-        assert len(rebuilds) == 1 and len(store.manifest) == len(manuals)
+        assert len(rebuilds) == 1 and len({c.doc_id for c in store.chunks}) == len(manuals)
 
     @pytest.mark.parametrize("failure", ["missing", "not utf-8", "embedder"])
     def test_a_failing_file_leaves_the_store_unchanged(self, manuals, tmp_path, failure):
         embedder = OfflineEmbedder(64)
         store = VectorStore(dimension=64)
         ingest_files(store, manuals[:2], embedder)
-        size, manifest, matrix = len(store), dict(store.manifest), store.matrix
+        size, documents, matrix = len(store), {c.doc_id for c in store.chunks}, store.matrix
         good = tmp_path / "pump.md"
         good.write_text("# Pump\n" + "impeller seal " * 90, encoding="utf-8")
         bad = tmp_path / "bad.md"
@@ -1031,7 +1041,7 @@ class TestIngestFiles:
             embedder = Failing(64)
         with pytest.raises((DataError, EndpointError)):
             ingest_files(store, [manuals[2], good, bad], embedder)
-        assert len(store) == size and store.manifest == manifest and store.matrix is matrix
+        assert len(store) == size and {c.doc_id for c in store.chunks} == documents and store.matrix is matrix
         assert all(chunk.embedding.base is matrix for chunk in store.chunks)
 
     def test_reingest_is_idempotent(self, manuals):
@@ -1047,7 +1057,7 @@ class TestIngestFiles:
         note.write_text("plain body about valves " * 20, encoding="utf-8")
         store = VectorStore(dimension=32)
         ingest_files(store, [note], OfflineEmbedder(32))
-        assert set(store.manifest) == {"note"}
+        assert {c.doc_id for c in store.chunks} == {"note"}
         assert all(c.section is None for c in store.chunks)
 
     def test_missing_file_raises_io_error(self, tmp_path):

@@ -177,6 +177,23 @@ def test_timestamp_errors_name_the_file_and_row(rows, error, message, tmp_path):
     assert str(caught.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0" * 130000 + "x,1", "row 2: timestamp '0000000000000000000000000000000000000000'… (130001 characters) is not an integer"),
+        ("1," + "0" * 130000 + "x", "row 2 column a@n: '0000000000000000000000000000000000000000'… (130001 characters) is not a number"),
+    ],
+    ids=["timestamp", "value"],
+)
+def test_a_long_refused_cell_is_quoted_in_part(row, message, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"timestamp,a@n\n{row}\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}: {message}"
+    assert len(str(caught.value)) < 200
+
+
 def test_timestamps_load_across_the_int64_range(tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text("timestamp,a@n\n-9223372036854775808,1\n9223372036854775807,2\n", encoding="utf-8")

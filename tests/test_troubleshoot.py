@@ -131,15 +131,11 @@ def axis_store():
     store = VectorStore(dimension=3, embedder_name="offline")
     store.add_documents(
         {
-            "m": (
-                "M",
-                "m.txt",
-                [
-                    _axis_chunk("m#0000", [1.0, 0.0, 0.0]),
-                    _axis_chunk("m#0001", [1.0, 1.0, 0.0]),
-                    _axis_chunk("m#0002", [0.0, 1.0, 0.0]),
-                ],
-            )
+            "m": [
+                _axis_chunk("m#0000", [1.0, 0.0, 0.0]),
+                _axis_chunk("m#0001", [1.0, 1.0, 0.0]),
+                _axis_chunk("m#0002", [0.0, 1.0, 0.0]),
+            ]
         }
     )
     return store
@@ -175,15 +171,7 @@ class TestRetrieve:
         pairs = [([1.0], [2.0]), ([1.0, 3.0, 2.0, 0.0], [3.0, 1.0, 0.0, 2.0])]
         for (first, second), query in itertools.product(pairs, [[1.0, 1.0], [1.0] * 64]):
             store = VectorStore(dimension=64, embedder_name="offline")
-            store.add_documents(
-                {
-                    "m": (
-                        "M",
-                        "m.txt",
-                        [_axis_chunk("m#0001", padded(second)), _axis_chunk("m#0000", padded(first))],
-                    )
-                }
-            )
+            store.add_documents({"m": [_axis_chunk("m#0001", padded(second)), _axis_chunk("m#0000", padded(first))]})
             result = retrieve(store, padded(query), RetrievalConfig(top_k=2))
             assert [c.chunk_id for c, _ in result] == ["m#0000", "m#0001"]
             assert result[0][1] == result[1][1]
@@ -255,7 +243,7 @@ class TestMatrixRetrieval:
     )
     def test_agrees_with_brute_force_cosine(self, multi_doc_store, config):
         store = multi_doc_store
-        assert len(store.manifest) == 5 and len(store) > 50
+        assert len({c.doc_id for c in store.chunks}) == 5 and len(store) > 50
         for query in _queries(store.dimension):
             reference = _brute_force(store, query, config)
             exact = {c.chunk_id: cosine_similarity(query, c.embedding) for c in store.chunks}
@@ -283,7 +271,7 @@ class TestMatrixRetrieval:
             for i in range(1200)
         ]
         store = VectorStore(dimension=512)
-        store.add_documents({"m": ("M", "m.txt", chunks)})
+        store.add_documents({"m": chunks})
         query = embedder.embed("tank pressure valve")
         retrieve(store, query)
         tracemalloc.start()
@@ -363,7 +351,7 @@ class TestTroubleshootOffline:
 
     def test_non_offline_store_needs_an_explicit_embedder(self):
         store = VectorStore(dimension=4, embedder_name="remote")
-        store.add_documents({"m": ("M", "m.txt", [_axis_chunk("m#0000", [1.0, 0.0, 0.0, 0.0])])})
+        store.add_documents({"m": [_axis_chunk("m#0000", [1.0, 0.0, 0.0, 0.0])]})
         with pytest.raises(ValueError, match="embedder"):
             troubleshoot([_anomaly(PRESSURE, 1.0)], DESCRIPTORS, store, spec=PromptSpec(kpi_count=2))
         # with a matching embedder it runs
